@@ -12,6 +12,7 @@
 #include "parallel/speculate.h"
 #include "parallel/thread_pool.h"
 #include "sino/anneal.h"
+#include "util/indexed_heap.h"
 #include "util/stopwatch.h"
 #include "sino/evaluator.h"
 #include "sino/greedy.h"
@@ -573,26 +574,35 @@ void LocalRefiner::reduce_congestion(FlowState& fs, RefineStats& stats) const {
   const RoutingProblem& p = *problem_;
   const auto& params = p.params();
   const double lsk_budget = p.lsk_table().lsk_budget(fs.bound_v);
-  std::unordered_set<std::size_t> done;
 
-  for (int outer = 0; outer < params.lr_max_outer_pass2; ++outer) {
-    // Most congested solution with at least one shield.
-    double worst_density = 0.0;
-    std::size_t pick = 0;
-    bool found = false;
-    for (std::size_t si = 0; si < fs.solutions.size(); ++si) {
-      if (done.count(si) || fs.solutions[si].empty()) continue;
-      if (fs.congestion->shields(sol_region(si), sol_dir(si)) < 1.0) {
-        continue;
-      }
+  // Candidates: non-empty solutions with at least one shield and positive
+  // density, keyed on density. A step changes only the picked region's
+  // shield count, so only its key moves. The heap pops the largest
+  // (key, id); storing solution si under id n-1-si sends density ties to
+  // the lowest index, so regions are visited in argmax-scan order.
+  const std::size_t n = fs.solutions.size();
+  const auto heap_id = [n](std::size_t si) {
+    return static_cast<std::int32_t>(n - 1 - si);
+  };
+  const auto eligible = [&](std::size_t si, double dens) {
+    return fs.congestion->shields(sol_region(si), sol_dir(si)) >= 1.0 &&
+           dens > 0.0;
+  };
+  util::IndexedMaxHeap heap(n);
+  {
+    std::vector<util::IndexedMaxHeap::Entry> entries;
+    for (std::size_t si = 0; si < n; ++si) {
+      if (fs.solutions[si].empty()) continue;
       const double dens = fs.solution_density(si);
-      if (dens > worst_density) {
-        worst_density = dens;
-        pick = si;
-        found = true;
-      }
+      if (eligible(si, dens)) entries.push_back({dens, heap_id(si)});
     }
-    if (!found) break;
+    heap.build(entries);
+  }
+
+  for (int outer = 0; outer < params.lr_max_outer_pass2 && !heap.empty();
+       ++outer) {
+    const std::size_t pick =
+        n - 1 - static_cast<std::size_t>(heap.top().first);
 
     const RegionBackup backup = snapshot(fs, pick);
     loosen_kth(fs, pick, lsk_budget);
@@ -604,13 +614,20 @@ void LocalRefiner::reduce_congestion(FlowState& fs, RefineStats& stats) const {
       stats.pass2_shields_removed +=
           static_cast<int>(backup.shields_before - shields_after);
       ++stats.pass2_accepted;
-      // Stay eligible: more slack may be harvestable here. Termination is
-      // still guaranteed because every acceptance removes at least one
-      // shield and the total shield count is finite.
+      // Stay a candidate while a shield is left: more slack may be
+      // harvestable here. Termination is still guaranteed because every
+      // acceptance removes at least one shield and the total shield count
+      // is finite.
+      const double dens = fs.solution_density(pick);
+      if (eligible(pick, dens)) {
+        heap.update(heap_id(pick), dens);
+      } else {
+        heap.erase(heap_id(pick));
+      }
     } else {
       restore(fs, backup);
       ++stats.pass2_rejected;
-      done.insert(pick);
+      heap.erase(heap_id(pick));
     }
   }
 }

@@ -12,7 +12,15 @@
 // Pass 2 (reduce routing congestion): in the most congested region, give
 // nets with slack (noise headroom) looser Kth in proportion to that slack
 // and re-run SINO; accept the new solution only if it removes at least one
-// shield and causes no new violations.
+// shield and causes no new violations. A rejected region is done; an
+// accepted one stays a candidate while it keeps a shield. The pick comes
+// off an indexed max-heap (util/indexed_heap.h) keyed on density, built
+// once over the candidates: a step changes only the picked region's shield
+// count, so only its key moves (update on accept, erase when it leaves the
+// candidate set). Heap ids are reversed solution indices, so density ties
+// go to the lowest index and regions are visited in exactly the order of a
+// full argmax scan per step (tests/refine_test.cpp pins this against the
+// scan).
 //
 // Batched pass 2 (RefineOptions::batch_pass2): instead of one region per
 // step, each sweep picks a maximal net-disjoint set of eligible congested

@@ -6,6 +6,13 @@
 // reproduce the deletion order of the historical lazy-revalidation heap,
 // whose entries compared (weight, net, edge) and popped the largest).
 //
+// Users:
+//   - the ID router's edge-deletion loop (router/id_router.cpp), keyed on
+//     deletion weight;
+//   - refine pass 2 (core/refine.cpp), keyed on (region, dir) density. It
+//     stores solution si under id n-1-si, so the largest-id tie-break picks
+//     the lowest index, the order of the linear argmax scan it replaced.
+//
 // Compared with a std::priority_queue of (key, id) pairs under lazy
 // revalidation, the indexed heap holds exactly one entry per live item, so a
 // key change is a sift instead of a duplicate push whose stale twin must be

@@ -32,19 +32,9 @@
 // serial pass, so batched results differ from batch_pass2=false (the
 // goldens pin the serial pass).
 //
-// Speculative pass 1 (RefineOptions::speculate_batch, parallel/speculate.h):
-// pass 1 is inherently sequential — each outer step's worst-violator pick
-// and fix attempt read the state every earlier attempt committed. With
-// speculation on, up to `speculate_batch` whole fix attempts (for the k
-// worst violating nets) are evaluated concurrently on copy-on-write
-// overlays of a frozen snapshot, each recording the (region, LSK-entry)
-// read set it touched. The unchanged serial order then applies a memoized
-// attempt only when its read set is still at the snapshot versions —
-// proving the overlay equals, bit for bit, what the serial attempt would
-// have computed — and replays invalidated attempts serially. Unlike
-// batch_pass2, this changes neither the visit order nor the output: the
-// refined state is bit-identical to the serial pass at every
-// (threads, speculate_batch) combination, so every golden holds.
+// Pass 1 is inherently sequential (each step's worst-violator pick reads
+// every earlier fix), so it runs on the calling thread; only batched pass 2
+// fans out across the pool.
 #pragma once
 
 #include "core/session.h"
@@ -58,11 +48,9 @@ class LocalRefiner {
   /// Run pass 1 then pass 2 on a flow state produced by Phase II.
   RefineStats refine(FlowState& fs, const RefineOptions& options = {}) const;
 
-  /// Individual passes (exposed for tests and the ablation bench). Pass 1
-  /// speculates fix attempts across the pool when
-  /// options.speculate_batch > 1 and the effective thread count is > 1;
-  /// its refined state is bit-identical to the serial pass either way
-  /// (parallel/speculate.h).
+  /// Individual passes (exposed for tests and the benches). Pass 1 reads
+  /// no option; `options` stays so callers that pass their RefineOptions
+  /// keep compiling.
   void eliminate_violations(FlowState& fs, RefineStats& stats,
                             const RefineOptions& options = {}) const;
   void reduce_congestion(FlowState& fs, RefineStats& stats) const;

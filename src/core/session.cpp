@@ -43,11 +43,6 @@ const char* stage_name(Stage stage) {
   return "?";
 }
 
-std::uint64_t region_resolve_seed(const RoutingProblem& p,
-                                  std::size_t sol_index) {
-  return p.params().seed ^ (sol_index * 131071u);
-}
-
 BudgetRule budget_rule(FlowKind kind) {
   switch (kind) {
     case FlowKind::kIdNo:
@@ -118,6 +113,12 @@ void lru_insert(std::vector<Entry>& cache, Entry entry, std::size_t budget) {
                                     cache.size() - budget + 1));
   }
   cache.push_back(std::move(entry));
+}
+
+/// The per-region annealing stream seed of Phase III re-solves.
+std::uint64_t region_resolve_seed(const RoutingProblem& p,
+                                  std::size_t sol_index) {
+  return p.params().seed ^ (sol_index * 131071u);
 }
 
 }  // namespace
@@ -342,9 +343,6 @@ std::shared_ptr<const RoutingArtifact> FlowSession::route(
   art->seconds = watch.seconds();
 
   ++counters_.route_executed;
-  counters_.route_spec_attempted += art->routing->stats.spec_attempted;
-  counters_.route_spec_committed += art->routing->stats.spec_committed;
-  counters_.route_spec_replayed += art->routing->stats.spec_replayed;
   lru_insert(route_cache_, RouteEntry{options, art}, options_.cache_entries);
   if (options_.store) options_.store->put_routing(store_key, *art);
   emit(Stage::kRoute, kind, art->seconds, /*reused=*/false);
@@ -629,7 +627,7 @@ std::shared_ptr<const RefineArtifact> FlowSession::refine(
 
   // Store consult (see route()). The refine record keys on the solve
   // record it refines plus the one Phase III knob that changes output
-  // (batch_pass2; threads/speculate_batch never do), with the solve key
+  // (batch_pass2; threads never does), with the solve key
   // rebuilt from the artifact's own provenance fields.
   std::uint64_t store_key = 0;
   if (options_.store) {
@@ -677,9 +675,6 @@ std::shared_ptr<const RefineArtifact> FlowSession::refine(
   art->seconds = watch.seconds();
 
   ++counters_.refine_executed;
-  counters_.refine_spec_attempted += static_cast<std::size_t>(stats.spec_attempted);
-  counters_.refine_spec_committed += static_cast<std::size_t>(stats.spec_committed);
-  counters_.refine_spec_replayed += static_cast<std::size_t>(stats.spec_replayed);
   lru_insert(refine_cache_, RefineEntry{solve.get(), options.batch_pass2, art},
              options_.cache_entries);
   if (options_.store) {

@@ -69,13 +69,6 @@ enum class FlowKind { kIdNo, kIsino, kGsino };
 
 const char* flow_name(FlowKind kind);
 
-/// The historical per-region annealing stream seed of Phase III re-solves
-/// (seed ^ sol_index * 131071). Exposed so the speculative refine path
-/// (core/refine.cpp) replicates FlowState::resolve_region's annealing
-/// stream exactly on its snapshot overlays.
-std::uint64_t region_resolve_seed(const RoutingProblem& p,
-                                  std::size_t sol_index);
-
 /// The (region, dir) <-> solution-index packing used by every per-region
 /// container (solutions, congestion shields, batch items): one slot per
 /// direction per region.
@@ -136,7 +129,7 @@ struct StageEvent {
 ///
 /// DEPRECATION NOTE: for timing/profiling, prefer the span tracer
 /// (obs/trace.h) — it covers sub-stage phases the observer never sees
-/// (router build/deletion, speculation rounds, per-region re-solves,
+/// (router build/deletion, refine passes, per-region re-solves,
 /// store I/O, pool occupancy) and exports Perfetto-loadable traces; the
 /// counters behind it unify into obs::MetricsSnapshot
 /// (FlowSession::metrics()). StageObserver stays supported as a
@@ -262,15 +255,6 @@ struct RefineStats {
   int pass2_rejected = 0;
   int batch_sweeps = 0;          ///< batched pass-2 sweeps executed
   int batch_regions_resolved = 0;  ///< regions re-solved inside those sweeps
-  /// Pass-1 speculation counters (parallel/speculate.h; see
-  /// RefineOptions::speculate_batch): fix attempts fanned out, memoized
-  /// attempts the serial order applied after read-set validation, and
-  /// invalidated attempts replayed serially. All zero on the serial path;
-  /// they vary with (threads, speculate_batch), so goldens pin the refined
-  /// state, never these.
-  int spec_attempted = 0;
-  int spec_committed = 0;
-  int spec_replayed = 0;
 };
 
 /// Phase III knobs (a refine() option on the session).
@@ -281,21 +265,11 @@ struct RefineOptions {
   /// the sweep visits regions in a different order than the serial pass 2,
   /// so results differ from batch=false (goldens pin batch=false).
   bool batch_pass2 = false;
-  /// Pool participants for batched pass-2 re-solves and speculative pass-1
-  /// fix attempts. 0 = auto (RLCR_THREADS env var, else hardware
-  /// concurrency); 1 = exact serial path. Never changes output.
+  /// Pool participants for batched pass-2 re-solves (pass 1 and serial
+  /// pass 2 run on the calling thread). 0 = auto (RLCR_THREADS env var,
+  /// else hardware concurrency); 1 = exact serial path. Never changes
+  /// output.
   int threads = 0;
-  /// Speculative batch width of pass 1: up to this many worst-violator fix
-  /// attempts are evaluated concurrently against a frozen snapshot
-  /// (parallel/speculate.h); the unchanged serial order then applies each
-  /// memoized attempt only after its recorded read set (regions + LSK
-  /// entries) is proven untouched by earlier commits, and replays the rest
-  /// serially. Refined state is bit-identical at every
-  /// (threads, speculate_batch) combination; 0 selects an adaptive width
-  /// (parallel::AdaptiveBatch — deterministic for a fixed thread count);
-  /// 1 or negative — or an effective thread count of 1 — disables
-  /// speculation (the exact serial path).
-  int speculate_batch = 8;
 };
 
 /// Phase III output: the refined per-region state.
@@ -358,8 +332,8 @@ struct FlowResult {
 
 /// FNV-1a over the flow's final per-net state (LSK/noise bit patterns,
 /// shields, violation counts): one u64 that moves iff the output moved.
-/// Deterministic across thread counts by the src/parallel and
-/// parallel/speculate.h contracts — route_cli prints it, the service
+/// Deterministic across thread counts by the src/parallel contracts —
+/// route_cli prints it, the service
 /// returns it on the wire, and CI's multi-thread smoke pins it against a
 /// threads=1 run.
 std::uint64_t state_fingerprint(const FlowResult& fr);
@@ -435,14 +409,6 @@ struct StageCounters {
   std::size_t budget_requests = 0, budget_executed = 0, budget_loaded = 0;
   std::size_t solve_requests = 0, solve_executed = 0, solve_loaded = 0;
   std::size_t refine_requests = 0, refine_executed = 0, refine_loaded = 0;
-  /// Speculation totals accumulated from the stats of every artifact this
-  /// session computed (parallel/speculate.h): the Phase I deletion loop
-  /// and Phase III pass 1 respectively. Loaded/reused artifacts don't
-  /// advance them — the counters describe work this process performed.
-  std::size_t route_spec_attempted = 0, route_spec_committed = 0,
-              route_spec_replayed = 0;
-  std::size_t refine_spec_attempted = 0, refine_spec_committed = 0,
-              refine_spec_replayed = 0;
   /// Incremental-delta economics (FlowSession::apply_delta, src/scenario):
   /// how many pool nets the delta sub-runs actually re-routed vs spliced
   /// unchanged from the previous routing artifact, and how many

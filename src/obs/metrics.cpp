@@ -60,7 +60,7 @@ bool MetricsSnapshot::write_json(const std::filesystem::path& path) const {
 // ------------------------------------------------------- struct adapters
 
 void append_metrics(MetricsSnapshot& out, const gsino::StageCounters& c) {
-  static_assert(sizeof(gsino::StageCounters) == 23 * sizeof(std::size_t),
+  static_assert(sizeof(gsino::StageCounters) == 17 * sizeof(std::size_t),
                 "StageCounters changed: update this adapter and the "
                 "completeness test in tests/obs_test.cpp");
   const auto n = [](std::size_t v) { return static_cast<double>(v); };
@@ -76,12 +76,6 @@ void append_metrics(MetricsSnapshot& out, const gsino::StageCounters& c) {
   out.set_counter("session.refine_requests", n(c.refine_requests));
   out.set_counter("session.refine_executed", n(c.refine_executed));
   out.set_counter("session.refine_loaded", n(c.refine_loaded));
-  out.set_counter("session.route_spec_attempted", n(c.route_spec_attempted));
-  out.set_counter("session.route_spec_committed", n(c.route_spec_committed));
-  out.set_counter("session.route_spec_replayed", n(c.route_spec_replayed));
-  out.set_counter("session.refine_spec_attempted", n(c.refine_spec_attempted));
-  out.set_counter("session.refine_spec_committed", n(c.refine_spec_committed));
-  out.set_counter("session.refine_spec_replayed", n(c.refine_spec_replayed));
   out.set_counter("session.delta_applies", n(c.delta_applies));
   out.set_counter("session.delta_nets_rerouted", n(c.delta_nets_rerouted));
   out.set_counter("session.delta_nets_reused", n(c.delta_nets_reused));
@@ -91,7 +85,7 @@ void append_metrics(MetricsSnapshot& out, const gsino::StageCounters& c) {
 
 void append_metrics(MetricsSnapshot& out, const router::RoutingStats& s) {
   static_assert(sizeof(router::RoutingStats) ==
-                    9 * sizeof(std::size_t) + sizeof(double),
+                    8 * sizeof(std::size_t) + sizeof(double),
                 "RoutingStats changed: update this adapter and the "
                 "completeness test in tests/obs_test.cpp");
   const auto n = [](std::size_t v) { return static_cast<double>(v); };
@@ -101,14 +95,13 @@ void append_metrics(MetricsSnapshot& out, const router::RoutingStats& s) {
   out.set_counter("router.reinserts", n(s.reinserts));
   out.set_counter("router.prerouted_nets", n(s.prerouted_nets));
   out.set_counter("router.rsmt_fallback_nets", n(s.rsmt_fallback_nets));
-  out.set_counter("router.spec_attempted", n(s.spec_attempted));
-  out.set_counter("router.spec_committed", n(s.spec_committed));
-  out.set_counter("router.spec_replayed", n(s.spec_replayed));
+  // spec_attempted/spec_committed are always 0 and deliberately not
+  // exported (see RoutingStats).
   out.set_gauge("router.runtime_s", s.runtime_s);
 }
 
 void append_metrics(MetricsSnapshot& out, const gsino::RefineStats& s) {
-  static_assert(sizeof(gsino::RefineStats) == 11 * sizeof(int),
+  static_assert(sizeof(gsino::RefineStats) == 8 * sizeof(int),
                 "RefineStats changed: update this adapter and the "
                 "completeness test in tests/obs_test.cpp");
   out.set_counter("refine.pass1_nets_fixed", s.pass1_nets_fixed);
@@ -119,9 +112,6 @@ void append_metrics(MetricsSnapshot& out, const gsino::RefineStats& s) {
   out.set_counter("refine.pass2_rejected", s.pass2_rejected);
   out.set_counter("refine.batch_sweeps", s.batch_sweeps);
   out.set_counter("refine.batch_regions_resolved", s.batch_regions_resolved);
-  out.set_counter("refine.spec_attempted", s.spec_attempted);
-  out.set_counter("refine.spec_committed", s.spec_committed);
-  out.set_counter("refine.spec_replayed", s.spec_replayed);
 }
 
 void append_metrics(MetricsSnapshot& out, const store::StoreStats& s) {
@@ -139,17 +129,6 @@ void append_metrics(MetricsSnapshot& out, const store::StoreStats& s) {
   out.set_counter("store.lock_waits", n(s.lock_waits));
   out.set_counter("store.bytes_written", n(s.bytes_written));
   out.set_counter("store.bytes_read", n(s.bytes_read));
-}
-
-void append_metrics(MetricsSnapshot& out, const parallel::SpecStats& s,
-                    const std::string& prefix) {
-  static_assert(sizeof(parallel::SpecStats) == 3 * sizeof(std::size_t),
-                "SpecStats changed: update this adapter and the "
-                "completeness test in tests/obs_test.cpp");
-  const auto n = [](std::size_t v) { return static_cast<double>(v); };
-  out.set_counter(prefix + "attempted", n(s.attempted));
-  out.set_counter(prefix + "committed", n(s.committed));
-  out.set_counter(prefix + "replayed", n(s.replayed));
 }
 
 // ------------------------------------------------------ resource sampler

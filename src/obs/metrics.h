@@ -1,18 +1,18 @@
 // Flow-wide metrics registry (the observability layer's counters half).
 //
-// The five stats structs scattered across the subsystems — StageCounters
+// The four stats structs scattered across the subsystems — StageCounters
 // (core/session.h), RoutingStats (router/route_types.h), RefineStats
-// (core/session.h), StoreStats (store/artifact_store.h), and SpecStats
-// (parallel/speculate.h) — stay the internal source of truth; this layer
-// only *adapts* them into one flat, name-keyed MetricsSnapshot for export
-// (JSON, `route_cli --metrics-out`, the future what-if daemon's stats
-// endpoint). Each adapter carries a sizeof static_assert so adding a field
-// to a source struct without teaching the adapter fails the build, and the
-// completeness test (tests/obs_test.cpp) proves every field appears in the
-// registry exactly once.
+// (core/session.h), and StoreStats (store/artifact_store.h) — stay the
+// internal source of truth; this layer only *adapts* them into one flat,
+// name-keyed MetricsSnapshot for export (JSON, `route_cli --metrics-out`,
+// the future what-if daemon's stats endpoint). Each adapter carries a
+// sizeof static_assert so adding a field to a source struct without
+// teaching the adapter fails the build, and the completeness test
+// (tests/obs_test.cpp) proves every exported field appears in the registry
+// exactly once.
 //
 // Naming convention: "<subsystem>.<field>" — session.*, router.*,
-// refine.*, store.*, spec.* — plus resource.* gauges from the sampler.
+// refine.*, store.* — plus resource.* gauges from the sampler.
 #pragma once
 
 #include <chrono>
@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "core/session.h"
-#include "parallel/speculate.h"
 #include "router/route_types.h"
 #include "store/artifact_store.h"
 
@@ -74,8 +73,8 @@ class MetricsSnapshot {
 
 // ------------------------------------------------------- struct adapters
 
-/// session.* counters (requests/executed/loaded per stage + speculation
-/// totals).
+/// session.* counters (requests/executed/loaded per stage + delta
+/// economics).
 void append_metrics(MetricsSnapshot& out, const gsino::StageCounters& c);
 /// router.* counters plus the router.runtime_s gauge.
 void append_metrics(MetricsSnapshot& out, const router::RoutingStats& s);
@@ -83,11 +82,6 @@ void append_metrics(MetricsSnapshot& out, const router::RoutingStats& s);
 void append_metrics(MetricsSnapshot& out, const gsino::RefineStats& s);
 /// store.* counters.
 void append_metrics(MetricsSnapshot& out, const store::StoreStats& s);
-/// <prefix>attempted/committed/replayed counters for a standalone
-/// speculation scope (the session already folds its own spec totals into
-/// session.*).
-void append_metrics(MetricsSnapshot& out, const parallel::SpecStats& s,
-                    const std::string& prefix = "spec.");
 
 // ------------------------------------------------------ resource sampler
 

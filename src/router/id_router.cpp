@@ -10,7 +10,6 @@
 #include "grid/tiled.h"
 #include "obs/trace.h"
 #include "parallel/parallel_for.h"
-#include "parallel/speculate.h"
 #include "rsmt/steiner.h"
 #include "steiner/tree_cache.h"
 #include "util/indexed_heap.h"
@@ -135,10 +134,7 @@ struct NetWork {
   }
 };
 
-/// Reusable BFS / cert-path-walk scratch for deletability checks. The
-/// serial loop owns one; with speculation on, each pool worker owns its
-/// own (worker-local), so concurrent speculative BFS runs share nothing
-/// but read-only graph state.
+/// Reusable BFS / cert-path-walk scratch for deletability checks.
 struct BfsScratch {
   std::vector<std::uint32_t> stamp;  ///< per-vertex visit stamp
   std::vector<std::int32_t> dist;    ///< BFS depth per vertex
@@ -674,23 +670,6 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
   // loop makes from then on.
   grid::TiledVec<std::uint8_t> region_stale(region_count * 2, storage);
 
-  // Speculation versioning (parallel/speculate.h): a memoized verdict or
-  // weight is consumed by the serial commit order only while its version
-  // stamps are unchanged. net_touch[n] advances whenever a pop changes any
-  // of net n's edge states (delete, lock, freeze bulk-lock) — the only
-  // inputs a deletability BFS and its certified pin paths read;
-  // region_epoch advances with every stats change of a (region, dir) —
-  // the inputs of a cached Eq. (2) weight.
-  // speculate_batch > 1 = fixed width, 0 = adaptive width (the
-  // parallel::AdaptiveBatch controller below), 1 or negative = off.
-  const bool spec_on =
-      (options_.speculate_batch > 1 || options_.speculate_batch == 0) &&
-      threads > 1;
-  const bool spec_adaptive = spec_on && options_.speculate_batch == 0;
-  std::vector<std::uint32_t> net_touch(works.size(), 0);
-  grid::TiledVec<std::uint32_t> region_epoch;
-  if (spec_on) region_epoch.reset(region_count * 2, storage);
-
   auto refresh_region = [&](std::size_t region, int d) {
     const RegionStat& rs = stats.s[d][region];
     double hu = rs.nns;
@@ -703,7 +682,6 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
   auto mark_dirty = [&](std::size_t region, int d) {
     const std::size_t key = region * 2 + static_cast<std::size_t>(d);
     region_stale.ref(key) = 1;
-    if (spec_on) ++region_epoch.ref(key);
   };
   auto fresh_region = [&](std::size_t region, int d) {
     const std::size_t key = region * 2 + static_cast<std::size_t>(d);
@@ -780,8 +758,8 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
     max_vertices = std::max(max_vertices, wk.vertex_count());
     max_edges = std::max(max_edges, wk.edge_count);
   }
-  BfsScratch main_scratch;
-  main_scratch.init(max_vertices, max_edges);
+  BfsScratch scratch;
+  scratch.init(max_vertices, max_edges);
 
   /// Early-exit bounded BFS from the source over active edges, optionally
   /// skipping one edge. Returns the deletability verdict directly: true as
@@ -789,11 +767,9 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
   /// moment a pin is first reached beyond its limit, or once the BFS depth
   /// exceeds the largest pin limit (no pin can be certified any more), or
   /// when the frontier dries up. Identical verdicts to a full-graph BFS —
-  /// it just refuses to flood the rest of the bounding box. A pure
-  /// function of the net's edge states, so speculative replicas on
-  /// worker-local scratch compute exactly the serial verdict.
-  auto deletable_bfs = [&](const NetWork& wk, std::int32_t skip_edge,
-                           BfsScratch& sc) {
+  /// it just refuses to flood the rest of the bounding box.
+  auto deletable_bfs = [&](const NetWork& wk, std::int32_t skip_edge) {
+    BfsScratch& sc = scratch;
     ++sc.epoch;
     sc.queue.clear();
     std::size_t uncertified = wk.pin_locals.size();
@@ -829,54 +805,35 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
     return false;  // some pin is unreachable
   };
 
-  /// Walk the source->pin parent paths of the BFS that just certified
-  /// every pin (still in `sc`) into one path-family edge list. Dedup of
-  /// path joins uses the scratch's stamped edge marks, which reproduces
-  /// exactly the set (and push order) the historical kOnCertBit-based walk
-  /// recorded — the bit and the cert_edges list were kept in lockstep, and
-  /// old bits were cleared before the walk, so "bit already set" meant
-  /// "added by this very walk". Shared-state-free, so speculative workers
-  /// run it on their own scratch.
-  auto collect_cert_paths = [&](const NetWork& wk, BfsScratch& sc,
-                                std::vector<std::int32_t>& out) {
-    out.clear();
-    ++sc.mark_epoch;
-    for (const std::int32_t pl : wk.pin_locals) {
-      std::int32_t v = pl;
-      while (v != wk.src_local) {
-        const std::int32_t ei = sc.parent[static_cast<std::size_t>(v)];
-        if (sc.edge_mark[static_cast<std::size_t>(ei)] == sc.mark_epoch) {
-          break;  // joined a path already collected by this walk
-        }
-        sc.edge_mark[static_cast<std::size_t>(ei)] = sc.mark_epoch;
-        out.push_back(ei);
-        const LocalEdge& e = wk.edges[static_cast<std::size_t>(ei)];
-        v = (e.u == v) ? e.v : e.u;
-      }
-    }
-  };
-
-  /// Install a collected path family as the net's positive certificate:
-  /// clear the old family's bits, adopt the new list, set its bits.
-  auto apply_cert = [&](NetWork& wk, std::size_t n,
-                        const std::vector<std::int32_t>& path_edges) {
+  /// Adopt the source->pin parent paths of the BFS that just certified
+  /// every pin (still in scratch) as the net's positive certificate: clear
+  /// the old family's bits, walk the new family (path joins dedup through
+  /// the scratch's stamped edge marks), set its bits.
+  auto adopt_cert_paths = [&](NetWork& wk, std::size_t n) {
     for (const std::int32_t ei : wk.cert_edges) {
       ehot[wk.gid_base + static_cast<std::size_t>(ei)].meta &=
           static_cast<std::uint8_t>(~kOnCertBit);
     }
-    wk.cert_edges.assign(path_edges.begin(), path_edges.end());
+    wk.cert_edges.clear();
+    ++scratch.mark_epoch;
+    for (const std::int32_t pl : wk.pin_locals) {
+      std::int32_t v = pl;
+      while (v != wk.src_local) {
+        const std::int32_t ei = scratch.parent[static_cast<std::size_t>(v)];
+        if (scratch.edge_mark[static_cast<std::size_t>(ei)] ==
+            scratch.mark_epoch) {
+          break;  // joined a path already collected by this walk
+        }
+        scratch.edge_mark[static_cast<std::size_t>(ei)] = scratch.mark_epoch;
+        wk.cert_edges.push_back(ei);
+        const LocalEdge& e = wk.edges[static_cast<std::size_t>(ei)];
+        v = (e.u == v) ? e.v : e.u;
+      }
+    }
     for (const std::int32_t ei : wk.cert_edges) {
       ehot[wk.gid_base + static_cast<std::size_t>(ei)].meta |= kOnCertBit;
     }
     net_cert_valid[n] = 1;
-  };
-
-  /// Adopt the source->pin parent paths of the BFS that just certified
-  /// every pin (still in scratch) as the net's positive certificate.
-  std::vector<std::int32_t> cert_path_tmp;
-  auto adopt_cert_paths = [&](NetWork& wk, std::size_t n, BfsScratch& sc) {
-    collect_cert_paths(wk, sc, cert_path_tmp);
-    apply_cert(wk, n, cert_path_tmp);
   };
 
   // Iterative-DFS scratch for the bridge pass.
@@ -894,7 +851,7 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
   /// removal, so they stay valid as deletion proceeds.
   auto certify = [&](NetWork& wk, std::size_t n) {
     wk.bfs_since_certify = 0;
-    if (!deletable_bfs(wk, -1, main_scratch)) {
+    if (!deletable_bfs(wk, -1)) {
       // Frozen: some pin is already unreachable or over-limit with no edge
       // skipped, so every remaining deletability verdict of this net is
       // false regardless of how its graph shrinks further. Lock the whole
@@ -903,7 +860,6 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
       // them again.
       net_frozen[n] = 1;
       net_cert_valid[n] = 0;
-      ++net_touch[n];  // the bulk-lock flips edge states a memo may have read
       for (std::size_t ei = 0; ei < wk.edge_count; ++ei) {
         LocalEdge& e = wk.edges[ei];
         if (e.state != kActive) continue;
@@ -919,16 +875,16 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
       }
       return;
     }
-    adopt_cert_paths(wk, n, main_scratch);
+    adopt_cert_paths(wk, n);
     // The bridge pass only pays off where locks happen (bridges are what
     // refuses deletion); skip it while the net is still deleting freely.
     if (wk.locks_since_tarjan == 0) return;
     wk.locks_since_tarjan = 0;
-    ++main_scratch.epoch;
+    ++scratch.epoch;
     std::int32_t timer = 0;
     dfs_stack.clear();
     const std::int32_t src = wk.src_local;
-    main_scratch.stamp[static_cast<std::size_t>(src)] = main_scratch.epoch;
+    scratch.stamp[static_cast<std::size_t>(src)] = scratch.epoch;
     dfs_tin[static_cast<std::size_t>(src)] = timer++;
     dfs_low[static_cast<std::size_t>(src)] = dfs_tin[static_cast<std::size_t>(src)];
     dfs_pins[static_cast<std::size_t>(src)] =
@@ -948,10 +904,10 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
         if (e.state != kActive) continue;
         const std::int32_t other = (e.u == v) ? e.v : e.u;
         const auto uo = static_cast<std::size_t>(other);
-        if (main_scratch.stamp[uo] == main_scratch.epoch) {
+        if (scratch.stamp[uo] == scratch.epoch) {
           dfs_low[uv] = std::min(dfs_low[uv], dfs_tin[uo]);
         } else {
-          main_scratch.stamp[uo] = main_scratch.epoch;
+          scratch.stamp[uo] = scratch.epoch;
           dfs_tin[uo] = timer++;
           dfs_low[uo] = dfs_tin[uo];
           dfs_pins[uo] = wk.pin_index[uo] >= 0 ? 1 : 0;
@@ -984,92 +940,6 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
     if (!works[n].prerouted) certify(works[n], n);
   }
 
-  // ----------------------------------------------------------- speculation
-  //
-  // One memo per likely-next candidate (parallel/speculate.h). The fanned
-  // work is the two per-pop hot spots: the Eq. (2) weight combine (guarded
-  // by the endpoint region epochs) and the deletability BFS + certified pin
-  // paths (guarded by the net's touch counter — edge states are the only
-  // inputs a BFS reads). All other pop work (certificate checks, state
-  // flips, stats) stays on the committing thread, untouched.
-  struct SpecMemo {
-    std::int32_t gid = -1;
-    std::uint32_t net_ver = 0;  ///< net_touch at snapshot
-    std::uint32_t eu = 0, ev = 0;  ///< endpoint region epochs at snapshot
-    double weight = 0.0;
-    bool do_bfs = false;  ///< no certificate applied at snapshot time
-    bool ok = false;      ///< BFS verdict (valid only when do_bfs)
-    std::vector<std::int32_t> cert_path;  ///< pin paths when ok
-  };
-  parallel::AdaptiveBatch adaptive_batch;
-  int spec_batch = !spec_on             ? 1
-                   : spec_adaptive      ? adaptive_batch.width()
-                                        : options_.speculate_batch;
-  std::vector<SpecMemo> memos;
-  std::vector<BfsScratch> spec_scratch;
-  if (spec_on) {
-    // Memo slots sized for the widest batch the controller can reach, so
-    // adaptive growth never reallocates mid-loop.
-    memos.resize(static_cast<std::size_t>(
-        spec_adaptive ? adaptive_batch.max_width() : spec_batch));
-    spec_scratch.resize(static_cast<std::size_t>(threads));
-    for (BfsScratch& sc : spec_scratch) sc.init(max_vertices, max_edges);
-  }
-  std::size_t memo_count = 0;
-  auto find_memo = [&](std::int32_t gid) -> const SpecMemo* {
-    for (std::size_t i = 0; i < memo_count; ++i) {
-      if (memos[i].gid == gid) return &memos[i];
-    }
-    return nullptr;
-  };
-  // Snapshot + evaluate one batch. The serial snapshot pass freshens both
-  // endpoint caches of every candidate first — a pure derivation off the
-  // live stats, exactly what the serial pop's own current_weight() would
-  // run first, so doing it early is invisible — then records the version
-  // stamps of everything each evaluation reads. Workers then only touch
-  // read-only shared state plus their own memo slot and scratch.
-  auto speculate_round = [&]() {
-    RLCR_TRACE_SPAN(spec_span, "router.spec_round", "router");
-    const auto top = heap.top_k(static_cast<std::size_t>(spec_batch));
-    memo_count = top.size();
-    spec_span.arg("batch", static_cast<double>(memo_count));
-    for (std::size_t i = 0; i < memo_count; ++i) {
-      SpecMemo& m = memos[i];
-      m.gid = top[i].id;
-      const EdgeHot& h = ehot[static_cast<std::size_t>(m.gid)];
-      const int d = h.dir;
-      fresh_region(static_cast<std::size_t>(h.ru), d);
-      fresh_region(static_cast<std::size_t>(h.rv), d);
-      m.eu = region_epoch[static_cast<std::size_t>(h.ru) * 2 +
-                          static_cast<std::size_t>(d)];
-      m.ev = region_epoch[static_cast<std::size_t>(h.rv) * 2 +
-                          static_cast<std::size_t>(d)];
-      const auto n = static_cast<std::size_t>(
-          gid_net[static_cast<std::size_t>(m.gid)]);
-      m.net_ver = net_touch[n];
-      m.do_bfs = !(net_frozen[n] || (h.meta & kCertifiedBit)) &&
-                 !(net_cert_valid[n] && !(h.meta & kOnCertBit));
-      m.ok = false;
-      if (m.do_bfs) ++result.stats.spec_attempted;
-    }
-    parallel::speculate(memo_count, threads, [&](std::size_t i, int worker) {
-      SpecMemo& m = memos[i];
-      const EdgeHot& h = ehot[static_cast<std::size_t>(m.gid)];
-      m.weight = weight_from_cache(h);  // caches freshened at snapshot
-      if (!m.do_bfs) return;
-      const auto n = static_cast<std::size_t>(
-          gid_net[static_cast<std::size_t>(m.gid)]);
-      const NetWork& wk = works[n];
-      BfsScratch& sc = spec_scratch[static_cast<std::size_t>(worker)];
-      m.ok = deletable_bfs(
-          wk,
-          static_cast<std::int32_t>(static_cast<std::size_t>(m.gid) -
-                                    wk.gid_base),
-          sc);
-      if (m.ok) collect_cert_paths(wk, sc, m.cert_path);
-    });
-  };
-
   // ------------------------------------------------------------- deletion
   //
   // Pop semantics replicate the historical lazy-revalidation heap exactly:
@@ -1081,44 +951,14 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
   // recomputation, and without the old `max_reinserts_per_edge` safety cap
   // (termination is structural: a re-key needs a strict weight drop, which
   // needs an intervening deletion, and deletions are finite).
-  //
-  // With speculation on, every spec_batch steps a fresh batch is snapshot
-  // and evaluated; the commit loop below is the serial loop verbatim — it
-  // re-reads top() for every pop, so memos only short-circuit recomputation
-  // (weight / BFS) after their version stamps prove the inputs untouched,
-  // never the processing order.
   phase_span.emplace("router.deletion", "router");
   phase_span->arg("candidates", static_cast<double>(heap.size()));
   while (!heap.empty()) {
-    parallel::SpecStats round_before;
-    if (spec_on) {
-      if (spec_adaptive) {
-        spec_batch = adaptive_batch.width();
-        round_before = parallel::SpecStats{result.stats.spec_attempted,
-                                           result.stats.spec_committed,
-                                           result.stats.spec_replayed};
-      }
-      speculate_round();
-    }
-    for (int step = 0; !heap.empty() && (!spec_on || step < spec_batch);
-         ++step) {
     const auto [gid, stored] = heap.top();
     const auto ugid = static_cast<std::size_t>(gid);
     EdgeHot& h = ehot[ugid];
 
-    const SpecMemo* sp = spec_on ? find_memo(gid) : nullptr;
-    double now;
-    if (sp != nullptr &&
-        region_epoch[static_cast<std::size_t>(h.ru) * 2 +
-                     static_cast<std::size_t>(h.dir)] == sp->eu &&
-        region_epoch[static_cast<std::size_t>(h.rv) * 2 +
-                     static_cast<std::size_t>(h.dir)] == sp->ev) {
-      // Unchanged epochs ⇒ no commit dirtied either endpoint since the
-      // snapshot freshened them ⇒ the memoized combine IS current_weight().
-      now = sp->weight;
-    } else {
-      now = current_weight(h);
-    }
+    const double now = current_weight(h);
     if (now < stored - 1e-9) {
       ++result.stats.reinserts;
       heap.update(gid, now);
@@ -1149,21 +989,9 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
       }
       if (verdict < 0) {
         ++wk.bfs_since_certify;
-        bool bfs_ok;
-        if (sp != nullptr && sp->do_bfs && sp->net_ver == net_touch[n]) {
-          // Untouched net ⇒ identical edge states ⇒ the memoized verdict
-          // and parent paths are exactly what the serial BFS would find.
-          bfs_ok = sp->ok;
-          if (bfs_ok) apply_cert(wk, n, sp->cert_path);
-          ++result.stats.spec_committed;
-        } else {
-          if (sp != nullptr && sp->do_bfs) ++result.stats.spec_replayed;
-          bfs_ok = deletable_bfs(
-              wk, static_cast<std::int32_t>(ugid - wk.gid_base), main_scratch);
-          if (bfs_ok) {
-            adopt_cert_paths(wk, n, main_scratch);  // excludes this edge
-          }
-        }
+        const bool bfs_ok =
+            deletable_bfs(wk, static_cast<std::int32_t>(ugid - wk.gid_base));
+        if (bfs_ok) adopt_cert_paths(wk, n);  // excludes this edge
         if (!bfs_ok && (h.meta & kOnCertBit)) {
           net_cert_valid[n] = 0;  // locking breaks the certified paths
         }
@@ -1180,7 +1008,6 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
         h.meta = static_cast<std::uint8_t>((h.meta & ~kStateMask) | kLocked);
         ++result.stats.edges_locked;
         ++wk.locks_since_tarjan;
-        ++net_touch[n];
       }
       continue;
     }
@@ -1189,7 +1016,6 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
     e.state = kDeleted;
     h.meta = static_cast<std::uint8_t>((h.meta & ~kStateMask) | kDeleted);
     ++result.stats.edges_deleted;
-    ++net_touch[n];
     const int d = h.dir;
     bool lost_region = false;
     for (const std::int32_t v : {e.u, e.v}) {
@@ -1222,13 +1048,6 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
         wk.weight_applied[d] = target;
       }
     }
-    }
-    if (spec_adaptive) {
-      adaptive_batch.update(parallel::SpecStats{
-          result.stats.spec_attempted - round_before.attempted,
-          result.stats.spec_committed - round_before.committed,
-          result.stats.spec_replayed - round_before.replayed});
-    }
   }
 
   phase_span.emplace("router.collect", "router");
@@ -1252,28 +1071,28 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
     }
 
     // BFS with parent pointers over non-deleted edges.
-    ++main_scratch.epoch;
-    main_scratch.queue.clear();
-    main_scratch.queue.push_back(wk.src_local);
-    main_scratch.stamp[static_cast<std::size_t>(wk.src_local)] =
-        main_scratch.epoch;
+    ++scratch.epoch;
+    scratch.queue.clear();
+    scratch.queue.push_back(wk.src_local);
+    scratch.stamp[static_cast<std::size_t>(wk.src_local)] =
+        scratch.epoch;
     parent_edge[static_cast<std::size_t>(wk.src_local)] = -1;
-    for (std::size_t head = 0; head < main_scratch.queue.size(); ++head) {
-      const std::int32_t v = main_scratch.queue[head];
+    for (std::size_t head = 0; head < scratch.queue.size(); ++head) {
+      const std::int32_t v = scratch.queue[head];
       for (std::int32_t i = wk.adj_offset[static_cast<std::size_t>(v)];
            i < wk.adj_offset[static_cast<std::size_t>(v) + 1]; ++i) {
         const std::int32_t ei = wk.adj_edges[static_cast<std::size_t>(i)];
         const LocalEdge& e = wk.edges[static_cast<std::size_t>(ei)];
         if (e.state == kDeleted) continue;
         const std::int32_t other = (e.u == v) ? e.v : e.u;
-        if (main_scratch.stamp[static_cast<std::size_t>(other)] ==
-            main_scratch.epoch) {
+        if (scratch.stamp[static_cast<std::size_t>(other)] ==
+            scratch.epoch) {
           continue;
         }
-        main_scratch.stamp[static_cast<std::size_t>(other)] =
-            main_scratch.epoch;
+        scratch.stamp[static_cast<std::size_t>(other)] =
+            scratch.epoch;
         parent_edge[static_cast<std::size_t>(other)] = ei;
-        main_scratch.queue.push_back(other);
+        scratch.queue.push_back(other);
       }
     }
 
@@ -1283,8 +1102,8 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
     for (const std::int32_t pl : wk.pin_locals) {
       std::int32_t v = pl;
       while (v != wk.src_local &&
-             main_scratch.stamp[static_cast<std::size_t>(v)] ==
-                 main_scratch.epoch) {
+             scratch.stamp[static_cast<std::size_t>(v)] ==
+                 scratch.epoch) {
         const std::int32_t ei = parent_edge[static_cast<std::size_t>(v)];
         if (ei < 0 || edge_seen[static_cast<std::size_t>(ei)] == seen_epoch) {
           break;  // joined an existing path

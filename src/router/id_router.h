@@ -58,6 +58,7 @@
 //     replayed serially in net order by the ordered reducer, and the
 //     pre-route dedup uses per-worker epoch-stamped scratch. Results are
 //     bit-identical at any `threads` value (see IdRouterOptions::threads).
+//     The deletion loop itself runs serially on the calling thread.
 //
 // Nets whose bounding box exceeds a size threshold would contribute
 // enormous connection graphs (the classic ID scalability problem the paper
@@ -116,23 +117,8 @@ struct IdRouterOptions {
   /// var, else hardware concurrency); 1 = the exact serial path. Output is
   /// bit-identical at every value: chunking is a pure function of the net
   /// count, and shared-stats accumulation is replayed in net order by the
-  /// ordered reducer. The deletion loop commits serially; with
-  /// `speculate_batch` > 1 its BFS verdicts and weights are precomputed
-  /// speculatively across the pool (parallel/speculate.h).
+  /// ordered reducer. The deletion loop runs on the calling thread.
   int threads = 0;
-  /// Speculative batch width of the deletion loop: up to this many
-  /// top-of-heap candidates have their deletability BFS (+ certified pin
-  /// paths) and Eq. (2) weight evaluated concurrently against a frozen
-  /// snapshot; the unchanged serial commit order then consumes each memo
-  /// only after version counters prove no earlier commit touched its
-  /// inputs, and recomputes the rest serially. Routes are therefore
-  /// bit-identical at every (threads, speculate_batch) combination;
-  /// 0 selects an adaptive width (parallel::AdaptiveBatch grows the batch
-  /// while the commit rate stays high and halves it on replay storms —
-  /// still deterministic for a fixed thread count); 1 or negative — or
-  /// threads == 1 — disables speculation entirely (the exact serial
-  /// path). Like `threads`, never part of the routing profile.
-  int speculate_batch = 8;
   /// Quality tier for every net topology the router builds (huge-net
   /// pre-routes and the f(WL) normalization trees): src/steiner profiles.
   /// kFast is the historical rsmt::rsmt path, bit-identical to the

@@ -77,15 +77,11 @@ struct RoutingStats {
   /// kBalanced/kBest profiles (which keep improving such nets) have the
   /// most headroom.
   std::size_t rsmt_fallback_nets = 0;
-  /// Deletion-loop speculation counters (parallel/speculate.h; see
-  /// IdRouterOptions::speculate_batch): BFS-bound candidates fanned out,
-  /// memoized verdicts the serial commit order consumed after validation,
-  /// and invalidated memos recomputed serially. All zero on the serial
-  /// path; like runtime_s they vary with the run configuration and are
-  /// never part of route_hash().
+  /// Always 0: the deletion loop no longer speculates. Kept only because
+  /// the repository benchmark still reads them for its
+  /// router.spec_commit_ratio layer; to be dropped with that layer.
   std::size_t spec_attempted = 0;
   std::size_t spec_committed = 0;
-  std::size_t spec_replayed = 0;
   double runtime_s = 0.0;
 };
 

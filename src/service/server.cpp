@@ -65,18 +65,6 @@ void fold_delta(gsino::StageCounters& a, const gsino::StageCounters& before,
   add(a.refine_requests, before.refine_requests, after.refine_requests);
   add(a.refine_executed, before.refine_executed, after.refine_executed);
   add(a.refine_loaded, before.refine_loaded, after.refine_loaded);
-  add(a.route_spec_attempted, before.route_spec_attempted,
-      after.route_spec_attempted);
-  add(a.route_spec_committed, before.route_spec_committed,
-      after.route_spec_committed);
-  add(a.route_spec_replayed, before.route_spec_replayed,
-      after.route_spec_replayed);
-  add(a.refine_spec_attempted, before.refine_spec_attempted,
-      after.refine_spec_attempted);
-  add(a.refine_spec_committed, before.refine_spec_committed,
-      after.refine_spec_committed);
-  add(a.refine_spec_replayed, before.refine_spec_replayed,
-      after.refine_spec_replayed);
 }
 
 }  // namespace

@@ -455,8 +455,8 @@ std::uint64_t refine_key(const gsino::RoutingProblem& problem,
   h.str("refine/v1");
   h.u64(problem.fingerprint());
   h.u64(solve);
-  // The one Phase III knob that changes output; threads/speculate_batch
-  // never do (the session cache applies the same identity).
+  // The one Phase III knob that changes output; threads never does (the
+  // session cache applies the same identity).
   h.boolean(batch_pass2);
   return h.value();
 }

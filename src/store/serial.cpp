@@ -272,9 +272,6 @@ std::vector<std::uint8_t> save(const gsino::RoutingArtifact& art) {
   w.u64(routing.stats.reinserts);
   w.u64(routing.stats.prerouted_nets);
   w.u64(routing.stats.rsmt_fallback_nets);
-  w.u64(routing.stats.spec_attempted);
-  w.u64(routing.stats.spec_committed);
-  w.u64(routing.stats.spec_replayed);
   w.f64(routing.stats.runtime_s);
   w.f64(art.seconds);
   w.u64(router::route_hash(routing));  // the load-fidelity oracle
@@ -317,9 +314,6 @@ std::vector<std::uint8_t> save(const gsino::RefineArtifact& art,
   w.i32(s.pass2_rejected);
   w.i32(s.batch_sweeps);
   w.i32(s.batch_regions_resolved);
-  w.i32(s.spec_attempted);
-  w.i32(s.spec_committed);
-  w.i32(s.spec_replayed);
   w.f64(art.seconds);
   write_region_state(w, *art.solutions, *art.net_lsk, *art.net_noise,
                      *art.congestion);
@@ -364,9 +358,6 @@ std::shared_ptr<const gsino::RoutingArtifact> load_routing(
   routing->stats.reinserts = static_cast<std::size_t>(r.u64());
   routing->stats.prerouted_nets = static_cast<std::size_t>(r.u64());
   routing->stats.rsmt_fallback_nets = static_cast<std::size_t>(r.u64());
-  routing->stats.spec_attempted = static_cast<std::size_t>(r.u64());
-  routing->stats.spec_committed = static_cast<std::size_t>(r.u64());
-  routing->stats.spec_replayed = static_cast<std::size_t>(r.u64());
   routing->stats.runtime_s = r.f64();
   const double seconds = r.f64();
   const std::uint64_t saved_hash = r.u64();
@@ -452,9 +443,6 @@ std::shared_ptr<const gsino::RefineArtifact> load_refine(
   s.pass2_rejected = r.i32();
   s.batch_sweeps = r.i32();
   s.batch_regions_resolved = r.i32();
-  s.spec_attempted = r.i32();
-  s.spec_committed = r.i32();
-  s.spec_replayed = r.i32();
   art->seconds = r.f64();
 
   RegionState state;

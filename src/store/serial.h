@@ -43,7 +43,10 @@ namespace rlcr::store {
 /// v3: the routing profile gained tree_profile + tree_profile_overrides
 /// (steiner quality tiers) and RoutingStats gained rsmt_fallback_nets;
 /// same rule — v2 records load as misses and recompute.
-inline constexpr std::uint32_t kFormatVersion = 3;
+/// v4: speculative execution was removed, so the routing record drops the
+/// deletion-loop speculation counters and the refine record drops the
+/// pass-1 ones; v3 records load as misses and recompute.
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 enum class ArtifactType : std::uint32_t {
   kRouting = 1,
@@ -61,7 +64,7 @@ std::vector<std::uint8_t> save(const gsino::RoutingArtifact& art);
 std::vector<std::uint8_t> save(const gsino::BudgetArtifact& art);
 std::vector<std::uint8_t> save(const gsino::RegionSolveArtifact& art);
 /// `batch_pass2` is the one Phase III knob that changes refined output
-/// (RefineOptions; threads/speculate_batch never do). It rides in the
+/// (RefineOptions; threads never does). It rides in the
 /// payload as the record's identity cross-check — RefineArtifact itself
 /// does not carry it.
 std::vector<std::uint8_t> save(const gsino::RefineArtifact& art,

@@ -95,40 +95,6 @@ class IndexedMaxHeap {
   /// Remove a contained id without processing it.
   void erase(std::int32_t id) { remove_at(pos_[static_cast<std::size_t>(id)]); }
 
-  /// The k largest entries in descending (key, id) order WITHOUT mutating
-  /// the heap: best-first expansion over heap positions (popping a position
-  /// makes its children candidates), inspecting O(k * arity) slots. Used by
-  /// the router's speculative deletion batches to snapshot the candidates
-  /// the serial pop order will most likely process next; since the serial
-  /// loop re-reads top() for every actual pop, this prediction affects only
-  /// speculation efficiency, never processing order.
-  std::vector<Entry> top_k(std::size_t k) const {
-    std::vector<Entry> out;
-    if (k == 0 || heap_.empty()) return out;
-    out.reserve(std::min(k, heap_.size()));
-    // Candidate frontier of heap positions, max-ordered by their entries.
-    std::vector<std::int32_t> frontier{0};
-    const auto pos_less = [this](std::int32_t a, std::int32_t b) {
-      // std::push_heap keeps the MAX at front under operator<-style order.
-      return greater(heap_[static_cast<std::size_t>(b)],
-                     heap_[static_cast<std::size_t>(a)]);
-    };
-    const auto n = static_cast<std::int32_t>(heap_.size());
-    while (!frontier.empty() && out.size() < k) {
-      std::pop_heap(frontier.begin(), frontier.end(), pos_less);
-      const std::int32_t at = frontier.back();
-      frontier.pop_back();
-      out.push_back(heap_[static_cast<std::size_t>(at)]);
-      const std::int32_t first = at * kArity + 1;
-      const std::int32_t last = std::min(first + kArity, n);
-      for (std::int32_t c = first; c < last && c >= 0; ++c) {
-        frontier.push_back(c);
-        std::push_heap(frontier.begin(), frontier.end(), pos_less);
-      }
-    }
-    return out;
-  }
-
  private:
   // (key, id) lexicographic: is entry a strictly greater than entry b?
   static bool greater(const Entry& a, const Entry& b) {

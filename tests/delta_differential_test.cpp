@@ -4,8 +4,8 @@
 // artifacts in place — is bit-identical (route hash + state fingerprint)
 // to a from-scratch session built on the mutated problem. The property
 // sweep then holds the same chain fixed while varying everything that
-// must not matter: thread count, serial vs speculative execution, with
-// vs without the persistent store, tiled vs dense region storage.
+// must not matter: with vs without the persistent store, tiled vs dense
+// region storage; the headline chain test covers thread count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -69,7 +69,6 @@ StepState observe(const gsino::FlowResult& fr) {
 /// Everything that must NOT change the chain's states.
 struct Config {
   int threads = 1;
-  int speculate_batch = 1;  ///< 1 = exact serial path, >1 = speculative
   bool with_store = false;
   grid::RegionStorage storage = grid::RegionStorage::kTiled;
 };
@@ -77,14 +76,12 @@ struct Config {
 gsino::GsinoParams configured(gsino::GsinoParams params, const Config& cfg) {
   params.threads = cfg.threads;
   params.router.threads = cfg.threads;
-  params.router.speculate_batch = cfg.speculate_batch;
   return params;
 }
 
 gsino::Scenario refine_scenario(const Config& cfg) {
   gsino::Scenario scenario;
   scenario.refine.threads = cfg.threads;
-  scenario.refine.speculate_batch = cfg.speculate_batch;
   return scenario;
 }
 
@@ -168,7 +165,7 @@ TEST(DeltaDifferential, ChainMatchesFromScratchAtOneAndEightThreads) {
   const Pipeline pipe;
   const std::size_t kSteps = 4, kChanges = 6;
 
-  Config serial1;  // threads=1, serial
+  Config serial1;  // threads=1
   gsino::StageCounters counters{};
   const auto inc1 =
       run_incremental(pipe, serial1, kSteps, kChanges, "t1", &counters);
@@ -194,7 +191,6 @@ TEST(DeltaDifferential, ChainMatchesFromScratchAtOneAndEightThreads) {
 
   Config parallel8;
   parallel8.threads = 8;
-  parallel8.speculate_batch = 8;
   const auto inc8 = run_incremental(pipe, parallel8, kSteps, kChanges, "t8");
   const auto scratch8 = run_scratch(pipe, parallel8, kSteps, kChanges);
   for (std::size_t i = 0; i < inc8.size(); ++i) {
@@ -348,9 +344,9 @@ TEST(DeltaDifferential, ClusteredDesignReusesRoutes) {
 // ------------------------------------------ property sweep (satellite a)
 
 // The same chain converges to the same per-step states under every
-// environment the determinism contract covers: with and without the
-// persistent store, serial and speculative, tiled and dense region
-// storage. The baseline is the serial/no-store/tiled incremental arm.
+// environment the determinism contract covers: {store on/off} x
+// {tiled/dense region storage}. The baseline is the no-store/tiled
+// incremental arm.
 TEST(DeltaDifferential, PropertySweepConvergesAcrossEnvironments) {
   const Pipeline pipe(250, 21);
   const std::size_t kSteps = 2, kChanges = 5;
@@ -370,21 +366,13 @@ TEST(DeltaDifferential, PropertySweepConvergesAcrossEnvironments) {
     variants.push_back(v);
   }
   {
-    Variant v{"speculative", {}};
-    v.cfg.threads = 4;
-    v.cfg.speculate_batch = 8;
-    variants.push_back(v);
-  }
-  {
     Variant v{"dense", {}};
     v.cfg.storage = grid::RegionStorage::kDense;
     variants.push_back(v);
   }
   {
-    Variant v{"dense+store+speculative", {}};
+    Variant v{"dense+store", {}};
     v.cfg.with_store = true;
-    v.cfg.threads = 4;
-    v.cfg.speculate_batch = 8;
     v.cfg.storage = grid::RegionStorage::kDense;
     variants.push_back(v);
   }

@@ -265,12 +265,6 @@ TEST(Metrics, EveryStatsFieldAppearsInTheRegistryExactlyOnce) {
   c.refine_requests = v++;
   c.refine_executed = v++;
   c.refine_loaded = v++;
-  c.route_spec_attempted = v++;
-  c.route_spec_committed = v++;
-  c.route_spec_replayed = v++;
-  c.refine_spec_attempted = v++;
-  c.refine_spec_committed = v++;
-  c.refine_spec_replayed = v++;
   c.delta_applies = v++;
   c.delta_nets_rerouted = v++;
   c.delta_nets_reused = v++;
@@ -284,9 +278,6 @@ TEST(Metrics, EveryStatsFieldAppearsInTheRegistryExactlyOnce) {
   r.reinserts = v++;
   r.prerouted_nets = v++;
   r.rsmt_fallback_nets = v++;
-  r.spec_attempted = v++;
-  r.spec_committed = v++;
-  r.spec_replayed = v++;
   r.runtime_s = 0.25;
 
   RefineStats f;
@@ -298,9 +289,6 @@ TEST(Metrics, EveryStatsFieldAppearsInTheRegistryExactlyOnce) {
   f.pass2_rejected = static_cast<int>(v++);
   f.batch_sweeps = static_cast<int>(v++);
   f.batch_regions_resolved = static_cast<int>(v++);
-  f.spec_attempted = static_cast<int>(v++);
-  f.spec_committed = static_cast<int>(v++);
-  f.spec_replayed = static_cast<int>(v++);
 
   store::StoreStats st;
   st.hits = v++;
@@ -313,38 +301,29 @@ TEST(Metrics, EveryStatsFieldAppearsInTheRegistryExactlyOnce) {
   st.bytes_written = v++;
   st.bytes_read = v++;
 
-  parallel::SpecStats sp;
-  sp.attempted = v++;
-  sp.committed = v++;
-  sp.replayed = v++;
-
   obs::MetricsSnapshot snap;
   obs::append_metrics(snap, c);
   obs::append_metrics(snap, r);
   obs::append_metrics(snap, f);
   obs::append_metrics(snap, st);
-  obs::append_metrics(snap, sp);
 
-  // 23 + 10 + 11 + 9 + 3 fields across the five structs.
-  EXPECT_EQ(snap.metrics().size(), 56u);
+  // 17 + 7 + 8 + 9 exported fields across the four structs (RoutingStats'
+  // two always-zero spec_* fields are not exported).
+  EXPECT_EQ(snap.metrics().size(), 41u);
 
   const std::vector<std::pair<std::string, double>> expected = {
       {"session.route_requests", 1},
       {"session.refine_loaded", 12},
-      {"session.refine_spec_replayed", 18},
-      {"session.delta_applies", 19},
-      {"session.delta_regions_reused", 23},
-      {"router.edges_initial", 24},
-      {"router.rsmt_fallback_nets", 29},
-      {"router.spec_replayed", 32},
+      {"session.delta_applies", 13},
+      {"session.delta_regions_reused", 17},
+      {"router.edges_initial", 18},
+      {"router.rsmt_fallback_nets", 23},
       {"router.runtime_s", 0.25},
-      {"refine.pass1_nets_fixed", 33},
-      {"refine.spec_replayed", 43},
-      {"store.hits", 44},
-      {"store.lock_waits", 50},
-      {"store.bytes_read", 52},
-      {"spec.attempted", 53},
-      {"spec.replayed", 55},
+      {"refine.pass1_nets_fixed", 24},
+      {"refine.batch_regions_resolved", 31},
+      {"store.hits", 32},
+      {"store.lock_waits", 38},
+      {"store.bytes_read", 40},
   };
   for (const auto& [name, want] : expected) {
     EXPECT_TRUE(snap.has(name)) << name;

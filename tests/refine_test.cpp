@@ -303,16 +303,14 @@ Pass2Run record_pass2(FlowState& fs, Pass&& pass) {
   return run;
 }
 
-/// Two identical post-pass-1 GSINO states (pass 1 on the serial path).
+/// Two identical post-pass-1 GSINO states.
 std::pair<FlowState, FlowState> post_pass1_pair(const RoutingProblem& problem) {
   FlowSession session(problem);
   FlowState a = phase12_state(session);
   FlowState b = phase12_state(session);
-  RefineOptions serial;
-  serial.threads = 1;
   RefineStats sa, sb;
-  LocalRefiner(problem).eliminate_violations(a, sa, serial);
-  LocalRefiner(problem).eliminate_violations(b, sb, serial);
+  LocalRefiner(problem).eliminate_violations(a, sa);
+  LocalRefiner(problem).eliminate_violations(b, sb);
   return {std::move(a), std::move(b)};
 }
 

@@ -9,15 +9,19 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <thread>
 #include <vector>
 
 #include "core/session.h"
 #include "store/artifact_store.h"
 #include "store/serial.h"
+#include "util/binio.h"
 #include "util/file_lock.h"
+#include "util/hash.h"
 
 #include "golden_util.h"
 
@@ -536,6 +540,91 @@ TEST(ArtifactStore, CorruptRecordOnDiskIsRejectedRemovedAndRecomputed) {
   (void)session.route(p.params().router, FlowKind::kGsino);
   EXPECT_EQ(session.counters().route_executed, 1u);
   EXPECT_NE(store->get_routing(key, p), nullptr);
+}
+
+/// Re-frames a current (v4) record the way the v3 writer laid it out:
+/// version 3, with the speculation counters v3 still carried spliced back
+/// in as zeros — three u64 ahead of the routing record's trailing
+/// runtime_s/seconds/route_hash, three i32 after the refine record's eight
+/// pass counters — and the payload checksum recomputed, so the version
+/// field is the only thing a v4 reader can object to.
+std::vector<std::uint8_t> as_v3_record(const std::vector<std::uint8_t>& v4) {
+  constexpr std::size_t kHeader = 8 + 4 + 4 + 8, kChecksum = 8;
+  util::BinaryReader tag(v4.data() + 12, 4);  // type field after magic+version
+  const auto type = static_cast<store::ArtifactType>(tag.u32());
+  std::vector<std::uint8_t> payload(
+      v4.begin() + static_cast<std::ptrdiff_t>(kHeader),
+      v4.end() - static_cast<std::ptrdiff_t>(kChecksum));
+  if (type == store::ArtifactType::kRouting) {
+    payload.insert(payload.end() - 3 * 8, 3 * 8, 0);
+  } else if (type == store::ArtifactType::kRefine) {
+    payload.insert(payload.begin() + (1 + 8 + 8 + 8 * 4), 3 * 4, 0);
+  }
+  util::BinaryWriter w;
+  for (std::size_t i = 0; i < 8; ++i) w.u8(v4[i]);  // magic
+  w.u32(3);
+  w.u32(static_cast<std::uint32_t>(type));
+  w.u64(payload.size());
+  for (const std::uint8_t b : payload) w.u8(b);
+  util::Fnv1a64 h;
+  for (const std::uint8_t b : payload) h.u8(b);
+  w.u64(h.value());
+  return w.take();
+}
+
+TEST(ArtifactStore, V3RecordsAreVersionMismatchesThatRecomputeBitIdentically) {
+  const fs::path dir = store_dir("v3_records");
+  const Pipeline pipe(0.3, 100);
+  const RoutingProblem p = pipe.problem();
+  FlowResult cold;
+  {
+    FlowSession session(p, SessionOptions{
+                               .store = std::make_shared<store::ArtifactStore>(dir)});
+    cold = session.run(FlowKind::kGsino);
+  }
+
+  // Downgrade every record on disk (skipping the store's lock file).
+  std::size_t rewritten = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    std::vector<std::uint8_t> bytes;
+    {
+      std::ifstream in(entry.path(), std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+    }
+    if (bytes.size() < 8 || std::memcmp(bytes.data(), "RLCRART", 8) != 0) {
+      continue;
+    }
+    const std::vector<std::uint8_t> v3 = as_v3_record(bytes);
+    std::ofstream out(entry.path(), std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(v3.data()),
+              static_cast<std::streamsize>(v3.size()));
+    ++rewritten;
+  }
+  ASSERT_EQ(rewritten, 4u);  // routing, budget, region solve, refine
+
+  auto store = std::make_shared<store::ArtifactStore>(dir);
+  FlowSession session(p, SessionOptions{.store = store});
+  const FlowResult warm = session.run(FlowKind::kGsino);
+
+  // Every stage misses, recomputes, and republishes.
+  EXPECT_EQ(store->stats().hits, 0u);
+  EXPECT_EQ(store->stats().rejected, 4u);
+  EXPECT_EQ(session.counters().route_executed, 1u);
+  EXPECT_EQ(session.counters().route_loaded, 0u);
+  EXPECT_EQ(session.counters().refine_executed, 1u);
+  EXPECT_EQ(session.counters().refine_loaded, 0u);
+  EXPECT_EQ(router::route_hash(warm.routing()), router::route_hash(cold.routing()));
+  EXPECT_EQ(state_fingerprint(warm), state_fingerprint(cold));
+
+  // The recompute republished current-format records: a third session
+  // replays every stage from disk.
+  FlowSession replay(p, SessionOptions{
+                            .store = std::make_shared<store::ArtifactStore>(dir)});
+  EXPECT_EQ(state_fingerprint(replay.run(FlowKind::kGsino)),
+            state_fingerprint(cold));
+  EXPECT_EQ(replay.counters().route_loaded, 1u);
+  EXPECT_EQ(replay.counters().refine_loaded, 1u);
 }
 
 // ------------------------------------------------- bounded session caches

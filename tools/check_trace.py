@@ -29,9 +29,9 @@ import json
 import sys
 
 # One span per staged-session stage, the ID-router's internal phases,
-# and the Phase II batch solver. maze.net / store.* / spec-round spans
-# are workload-dependent (reroutes, attached store, threads>1) and are
-# deliberately not required.
+# and the Phase II batch solver. maze.net / store.* spans are
+# workload-dependent (reroutes, attached store) and are deliberately not
+# required.
 REQUIRED_SPANS = [
     "session.route",
     "session.budget",
@@ -45,30 +45,25 @@ REQUIRED_SPANS = [
 ]
 
 REQUIRED_METRICS = [
-    # session.* — StageCounters (23)
+    # session.* — StageCounters (17)
     "session.route_requests", "session.route_executed",
     "session.route_loaded", "session.budget_requests",
     "session.budget_executed", "session.budget_loaded",
     "session.solve_requests", "session.solve_executed",
     "session.solve_loaded", "session.refine_requests",
     "session.refine_executed", "session.refine_loaded",
-    "session.route_spec_attempted", "session.route_spec_committed",
-    "session.route_spec_replayed", "session.refine_spec_attempted",
-    "session.refine_spec_committed", "session.refine_spec_replayed",
     "session.delta_applies", "session.delta_nets_rerouted",
     "session.delta_nets_reused", "session.delta_regions_solved",
     "session.delta_regions_reused",
-    # router.* — RoutingStats (10)
+    # router.* — RoutingStats (7 exported)
     "router.edges_initial", "router.edges_deleted", "router.edges_locked",
     "router.reinserts", "router.prerouted_nets", "router.rsmt_fallback_nets",
-    "router.spec_attempted", "router.spec_committed", "router.spec_replayed",
     "router.runtime_s",
-    # refine.* — RefineStats (11)
+    # refine.* — RefineStats (8)
     "refine.pass1_nets_fixed", "refine.pass1_resolves",
     "refine.pass1_gave_up", "refine.pass2_shields_removed",
     "refine.pass2_accepted", "refine.pass2_rejected", "refine.batch_sweeps",
-    "refine.batch_regions_resolved", "refine.spec_attempted",
-    "refine.spec_committed", "refine.spec_replayed",
+    "refine.batch_regions_resolved",
     # resource.* — ResourceSampler gauges (5)
     "resource.samples", "resource.rss_peak_kb", "resource.rss_last_kb",
     "resource.store_peak_bytes", "resource.pool_peak_threads",

@@ -25,14 +25,18 @@ struct CriticalPath {
 };
 
 /// Critical path of a single routed net. Returns an empty path for nets
-/// with fewer than two pins or an empty route.
+/// with fewer than two pins or an empty route. The refs are sorted by
+/// (region, dir), one per pair.
 CriticalPath critical_path(const grid::RegionGrid& grid,
                            const router::RouterNet& net,
                            const router::NetRoute& route);
 
-/// All nets at once (parallel vectors).
+/// All nets at once (parallel vectors), as fixed chunks of nets on the
+/// shared pool (src/parallel) with per-worker scratch. Each net's path
+/// depends on that net alone, so the output is bit-identical at any
+/// `threads` value (0 = auto, 1 = serial on the calling thread).
 std::vector<CriticalPath> critical_paths(
     const grid::RegionGrid& grid, const std::vector<router::RouterNet>& nets,
-    const std::vector<router::NetRoute>& routes);
+    const std::vector<router::NetRoute>& routes, int threads);
 
 }  // namespace rlcr::gsino

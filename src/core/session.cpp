@@ -273,17 +273,15 @@ std::shared_ptr<RoutingArtifact> derive_routing_artifact(
   auto segments = std::make_shared<grid::CongestionMap>(p.grid());
   occupancy->fill_segments(*segments);
 
-  // Critical source->sink paths (the per-sink scope of Eq. 1).
-  const std::vector<CriticalPath> paths =
-      critical_paths(p.grid(), p.router_nets(), routing->routes);
-  auto index = std::make_shared<PathIndex>();
+  // Critical source->sink paths (the per-sink scope of Eq. 1), at the
+  // router profile's thread count.
+  std::vector<CriticalPath> paths = critical_paths(
+      p.grid(), p.router_nets(), routing->routes, options.threads);
   auto lengths = std::make_shared<std::vector<double>>(p.net_count(), 0.0);
   for (std::size_t n = 0; n < paths.size(); ++n) {
     (*lengths)[n] = paths[n].length_um;
-    for (const router::NetRegionRef& ref : paths[n].refs) {
-      index->set(n, ref.region, ref.dir, ref.length_um);
-    }
   }
+  auto index = std::make_shared<PathIndex>(std::move(paths));
 
   art->routing = std::move(routing);
   art->occupancy = std::move(occupancy);

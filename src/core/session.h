@@ -34,15 +34,17 @@
 // indistinguishable from a recomputed one.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/budget.h"
+#include "core/paths.h"
 #include "core/problem.h"
 #include "grid/congestion.h"
 #include "router/id_router.h"
@@ -142,24 +144,32 @@ using StageObserver = std::function<void(const StageEvent&)>;
 /// Index of per-(net, region, dir) critical-path lengths (um). Immutable
 /// part of the routing artifact: Eq. (1) sums path_len * Ki over the
 /// regions of a source->sink path only, so every downstream stage needs
-/// this lookup.
+/// this lookup. A view over each net's critical-path refs, which
+/// critical_path() returns sorted by (region, dir): a lookup is a binary
+/// search inside one net's path.
 class PathIndex {
  public:
-  void set(std::size_t net, std::size_t region, grid::Dir dir, double len_um) {
-    map_[key(net, region, dir)] = len_um;
-  }
+  explicit PathIndex(std::vector<CriticalPath> paths)
+      : paths_(std::move(paths)) {}
+
   /// Length in um, or 0 when the region only hosts a branch.
   double length_um(std::size_t net, std::size_t region, grid::Dir dir) const {
-    const auto it = map_.find(key(net, region, dir));
-    return it == map_.end() ? 0.0 : it->second;
+    if (net >= paths_.size()) return 0.0;
+    const std::vector<router::NetRegionRef>& refs = paths_[net].refs;
+    const auto it = std::lower_bound(
+        refs.begin(), refs.end(), std::pair{region, dir},
+        [](const router::NetRegionRef& ref,
+           const std::pair<std::size_t, grid::Dir>& key) {
+          return ref.region != key.first ? ref.region < key.first
+                                         : ref.dir < key.second;
+        });
+    return it != refs.end() && it->region == region && it->dir == dir
+               ? it->length_um
+               : 0.0;
   }
 
  private:
-  static std::uint64_t key(std::size_t net, std::size_t region, grid::Dir dir) {
-    return (static_cast<std::uint64_t>(net) << 33) | (region << 1) |
-           static_cast<std::uint64_t>(dir);
-  }
-  std::unordered_map<std::uint64_t, double> map_;
+  std::vector<CriticalPath> paths_;
 };
 
 /// Build the SINO instance of one (region, dir) from an occupancy's

@@ -4,75 +4,44 @@
 
 namespace rlcr::grid {
 
-CongestionMap::CongestionMap(const RegionGrid& grid, RegionStorage storage)
-    : grid_(&grid) {
-  for (auto& v : seg_) v.reset(grid.region_count(), storage);
-  for (auto& v : shield_) v.reset(grid.region_count(), storage);
+CongestionMap::CongestionMap(const RegionGrid& grid) : grid_(&grid) {
+  for (auto& v : seg_) v.assign(grid.region_count(), 0.0);
+  for (auto& v : shield_) v.assign(grid.region_count(), 0.0);
 }
 
 void CongestionMap::clear() {
-  for (auto& v : seg_) v.clear();
-  for (auto& v : shield_) v.clear();
+  for (auto& v : seg_) std::fill(v.begin(), v.end(), 0.0);
+  for (auto& v : shield_) std::fill(v.begin(), v.end(), 0.0);
 }
-
-namespace {
-
-/// Visit every region held by at least one allocated tile of the four
-/// stores, in ascending region order, calling f(region). Tiles skipped
-/// here hold exactly-zero utilization and shields in every direction, so
-/// aggregates over the visited set match the dense full scan bit for bit
-/// (the four stores share one tiling: same size, same mode).
-template <typename F>
-void for_each_live_region(const TiledVec<double> (&seg)[2],
-                          const TiledVec<double> (&shield)[2], F&& f) {
-  const std::size_t tiles = seg[0].tile_count();
-  for (std::size_t t = 0; t < tiles; ++t) {
-    if (!seg[0].tile_allocated(t) && !seg[1].tile_allocated(t) &&
-        !shield[0].tile_allocated(t) && !shield[1].tile_allocated(t)) {
-      continue;
-    }
-    const std::size_t end = seg[0].tile_end(t);
-    for (std::size_t r = seg[0].tile_begin(t); r < end; ++r) f(r);
-  }
-}
-
-}  // namespace
 
 double CongestionMap::max_density() const {
   double best = 0.0;
-  for_each_live_region(seg_, shield_, [&](std::size_t r) {
+  for (std::size_t r = 0; r < grid_->region_count(); ++r) {
     for (Dir d : kBothDirs) best = std::max(best, density(r, d));
-  });
+  }
   return best;
 }
 
 double CongestionMap::total_overflow() const {
   double acc = 0.0;
-  for_each_live_region(seg_, shield_, [&](std::size_t r) {
+  for (std::size_t r = 0; r < grid_->region_count(); ++r) {
     for (Dir d : kBothDirs) {
       const double over = utilization(r, d) - grid_->capacity(d);
       if (over > 0.0) acc += over;
     }
-  });
+  }
   return acc;
 }
 
 double CongestionMap::total_shields() const {
   double acc = 0.0;
-  for_each_live_region(seg_, shield_, [&](std::size_t r) {
+  for (std::size_t r = 0; r < grid_->region_count(); ++r) {
     for (Dir d : kBothDirs) {
       const double s = shields(r, d);
       if (s != 0.0) acc += s;
     }
-  });
+  }
   return acc;
-}
-
-std::size_t CongestionMap::storage_bytes() const {
-  std::size_t bytes = 0;
-  for (const auto& v : seg_) bytes += v.storage_bytes();
-  for (const auto& v : shield_) bytes += v.storage_bytes();
-  return bytes;
 }
 
 RoutingArea compute_routing_area(const CongestionMap& cmap) {

@@ -14,29 +14,21 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "grid/region_grid.h"
-#include "grid/tiled.h"
 
 namespace rlcr::grid {
 
 /// Mutable track-usage state layered over an immutable RegionGrid.
 /// Segment and shield counts are doubles so the router can work with the
 /// fractional shield *estimates* of Eq. (3) before any SINO solution exists.
-///
-/// Storage is per-region tiled by default (grid/tiled.h): ISPD98-size
-/// grids allocate only the tiles traffic touches, and the whole-grid
-/// aggregates below skip unallocated tiles — with results bit-identical to
-/// the dense scan (skipped regions contribute exactly zero). Pass
-/// RegionStorage::kDense (or build with RLCR_DENSE_GRID) for the
-/// historical flat arrays.
+/// Each count is one flat array over the grid's regions per direction.
 class CongestionMap {
  public:
-  explicit CongestionMap(const RegionGrid& grid,
-                         RegionStorage storage = default_region_storage());
+  explicit CongestionMap(const RegionGrid& grid);
 
   const RegionGrid& grid() const { return *grid_; }
-  RegionStorage storage() const { return seg_[0].storage(); }
 
   double segments(std::size_t region, Dir d) const {
     return seg_[static_cast<std::size_t>(d)][region];
@@ -45,16 +37,16 @@ class CongestionMap {
     return shield_[static_cast<std::size_t>(d)][region];
   }
   void set_segments(std::size_t region, Dir d, double v) {
-    seg_[static_cast<std::size_t>(d)].ref(region) = v;
+    seg_[static_cast<std::size_t>(d)][region] = v;
   }
   void set_shields(std::size_t region, Dir d, double v) {
-    shield_[static_cast<std::size_t>(d)].ref(region) = v;
+    shield_[static_cast<std::size_t>(d)][region] = v;
   }
   void add_segments(std::size_t region, Dir d, double delta) {
-    seg_[static_cast<std::size_t>(d)].ref(region) += delta;
+    seg_[static_cast<std::size_t>(d)][region] += delta;
   }
   void add_shields(std::size_t region, Dir d, double delta) {
-    shield_[static_cast<std::size_t>(d)].ref(region) += delta;
+    shield_[static_cast<std::size_t>(d)][region] += delta;
   }
 
   /// HU / VU: segments + shields.
@@ -80,14 +72,10 @@ class CongestionMap {
   /// Total shield count over all regions.
   double total_shields() const;
 
-  /// Heap bytes held by the four per-region stores (the dense-vs-tiled
-  /// comparison surface recorded by bench_ispd98).
-  std::size_t storage_bytes() const;
-
  private:
   const RegionGrid* grid_;
-  TiledVec<double> seg_[2];
-  TiledVec<double> shield_[2];
+  std::vector<double> seg_[2];
+  std::vector<double> shield_[2];
 };
 
 /// Routing-area result (Table 3 metric).

@@ -1,5 +1,6 @@
 #include "netlist/ispd98.h"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -68,8 +69,12 @@ Ispd98Stats Ispd98Parser::parse_net(std::istream& in, Netlist& out) const {
   if (!next_line(in, line)) throw std::runtime_error("ISPD98 parser: missing pad offset");
   // Pad offset is informational; pad-ness is derived from the name prefix.
 
+  // The header's module count is untrusted input: reserve for at most
+  // kMaxReservedModules names up front (ibm18, the largest suite circuit,
+  // has about 211k modules) and let the map grow past that on demand.
+  constexpr std::size_t kMaxReservedModules = std::size_t{1} << 20;
   std::unordered_map<std::string, CellId> by_name;
-  by_name.reserve(stats.declared_modules * 2);
+  by_name.reserve(std::min(stats.declared_modules, kMaxReservedModules) * 2);
 
   auto intern_cell = [&](const std::string& name) -> CellId {
     const auto it = by_name.find(name);

@@ -26,9 +26,7 @@
 //
 // Routing-grid shapes are finer than the proxy tiers (tens of thousands
 // of regions for the large classes) with per-region capacities chosen to
-// land mean track demand in the 60-90% routable regime; this is the
-// sparse-traffic regime the tiled per-region storage (grid/tiled.h) is
-// built for.
+// land mean track demand in the 60-90% routable regime.
 #pragma once
 
 #include <cstdint>

@@ -7,7 +7,6 @@
 #include <memory>
 #include <optional>
 
-#include "grid/tiled.h"
 #include "obs/trace.h"
 #include "parallel/parallel_for.h"
 #include "rsmt/steiner.h"
@@ -79,7 +78,7 @@ struct NetWork {
   bool trivial = false;  ///< < 2 pins or single-region bbox: nothing to route
   /// Pre-routed nets: deduplicated (region * 2 + dir) presence keys in
   /// first-touch order, recorded by the parallel build and replayed into the
-  /// shared RegionStats by the ordered combiner.
+  /// shared region records by the ordered combiner.
   std::vector<std::uint64_t> present_keys;
   int bfs_since_certify = 0;
   int locks_since_tarjan = 1;  ///< run the first bridge pass unconditionally
@@ -153,29 +152,25 @@ struct BfsScratch {
   }
 };
 
-/// Shared per-(region, direction) presence statistics (fractional under the
-/// expected-usage model). The three accumulators of one region live in one
-/// record so an update touches a single cache line.
-struct RegionStat {
+/// Shared per-(region, direction) deletion state, dense over the grid: the
+/// expected-usage presence statistics (fractional Nns, sum Si, sum Si^2),
+/// the Eq. (2)/(3) density and overflow derived from them, and the flag
+/// saying the derivation lags the statistics. An update touches one record.
+/// The flag is a bool, not a byte type: a byte store may alias anything,
+/// which would make the compiler reload every operand of the rebalance
+/// loop after each flag write.
+struct RegionRec {
   double nns = 0.0, sum_si = 0.0, sum_si2 = 0.0;
+  bool stale = false;
+  double dens = 0.0, over = 0.0;
 };
 
-/// Backed by first-touch tiles (grid/tiled.h) so an ISPD98-size grid pays
-/// for the regions nets actually touch, not the whole fabric; storage mode
-/// never changes the arithmetic, so routing output is identical in both.
-struct RegionStats {
-  grid::TiledVec<RegionStat> s[2];
-
-  RegionStats(std::size_t regions, grid::RegionStorage storage) {
-    for (int d = 0; d < 2; ++d) s[d].reset(regions, storage);
-  }
-  void add(std::size_t region, int d, double w, double si) {
-    RegionStat& r = s[d].ref(region);
-    r.nns += w;
-    r.sum_si += w * si;
-    r.sum_si2 += w * si * si;
-  }
-};
+/// Presence weight w of a net with sensitivity si, as a record update.
+void add_presence(RegionRec& r, double w, double si) {
+  r.nns += w;
+  r.sum_si += w * si;
+  r.sum_si2 += w * si * si;
+}
 
 /// Monotone walk between two region points, L- or Z-shaped. The
 /// leading-leg axis is chosen by a deterministic hash of the endpoints so
@@ -229,8 +224,10 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
   result.routes.resize(nets.size());
 
   const std::size_t region_count = grid_->region_count();
-  const grid::RegionStorage storage = grid::default_region_storage();
-  RegionStats stats(region_count, storage);
+  // Per-direction slices of one allocation: rec[d][region].
+  std::vector<RegionRec> region_recs(region_count * 2);
+  RegionRec* const rec[2] = {region_recs.data(),
+                             region_recs.data() + region_count};
   const int threads = parallel::resolve_threads(options_.threads);
 
   // route() is one long function whose phases run back-to-back, so the
@@ -271,7 +268,7 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
   // EdgeHot records — is independent across nets and runs as chunked jobs
   // on the shared pool (src/parallel). Everything order-sensitive stays off
   // the workers: pass A classifies and sizes nets serially, the arenas are
-  // carved serially, and the shared RegionStats accumulation is replayed by
+  // carved serially, and the shared presence accumulation is replayed by
   // the ordered_reduce combiner in net order — so the per-region
   // floating-point sums (and hence every weight, deletion, and route) are
   // bit-identical at any thread count, including the serial path at 1.
@@ -544,7 +541,7 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
           ++wk.active_regions[d];
         }
       }
-      // The stats.add replay for this weight happens in the ordered
+      // The presence replay for this weight happens in the ordered
       // combiner, never here on the worker.
       wk.weight_applied[d] = wk.target_weight(d);
     }
@@ -627,7 +624,7 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
           if (wk.trivial) continue;
           if (wk.prerouted) {
             for (const std::uint64_t key : wk.present_keys) {
-              stats.add(key >> 1, static_cast<int>(key & 1), 1.0, wk.si);
+              add_presence(rec[key & 1][key >> 1], 1.0, wk.si);
             }
             continue;
           }
@@ -635,9 +632,8 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
             for (std::int32_t i = 0; i < wk.active_count[d]; ++i) {
               const std::int32_t v =
                   wk.active_vertices[d][static_cast<std::size_t>(i)];
-              stats.add(static_cast<std::size_t>(
-                            wk.region_idx[static_cast<std::size_t>(v)]),
-                        d, wk.weight_applied[d], wk.si);
+              add_presence(rec[d][wk.region_idx[static_cast<std::size_t>(v)]],
+                           wk.weight_applied[d], wk.si);
             }
           }
         }
@@ -645,49 +641,28 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
 
   // ------------------------------------------------- incremental weights
   //
-  // Eq. (2) terms are served from per-(region, dir) density/overflow caches
-  // derived from the shared RegionStats (incl. the Eq. (3) shield
-  // estimate). A stats change flips a stale flag; the caches refresh
-  // lazily at first read, so each change costs at most one polynomial
-  // evaluation per touched region — instead of the historical four full
-  // density derivations on every heap pop.
+  // Eq. (2) terms are served from the density/overflow fields of the
+  // region records, derived from their statistics (incl. the Eq. (3)
+  // shield estimate). A stats change sets the stale flag; the derivation
+  // reruns lazily at first read, so each change costs at most one
+  // polynomial evaluation per touched region — instead of the historical
+  // four full density derivations on every heap pop.
   const IdWeights& wt = options_.weights;
 
-  // Density and overflow of one (region, dir) share a record: the weight
-  // combine reads both with one load each per endpoint. Tiled like the
-  // stats behind them: an unallocated slot reads as {0, 0}, which is
-  // exactly what refresh_region computes for an untouched region (the
-  // Eq. (3) estimate is exactly 0 for an empty region), so skipping the
-  // warm-up for untouched tiles is value-identical to the dense scan.
-  struct DensCache {
-    double dens = 0.0, over = 0.0;
-  };
-  grid::TiledVec<DensCache> dcache[2];
-  for (int d = 0; d < 2; ++d) dcache[d].reset(region_count, storage);
-  // Every touched (region, dir) is warmed eagerly right after the build
-  // (so the parallel heap-key pass reads the caches without
-  // synchronization); the stale flags only track changes the deletion
-  // loop makes from then on.
-  grid::TiledVec<std::uint8_t> region_stale(region_count * 2, storage);
-
-  auto refresh_region = [&](std::size_t region, int d) {
-    const RegionStat& rs = stats.s[d][region];
-    double hu = rs.nns;
+  auto refresh_region = [&](RegionRec& r, int d) {
+    double hu = r.nns;
     if (options_.reserve_shields) {
-      hu += nss_->estimate(rs.nns, rs.sum_si, rs.sum_si2);
+      hu += nss_->estimate(r.nns, r.sum_si, r.sum_si2);
     }
     const double dens = hu / grid_->capacity(static_cast<grid::Dir>(d));
-    dcache[d].ref(region) = DensCache{dens, dens > 1.0 ? dens - 1.0 : 0.0};
-  };
-  auto mark_dirty = [&](std::size_t region, int d) {
-    const std::size_t key = region * 2 + static_cast<std::size_t>(d);
-    region_stale.ref(key) = 1;
+    r.dens = dens;
+    r.over = dens > 1.0 ? dens - 1.0 : 0.0;
   };
   auto fresh_region = [&](std::size_t region, int d) {
-    const std::size_t key = region * 2 + static_cast<std::size_t>(d);
-    if (region_stale[key]) {
-      region_stale.ref(key) = 0;
-      refresh_region(region, d);
+    RegionRec& r = rec[d][region];
+    if (r.stale) {
+      r.stale = false;
+      refresh_region(r, d);
     }
   };
 
@@ -701,9 +676,8 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
   // the parallel initial-key pass can share it race-free; current_weight
   // adds the lazy refresh the serial deletion loop needs.
   auto weight_from_cache = [&](const EdgeHot& h) {
-    const int d = h.dir;
-    const DensCache& cu = dcache[d][static_cast<std::size_t>(h.ru)];
-    const DensCache& cv = dcache[d][static_cast<std::size_t>(h.rv)];
+    const RegionRec& cu = rec[h.dir][h.ru];
+    const RegionRec& cv = rec[h.dir][h.rv];
     const double hd = 0.5 * (cu.dens + cv.dens);
     const double ofr = 0.5 * (cu.over + cv.over);
     return wt.alpha * static_cast<double>(h.fwl) + wt.beta * hd + wt.gamma * ofr;
@@ -715,25 +689,14 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
     return weight_from_cache(h);
   };
 
-  // Warm every touched (region, dir) cache once off the final build stats,
-  // then compute the initial heap keys in parallel from the (now
-  // read-only) caches. refresh_region is a pure function of the region's
-  // stats, so eager warming yields exactly the values the historical lazy
+  // Derive every (region, dir) once off the final build stats, then
+  // compute the initial heap keys in parallel from the (now read-only)
+  // records. refresh_region is a pure function of the region's stats, so
+  // eager derivation yields exactly the values the historical lazy
   // first-reads produced; the keys match current_weight() double for
-  // double. In tiled mode only tiles the stats touched are warmed — every
-  // edge endpoint lies in a net's bounding box and therefore in a touched
-  // tile, and an untouched region's cache reads as the {0, 0} its refresh
-  // would compute anyway. In dense mode the loop degenerates to the
-  // historical full-grid warm-up (one always-allocated tile).
+  // double. Stale flags only track changes the deletion loop makes.
   for (int d = 0; d < 2; ++d) {
-    const std::size_t tiles = stats.s[d].tile_count();
-    for (std::size_t t = 0; t < tiles; ++t) {
-      if (!stats.s[d].tile_allocated(t)) continue;
-      const std::size_t end = stats.s[d].tile_end(t);
-      for (std::size_t r = stats.s[d].tile_begin(t); r < end; ++r) {
-        refresh_region(r, d);
-      }
-    }
+    for (std::size_t r = 0; r < region_count; ++r) refresh_region(rec[d][r], d);
   }
 
   util::IndexedMaxHeap heap(total_edges);
@@ -1017,15 +980,15 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
     h.meta = static_cast<std::uint8_t>((h.meta & ~kStateMask) | kDeleted);
     ++result.stats.edges_deleted;
     const int d = h.dir;
+    RegionRec* const recs = rec[d];
     bool lost_region = false;
     for (const std::int32_t v : {e.u, e.v}) {
       auto& cnt = wk.incident[static_cast<std::size_t>(v)][d];
       --cnt;
       if (cnt == 0) {
-        const auto region = static_cast<std::size_t>(
-            wk.region_idx[static_cast<std::size_t>(v)]);
-        stats.add(region, d, -wk.weight_applied[d], wk.si);
-        mark_dirty(region, d);
+        RegionRec& r = recs[wk.region_idx[static_cast<std::size_t>(v)]];
+        add_presence(r, -wk.weight_applied[d], wk.si);
+        r.stale = true;
         wk.drop_active_vertex(d, v);
         --wk.active_regions[d];
         lost_region = true;
@@ -1033,17 +996,25 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
     }
     if (lost_region) {
       // Rebalance this net's fractional demand over its maintained
-      // active-vertex list (the per-region weight moves toward 1).
+      // active-vertex list (the per-region weight moves toward 1). The
+      // hottest loop of the router: every operand is hoisted into a local
+      // so the record stores cannot force reloads, and the products are
+      // formed once — (delta * si) * si is exactly what add_presence
+      // computes per region, so the sums stay bit-identical.
       const double target = wk.target_weight(d);
       const double delta = target - wk.weight_applied[d];
       if (std::abs(delta) >= 1e-12) {
-        for (std::int32_t i = 0; i < wk.active_count[d]; ++i) {
-          const std::int32_t v =
-              wk.active_vertices[d][static_cast<std::size_t>(i)];
-          const auto region = static_cast<std::size_t>(
-              wk.region_idx[static_cast<std::size_t>(v)]);
-          stats.add(region, d, delta, wk.si);
-          mark_dirty(region, d);
+        const double delta_si = delta * wk.si;
+        const double delta_si2 = delta_si * wk.si;
+        const std::int32_t* const active = wk.active_vertices[d];
+        const std::int32_t* const region_of = wk.region_idx;
+        const std::int32_t count = wk.active_count[d];
+        for (std::int32_t i = 0; i < count; ++i) {
+          RegionRec& r = recs[region_of[active[i]]];
+          r.nns += delta;
+          r.sum_si += delta_si;
+          r.sum_si2 += delta_si2;
+          r.stale = true;
         }
         wk.weight_applied[d] = target;
       }

@@ -28,18 +28,19 @@
 //     processing order of the historical lazy-revalidation
 //     std::priority_queue (which held one live entry per edge), without
 //     duplicate-entry churn or a reinsert cap;
-//   - per-(region, dir) density/overflow caches with stale flags: a stats
-//     change marks the touched regions, the Eq. (2)/(3) derivation reruns
-//     once per touched region at its next read, and a pop re-weighs its
-//     edge from two cached records instead of four from-scratch density
-//     derivations. (An eager region->edge inverted re-weigh index was
-//     measured first and lost: rebalances touch O(net) regions each, so
+//   - one dense record per (region, dir) holding the presence statistics,
+//     the cached density/overflow derived from them, and a stale flag: a
+//     stats change marks the touched regions, the Eq. (2)/(3) derivation
+//     reruns once per touched region at its next read, and a pop re-weighs
+//     its edge from two cached records instead of four from-scratch
+//     density derivations. (An eager region->edge inverted re-weigh index
+//     was measured first and lost: rebalances touch O(net) regions each, so
 //     propagating every change to every touching edge costs far more than
-//     re-weighing the one popped edge on demand.) The shared RegionStats
-//     and these caches live in first-touch tiled storage (grid/tiled.h):
-//     ISPD98-size grids allocate and warm only the tiles traffic touches,
-//     with output bit-identical to the dense layout (which remains
-//     selectable via grid::set_default_region_storage / RLCR_DENSE_GRID);
+//     re-weighing the one popped edge on demand.) The demand rebalance that
+//     follows a lost region — the bulk of all record updates — is a loop
+//     over hoisted raw pointers with the per-net products formed once and
+//     a non-byte stale flag, so no store in it can alias its operands;
+//     its += sequence is the per-region one, so sums are bit-identical;
 //   - deletability checks are early-exit bounded BFS (stop once every pin
 //     is certified within its detour limit, or as soon as certification is
 //     impossible), and most pops skip BFS entirely via three monotone

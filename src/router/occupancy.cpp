@@ -7,9 +7,7 @@ namespace rlcr::router {
 Occupancy::Occupancy(const grid::RegionGrid& grid,
                      const std::vector<NetRoute>& routes)
     : grid_(&grid) {
-  for (auto& v : by_region_) {
-    v.reset(grid.region_count(), grid::default_region_storage());
-  }
+  for (auto& v : by_region_) v.resize(grid.region_count());
   by_net_.resize(routes.size());
 
   // Count incident edges per (region, dir) for each net, then convert to
@@ -26,7 +24,7 @@ Occupancy::Occupancy(const grid::RegionGrid& grid,
       const std::size_t region = key / 2;
       const auto d = static_cast<grid::Dir>(key % 2);
       const double len = 0.5 * grid.span_um(d) * count;
-      by_region_[key % 2].ref(region).push_back(
+      by_region_[key % 2][region].push_back(
           Segment{static_cast<std::int32_t>(n), len});
       by_net_[n].push_back(NetRegionRef{region, d, len});
     }
@@ -40,8 +38,7 @@ double Occupancy::net_length_um(std::size_t net_index) const {
 }
 
 void Occupancy::fill_segments(grid::CongestionMap& cmap) const {
-  // Unoccupied regions keep the map's value-initialized 0.0 — writing the
-  // zero explicitly would force tiled maps to materialize every tile.
+  // Unoccupied regions keep the map's value-initialized 0.0.
   for (int d = 0; d < 2; ++d) {
     for (std::size_t r = 0; r < grid_->region_count(); ++r) {
       const auto& segs = by_region_[static_cast<std::size_t>(d)][r];

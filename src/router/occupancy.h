@@ -16,7 +16,6 @@
 
 #include "grid/congestion.h"
 #include "grid/region_grid.h"
-#include "grid/tiled.h"
 #include "router/route_types.h"
 
 namespace rlcr::router {
@@ -41,8 +40,7 @@ class Occupancy {
   const grid::RegionGrid& grid() const { return *grid_; }
 
   /// Nets occupying tracks of direction d in a region (empty for regions
-  /// no route touches — unoccupied slots are never materialized; the
-  /// per-region lists live in first-touch tiled storage, grid/tiled.h).
+  /// no route touches).
   const std::vector<Segment>& segments(std::size_t region, grid::Dir d) const {
     return by_region_[static_cast<std::size_t>(d)][region];
   }
@@ -59,14 +57,13 @@ class Occupancy {
 
   /// Write segment counts into a freshly constructed (all-zero) congestion
   /// map; shield counts are untouched, and unoccupied regions are left at
-  /// the map's zero default rather than written (so tiled maps never
-  /// materialize traffic-free tiles). Not a reset: reusing a map across
-  /// routings would keep stale counts in regions the new routing misses.
+  /// the map's zero default. Not a reset: reusing a map across routings
+  /// would keep stale counts in regions the new routing misses.
   void fill_segments(grid::CongestionMap& cmap) const;
 
  private:
   const grid::RegionGrid* grid_;
-  grid::TiledVec<std::vector<Segment>> by_region_[2];
+  std::vector<std::vector<Segment>> by_region_[2];
   std::vector<std::vector<NetRegionRef>> by_net_;
 };
 

@@ -25,8 +25,8 @@
 //
 // tests/delta_differential_test.cpp pins the contract: over seeded random
 // delta chains, at threads {1, 8}, with and without the persistent store,
-// under tiled and dense region storage, every incremental state matches
-// the from-scratch run's route hash and state fingerprint exactly.
+// every incremental state matches the from-scratch run's route hash and
+// state fingerprint exactly.
 #pragma once
 
 #include <cstdint>

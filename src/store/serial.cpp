@@ -121,7 +121,8 @@ router::IdRouterOptions read_options(BinaryReader& r) {
   std::apply([&](auto&... field) { (get_field(r, field), ...); },
              o.profile_tie());
   // `threads` is not part of the routing profile (output-invariant) and is
-  // deliberately not serialized; the default 0 = auto applies on load.
+  // deliberately not serialized; load_routing sets it from the loading
+  // problem.
   return o;
 }
 
@@ -229,9 +230,8 @@ bool read_region_state(BinaryReader& r, const gsino::RoutingProblem& problem,
   const std::uint64_t regions = r.seq_size(/*elem_bytes=*/16);
   if (!r.ok() || regions != problem.grid().region_count()) return false;
   out.congestion = std::make_shared<grid::CongestionMap>(problem.grid());
-  // The record stores every region (format unchanged); only non-zero
-  // values are written back so a tiled map materializes exactly the tiles
-  // the saved map had live values in.
+  // The record stores every region; only non-zero values are written
+  // back over the freshly zeroed map.
   for (const grid::Dir d : grid::kBothDirs) {
     for (std::size_t reg = 0; reg < regions; ++reg) {
       const double v = r.f64();
@@ -329,7 +329,10 @@ std::shared_ptr<const gsino::RoutingArtifact> load_routing(
   if (payload == nullptr) return nullptr;
   BinaryReader r(payload, size);
 
-  const router::IdRouterOptions options = read_options(r);
+  router::IdRouterOptions options = read_options(r);
+  // `threads` is not stored with the profile; the derivation below fans
+  // out at the loading session's router thread count.
+  options.threads = problem.params().router.threads;
   const std::uint64_t seed = r.u64();
   auto routing = std::make_shared<router::RoutingResult>();
   const std::uint64_t nets = r.seq_size(/*elem_bytes=*/12);

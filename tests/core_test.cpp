@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdlib>
+#include <unordered_map>
 
 #include "core/budget.h"
 #include "core/experiment.h"
@@ -8,6 +11,8 @@
 #include "core/metrics.h"
 #include "core/paths.h"
 #include "core/problem.h"
+#include "core/session.h"
+#include "netlist/ispd98_synth.h"
 
 namespace rlcr::gsino {
 namespace {
@@ -120,6 +125,203 @@ TEST(CriticalPath, EmptyForSingletons) {
   router::RouterNet net;
   net.pins = {{0, 0}};
   EXPECT_TRUE(critical_path(g, net, {}).refs.empty());
+}
+
+// ------------------------------------------- critical-path differential
+
+/// The hash-map implementation critical_path() had before it moved to
+/// flat scratch, kept as the reference the flat one must match bit for
+/// bit: BFS over per-point edge lists built in edge order, then sorted
+/// per-(region, dir) incident counts on the walk back from the sink.
+CriticalPath reference_critical_path(const grid::RegionGrid& grid,
+                                     const router::RouterNet& net,
+                                     const router::NetRoute& route) {
+  CriticalPath out;
+  if (net.pins.size() < 2 || route.edges.empty()) return out;
+
+  std::unordered_map<geom::Point, std::vector<std::size_t>> adj;
+  for (std::size_t e = 0; e < route.edges.size(); ++e) {
+    adj[route.edges[e].a].push_back(e);
+    adj[route.edges[e].b].push_back(e);
+  }
+  const geom::Point src = net.pins.front();
+  if (!adj.count(src)) return out;
+
+  std::unordered_map<geom::Point, std::pair<std::size_t, geom::Point>> parent;
+  std::unordered_map<geom::Point, double> dist;
+  std::vector<geom::Point> queue{src};
+  dist[src] = 0.0;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const geom::Point v = queue[head];
+    for (std::size_t ei : adj[v]) {
+      const router::GridEdge& e = route.edges[ei];
+      const geom::Point other = (e.a == v) ? e.b : e.a;
+      if (dist.count(other)) continue;
+      dist[other] = dist[v] + grid.span_um(e.dir());
+      parent[other] = {ei, v};
+      queue.push_back(other);
+    }
+  }
+
+  geom::Point best_sink = src;
+  double best_dist = -1.0;
+  for (std::size_t p = 1; p < net.pins.size(); ++p) {
+    const auto it = dist.find(net.pins[p]);
+    if (it != dist.end() && it->second > best_dist) {
+      best_dist = it->second;
+      best_sink = net.pins[p];
+    }
+  }
+  if (best_dist <= 0.0) return out;
+  out.length_um = best_dist;
+
+  std::unordered_map<std::uint64_t, int> incident;
+  geom::Point v = best_sink;
+  while (!(v == src)) {
+    const auto& [ei, up] = parent.at(v);
+    const router::GridEdge& e = route.edges[ei];
+    const auto d = static_cast<std::uint64_t>(e.dir());
+    incident[grid.index(e.a) * 2 + d] += 1;
+    incident[grid.index(e.b) * 2 + d] += 1;
+    v = up;
+  }
+  for (const auto& [key, count] : incident) {
+    const auto d = static_cast<grid::Dir>(key % 2);
+    out.refs.push_back(router::NetRegionRef{
+        static_cast<std::size_t>(key / 2), d, 0.5 * grid.span_um(d) * count});
+  }
+  std::sort(out.refs.begin(), out.refs.end(),
+            [](const router::NetRegionRef& a, const router::NetRegionRef& b) {
+              if (a.region != b.region) return a.region < b.region;
+              return static_cast<int>(a.dir) < static_cast<int>(b.dir);
+            });
+  return out;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Bit-identical paths: same length bits, same refs in the same order.
+void expect_same_path(const CriticalPath& want, const CriticalPath& got,
+                      std::size_t n) {
+  EXPECT_EQ(bits(got.length_um), bits(want.length_um)) << "net " << n;
+  ASSERT_EQ(got.refs.size(), want.refs.size()) << "net " << n;
+  for (std::size_t i = 0; i < want.refs.size(); ++i) {
+    EXPECT_EQ(got.refs[i].region, want.refs[i].region) << "net " << n;
+    EXPECT_EQ(got.refs[i].dir, want.refs[i].dir) << "net " << n;
+    EXPECT_EQ(bits(got.refs[i].length_um), bits(want.refs[i].length_um))
+        << "net " << n;
+  }
+}
+
+TEST(CriticalPathDifferential, FlatMatchesHashMapReferenceOnIbm01Gsino) {
+  const auto classes = netlist::ispd98_classes(0.25);
+  const netlist::Ispd98ClassSpec* cls =
+      netlist::find_ispd98_class(classes, "ibm01");
+  ASSERT_NE(cls, nullptr);
+  const netlist::Ispd98Instance inst = netlist::make_ispd98_instance(*cls);
+  const RoutingProblem problem(inst.design, inst.gspec, GsinoParams{});
+  FlowSession session(problem);
+  const auto phase1 = session.route(FlowKind::kGsino);
+  const grid::RegionGrid& g = problem.grid();
+  const auto& nets = problem.router_nets();
+  const auto& routes = phase1->routing->routes;
+
+  // The routing includes pre-routed nets (L-shapes on the RSMT, not the
+  // deletion loop's trees). It has neither cycles nor pins off the tree;
+  // FlatMatchesHashMapReferenceOnRandomEdgeSets covers those shapes.
+  ASSERT_GT(phase1->routing->stats.prerouted_nets, 0u);
+
+  std::vector<CriticalPath> reference(nets.size());
+  for (std::size_t n = 0; n < nets.size(); ++n) {
+    reference[n] = reference_critical_path(g, nets[n], routes[n]);
+    expect_same_path(reference[n], critical_path(g, nets[n], routes[n]), n);
+  }
+  for (const int threads : {1, 2, 8}) {
+    SCOPED_TRACE(threads);
+    const std::vector<CriticalPath> all =
+        critical_paths(g, nets, routes, threads);
+    ASSERT_EQ(all.size(), nets.size());
+    for (std::size_t n = 0; n < nets.size(); ++n) {
+      expect_same_path(reference[n], all[n], n);
+    }
+  }
+
+  // The artifact's PathIndex against the historical per-(net, region, dir)
+  // map, probed at every region a net occupies and every path region.
+  std::unordered_map<std::uint64_t, double> map;
+  auto key = [](std::size_t n, std::size_t region, grid::Dir d) {
+    return (static_cast<std::uint64_t>(n) << 33) | (region << 1) |
+           static_cast<std::uint64_t>(d);
+  };
+  for (std::size_t n = 0; n < nets.size(); ++n) {
+    for (const router::NetRegionRef& ref : reference[n].refs) {
+      map[key(n, ref.region, ref.dir)] = ref.length_um;
+    }
+  }
+  const PathIndex& index = *phase1->paths;
+  std::size_t probes = 0;
+  for (std::size_t n = 0; n < nets.size(); ++n) {
+    auto probe = [&](std::size_t region, grid::Dir d) {
+      const auto it = map.find(key(n, region, d));
+      const double want = it == map.end() ? 0.0 : it->second;
+      EXPECT_EQ(bits(index.length_um(n, region, d)), bits(want))
+          << "net " << n << " region " << region;
+      ++probes;
+    };
+    for (const router::NetRegionRef& ref : phase1->occupancy->net_refs(n)) {
+      probe(ref.region, ref.dir);
+    }
+    for (const router::NetRegionRef& ref : reference[n].refs) {
+      probe(ref.region, ref.dir);
+    }
+  }
+  EXPECT_GT(probes, map.size());
+}
+
+TEST(CriticalPathDifferential, FlatMatchesHashMapReferenceOnRandomEdgeSets) {
+  // Random edge sets on a small grid: cycles, repeated edges, disconnected
+  // pieces, sinks off the edges or unreachable, and sources off the edges.
+  // Region spans differ per direction, so distances tie only by shape.
+  // The BFS visiting order decides which of several equal-length parents
+  // a point keeps, so only an identical order reproduces the refs.
+  grid::RegionGridSpec gs;
+  gs.cols = 7;
+  gs.rows = 6;
+  gs.region_w_um = 10;
+  gs.region_h_um = 13;
+  const grid::RegionGrid g(gs);
+  std::uint64_t x = 0x9E3779B97F4A7C15ULL;
+  auto next = [&](std::uint64_t bound) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<std::int32_t>((x >> 33) % bound);
+  };
+  std::size_t nonempty = 0;
+  for (int trial = 0; trial < 1000; ++trial) {
+    router::NetRoute route;
+    const int edges = 1 + next(40);
+    for (int e = 0; e < edges; ++e) {
+      const geom::Point a{next(gs.cols - 1), next(gs.rows - 1)};
+      const geom::Point b = next(2) ? geom::Point{a.x + 1, a.y}
+                                    : geom::Point{a.x, a.y + 1};
+      // Both canonical and reversed endpoint order.
+      route.edges.push_back(next(2) ? router::GridEdge{a, b}
+                                    : router::GridEdge{b, a});
+    }
+    // Pins mostly on the edges (source included), some anywhere.
+    router::RouterNet net;
+    const int pins = 2 + next(5);
+    for (int p = 0; p < pins; ++p) {
+      const router::GridEdge& e =
+          route.edges[static_cast<std::size_t>(next(edges))];
+      const geom::Point anywhere{next(gs.cols), next(gs.rows)};
+      net.pins.push_back(next(4) == 0 ? anywhere : (next(2) ? e.a : e.b));
+    }
+    const CriticalPath want = reference_critical_path(g, net, route);
+    nonempty += !want.refs.empty();
+    expect_same_path(want, critical_path(g, net, route),
+                     static_cast<std::size_t>(trial));
+  }
+  EXPECT_GT(nonempty, 300u);
 }
 
 // ------------------------------------------------------------------ flows

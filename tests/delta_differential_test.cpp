@@ -3,9 +3,8 @@
 // incremental state — FlowSession::apply_delta() patching cached
 // artifacts in place — is bit-identical (route hash + state fingerprint)
 // to a from-scratch session built on the mutated problem. The property
-// sweep then holds the same chain fixed while varying everything that
-// must not matter: with vs without the persistent store, tiled vs dense
-// region storage; the headline chain test covers thread count.
+// sweep then holds the same chain fixed with vs without the persistent
+// store; the headline chain test covers thread count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,7 +14,6 @@
 #include <vector>
 
 #include "core/session.h"
-#include "grid/tiled.h"
 #include "netlist/synthetic.h"
 #include "scenario/delta.h"
 #include "store/artifact_store.h"
@@ -70,7 +68,6 @@ StepState observe(const gsino::FlowResult& fr) {
 struct Config {
   int threads = 1;
   bool with_store = false;
-  grid::RegionStorage storage = grid::RegionStorage::kTiled;
 };
 
 gsino::GsinoParams configured(gsino::GsinoParams params, const Config& cfg) {
@@ -84,16 +81,6 @@ gsino::Scenario refine_scenario(const Config& cfg) {
   scenario.refine.threads = cfg.threads;
   return scenario;
 }
-
-/// Pins the process-wide region-storage default for one scope.
-struct StorageGuard {
-  grid::RegionStorage saved;
-  explicit StorageGuard(grid::RegionStorage s)
-      : saved(grid::default_region_storage()) {
-    grid::set_default_region_storage(s);
-  }
-  ~StorageGuard() { grid::set_default_region_storage(saved); }
-};
 
 std::shared_ptr<store::ArtifactStore> make_store(const std::string& name) {
   const fs::path dir = fs::path(::testing::TempDir()) / "rlcr_delta" / name;
@@ -112,7 +99,6 @@ std::vector<StepState> run_incremental(const Pipeline& pipe, const Config& cfg,
                                        std::size_t steps, std::size_t changes,
                                        const std::string& store_name,
                                        gsino::StageCounters* counters = nullptr) {
-  const StorageGuard guard(cfg.storage);
   const gsino::RoutingProblem p0 =
       gsino::make_problem(pipe.design, pipe.spec, configured(pipe.params, cfg));
   gsino::SessionOptions opts;
@@ -136,7 +122,6 @@ std::vector<StepState> run_incremental(const Pipeline& pipe, const Config& cfg,
 /// shared slot-preserving transform and run a brand-new session on it.
 std::vector<StepState> run_scratch(const Pipeline& pipe, const Config& cfg,
                                    std::size_t steps, std::size_t changes) {
-  const StorageGuard guard(cfg.storage);
   gsino::RoutingProblem p =
       gsino::make_problem(pipe.design, pipe.spec, configured(pipe.params, cfg));
   const gsino::Scenario scenario = refine_scenario(cfg);
@@ -341,12 +326,10 @@ TEST(DeltaDifferential, ClusteredDesignReusesRoutes) {
   EXPECT_EQ(inc.fingerprint, want.fingerprint);
 }
 
-// ------------------------------------------ property sweep (satellite a)
+// ------------------------------------------------------ property sweep
 
-// The same chain converges to the same per-step states under every
-// environment the determinism contract covers: {store on/off} x
-// {tiled/dense region storage}. The baseline is the no-store/tiled
-// incremental arm.
+// The same chain converges to the same per-step states with and without
+// the persistent store. The baseline is the no-store incremental arm.
 TEST(DeltaDifferential, PropertySweepConvergesAcrossEnvironments) {
   const Pipeline pipe(250, 21);
   const std::size_t kSteps = 2, kChanges = 5;
@@ -355,38 +338,14 @@ TEST(DeltaDifferential, PropertySweepConvergesAcrossEnvironments) {
   const auto want =
       run_incremental(pipe, baseline, kSteps, kChanges, "base");
 
-  struct Variant {
-    const char* name;
-    Config cfg;
-  };
-  std::vector<Variant> variants;
-  {
-    Variant v{"store", {}};
-    v.cfg.with_store = true;
-    variants.push_back(v);
-  }
-  {
-    Variant v{"dense", {}};
-    v.cfg.storage = grid::RegionStorage::kDense;
-    variants.push_back(v);
-  }
-  {
-    Variant v{"dense+store", {}};
-    v.cfg.with_store = true;
-    v.cfg.storage = grid::RegionStorage::kDense;
-    variants.push_back(v);
-  }
-
-  for (const Variant& v : variants) {
-    const auto got = run_incremental(pipe, v.cfg, kSteps, kChanges,
-                                     std::string("sweep_") + v.name);
-    ASSERT_EQ(got.size(), want.size()) << v.name;
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(got[i].route_hash, want[i].route_hash)
-          << v.name << " step " << i;
-      EXPECT_EQ(got[i].fingerprint, want[i].fingerprint)
-          << v.name << " step " << i;
-    }
+  Config with_store;
+  with_store.with_store = true;
+  const auto got =
+      run_incremental(pipe, with_store, kSteps, kChanges, "sweep_store");
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].route_hash, want[i].route_hash) << "step " << i;
+    EXPECT_EQ(got[i].fingerprint, want[i].fingerprint) << "step " << i;
   }
 }
 

@@ -140,77 +140,5 @@ TEST(RoutingArea, ShieldsCountTowardExpansion) {
   EXPECT_DOUBLE_EQ(a.width_um, 40.0 + 5.0);
 }
 
-TEST(TiledVec, ReadsNeverAllocateWritesFirstTouch) {
-  TiledVec<double> v(10 * TiledVec<double>::kTileSize, RegionStorage::kTiled);
-  for (std::size_t i = 0; i < v.size(); i += 37) {
-    EXPECT_EQ(v[i], 0.0);  // untouched slots read value-initialized
-  }
-  EXPECT_EQ(v.allocated_tiles(), 0u);
-  EXPECT_EQ(v.storage_bytes(), 0u);
-
-  v.ref(3) = 1.5;
-  v.ref(3 * TiledVec<double>::kTileSize + 1) = 2.5;
-  EXPECT_EQ(v.allocated_tiles(), 2u);
-  EXPECT_DOUBLE_EQ(v[3], 1.5);
-  EXPECT_DOUBLE_EQ(v[3 * TiledVec<double>::kTileSize + 1], 2.5);
-  EXPECT_DOUBLE_EQ(v[4], 0.0);  // same tile, untouched slot
-
-  v.clear();
-  EXPECT_EQ(v.allocated_tiles(), 0u);
-  EXPECT_DOUBLE_EQ(v[3], 0.0);
-}
-
-TEST(TiledVec, DenseModeIsOneAlwaysAllocatedTile) {
-  TiledVec<int> v(1000, RegionStorage::kDense);
-  EXPECT_EQ(v.tile_count(), 1u);
-  EXPECT_TRUE(v.tile_allocated(0));
-  EXPECT_EQ(v.tile_begin(0), 0u);
-  EXPECT_EQ(v.tile_end(0), 1000u);
-  v.ref(999) = 7;
-  EXPECT_EQ(v[999], 7);
-}
-
-TEST(TiledVec, CopyPreservesValuesAndSparsity) {
-  TiledVec<double> v(4 * TiledVec<double>::kTileSize, RegionStorage::kTiled);
-  v.ref(5) = 9.0;
-  const TiledVec<double> w = v;
-  EXPECT_DOUBLE_EQ(w[5], 9.0);
-  EXPECT_EQ(w.allocated_tiles(), 1u);
-}
-
-TEST(Congestion, TiledAndDenseAggregatesBitIdentical) {
-  RegionGridSpec s;
-  s.cols = 48;
-  s.rows = 40;
-  s.h_capacity = 6;
-  s.v_capacity = 4;
-  const RegionGrid g(s);
-  CongestionMap tiled(g, RegionStorage::kTiled);
-  CongestionMap dense(g, RegionStorage::kDense);
-  // Scattered fractional traffic, including whole-tile gaps.
-  std::uint64_t x = 12345;
-  for (int k = 0; k < 300; ++k) {
-    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-    const std::size_t r = (x >> 33) % (g.region_count() / 2);  // lower half only
-    const Dir d = (x & 1) ? Dir::kVertical : Dir::kHorizontal;
-    const double seg = static_cast<double>((x >> 5) % 13) * 0.75;
-    const double sh = static_cast<double>((x >> 9) % 5) * 0.5;
-    tiled.add_segments(r, d, seg);
-    dense.add_segments(r, d, seg);
-    tiled.add_shields(r, d, sh);
-    dense.add_shields(r, d, sh);
-  }
-  // Bit-identical aggregates: the tiled scan skips only exactly-zero tiles.
-  EXPECT_EQ(tiled.max_density(), dense.max_density());
-  EXPECT_EQ(tiled.total_overflow(), dense.total_overflow());
-  EXPECT_EQ(tiled.total_shields(), dense.total_shields());
-  const RoutingArea at = compute_routing_area(tiled);
-  const RoutingArea ad = compute_routing_area(dense);
-  EXPECT_EQ(at.width_um, ad.width_um);
-  EXPECT_EQ(at.height_um, ad.height_um);
-  // The sparse map holds fewer bytes than the dense one on this grid.
-  EXPECT_LT(tiled.storage_bytes(), dense.storage_bytes());
-}
-
 }  // namespace
 }  // namespace rlcr::grid

@@ -43,6 +43,19 @@ TEST(Ispd98, ParsesSampleNetlist) {
   EXPECT_EQ(nl.cell(nl.net(1).pins[1].cell).name, "a0");
 }
 
+TEST(Ispd98, HugeDeclaredModuleCountParsesWithoutHugeReservation) {
+  // A header may declare any module count; 2^40 must neither allocate
+  // for it nor fail the parse (a header/body mismatch is reported, not
+  // rejected).
+  std::istringstream in("0\n3\n1\n1099511627776\n0\na0 s\na1 l\na0 l\n");
+  Netlist nl;
+  const Ispd98Stats stats = Ispd98Parser().parse_net(in, nl);
+  EXPECT_EQ(stats.declared_modules, std::size_t{1} << 40);
+  EXPECT_EQ(stats.parsed_modules, 2u);
+  EXPECT_EQ(nl.cell_count(), 2u);
+  EXPECT_FALSE(stats.counts_match());
+}
+
 TEST(Ispd98, PadDetectionByPrefix) {
   std::istringstream in(kSampleNet);
   Netlist nl;

@@ -379,13 +379,7 @@ TEST(ParallelDeterminism, LskSamplesBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// The SpeculativeRoute / SpeculativeRefine suites below keep the names
-// they had when the deletion loop and refine pass 1 ran a speculative
-// batch path; both now always run serially, so what they pin is thread-
-// count invariance, plus the zero-valued RoutingStats::spec_* fields the
-// repository benchmark still reads.
-
-TEST(SpeculativeRoute, BitIdenticalAcrossThreadsAndBatchWidths) {
+TEST(ParallelDeterminism, RouterDeletionLoopBitIdenticalAcrossThreadCounts) {
   // Few nets with big overlapping boxes on a tight grid: consecutive
   // top-of-heap candidates routinely belong to the same net.
   const grid::RegionGrid g = det_grid(10, 4);
@@ -411,7 +405,7 @@ TEST(SpeculativeRoute, BitIdenticalAcrossThreadsAndBatchWidths) {
   }
 }
 
-TEST(SpeculativeRoute, CountersAreDeterministicForFixedKnobs) {
+TEST(ParallelDeterminism, RouterCountersRepeatAcrossRuns) {
   const grid::RegionGrid g = det_grid();
   const auto nets = det_nets(g, 80, 9);
   const sino::NssModel nss;
@@ -472,7 +466,7 @@ void expect_states_identical(const gsino::FlowState& a,
   }
 }
 
-TEST(SpeculativeRefine, Pass1BitIdenticalAcrossThreadsAndBatchWidths) {
+TEST(ParallelDeterminism, RefinePass1BitIdenticalAcrossThreadCounts) {
   const RefineFixture fx;
   const gsino::RoutingProblem problem = fx.problem();
   gsino::FlowSession session(problem);
@@ -500,7 +494,7 @@ TEST(SpeculativeRefine, Pass1BitIdenticalAcrossThreadsAndBatchWidths) {
   }
 }
 
-TEST(SpeculativeRefine, FullRefineMatchesSerialThroughRefineEntry) {
+TEST(ParallelDeterminism, FullRefineBitIdenticalAcrossThreadCounts) {
   // End to end through refine() (pass 1 + pass 2): pass 2's input, and
   // so the whole refined state, must not depend on threads.
   const RefineFixture fx;
@@ -529,7 +523,7 @@ TEST(SpeculativeRefine, FullRefineMatchesSerialThroughRefineEntry) {
   }
 }
 
-TEST(SpeculativeRoute, SessionSurfacesSpeculationCounters) {
+TEST(ParallelDeterminism, SessionRoutingReportsZeroSpecCounters) {
   // The routing artifact a session hands out carries the two spec_*
   // fields the benchmark reads; with no speculative path they read 0 at
   // any thread count.

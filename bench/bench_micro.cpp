@@ -1,6 +1,8 @@
 // Google-benchmark microbenchmarks of the library's hot paths. The paper's
 // Section 5 notes that ID-based global routing dominates GSINO's runtime;
 // these benchmarks quantify the cost structure of every major kernel.
+// CI merges the BM_Sino* entries into BENCH_router.json, so this bench is
+// stamped with its build type like the trajectory benches.
 #include <benchmark/benchmark.h>
 
 #include "circuit/bus.h"
@@ -14,6 +16,8 @@
 #include "sino/anneal.h"
 #include "sino/greedy.h"
 #include "util/rng.h"
+
+#include "build_type_context.h"
 
 using namespace rlcr;
 
@@ -67,7 +71,29 @@ void BM_SinoGreedy(benchmark::State& state) {
     benchmark::DoNotOptimize(sino::solve_greedy(inst, keff));
   }
 }
-BENCHMARK(BM_SinoGreedy)->Arg(4)->Arg(8)->Arg(16)->Arg(24);
+BENCHMARK(BM_SinoGreedy)->Arg(4)->Arg(8)->Arg(16)->Arg(24)->Arg(40);
+
+// Compaction-heavy: a greedy solution with a shield between every two
+// slots, so compact_shields tests (and mostly removes) ~n shields.
+void BM_SinoCompact(benchmark::State& state) {
+  const auto inst =
+      random_instance(static_cast<std::size_t>(state.range(0)), 0.4, 7);
+  const ktable::KeffModel keff;
+  const sino::SinoEvaluator eval(inst, keff);
+  ktable::SlotVec padded;
+  for (ktable::Slot s : sino::solve_greedy(inst, keff)) {
+    padded.push_back(s);
+    padded.push_back(ktable::kShieldSlot);
+  }
+  int removed = 0;
+  for (auto _ : state) {
+    ktable::SlotVec slots = padded;
+    removed = sino::compact_shields(slots, eval);
+    benchmark::DoNotOptimize(slots);
+  }
+  state.counters["removed"] = removed;
+}
+BENCHMARK(BM_SinoCompact)->Arg(16)->Arg(40);
 
 void BM_SinoAnneal(benchmark::State& state) {
   const auto inst = random_instance(10, 0.4, 7);

@@ -9,9 +9,7 @@
 #include "obs/trace.h"
 #include "parallel/parallel_for.h"
 #include "store/artifact_store.h"
-#include "sino/anneal.h"
 #include "sino/batch.h"
-#include "sino/greedy.h"
 #include "util/hash.h"
 #include "util/stopwatch.h"
 
@@ -121,6 +119,20 @@ std::uint64_t region_resolve_seed(const RoutingProblem& p,
   return p.params().seed ^ (sol_index * 131071u);
 }
 
+/// The Phase III re-solve of one region as a sino batch item.
+sino::SinoBatchItem region_resolve_item(const RoutingProblem& p,
+                                        const RegionSolution& sol,
+                                        std::size_t sol_index,
+                                        bool allow_anneal) {
+  sino::SinoBatchItem item;
+  item.instance = &sol.instance;
+  item.mode = allow_anneal ? sino::SinoSolveMode::kGreedyAnneal
+                           : sino::SinoSolveMode::kGreedy;
+  item.anneal_seed = region_resolve_seed(p, sol_index);
+  item.anneal_iterations = p.params().anneal_iterations;
+  return item;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- FlowState
@@ -156,24 +168,11 @@ void FlowState::commit_region(std::size_t sol_idx, ktable::SlotVec&& slots,
 void FlowState::resolve_region(std::size_t sol_idx, bool allow_anneal) {
   RegionSolution& sol = solutions[sol_idx];
   if (sol.empty()) return;
-  const RoutingProblem& p = *problem;
-  const auto& keff = p.keff();
   util::Stopwatch watch;
-
-  ktable::SlotVec slots = sino::solve_greedy(sol.instance, keff);
-  if (allow_anneal) {
-    const sino::SinoEvaluator check_eval(sol.instance, keff);
-    if (!check_eval.check(slots).feasible()) {
-      sino::AnnealOptions ao;
-      ao.seed = region_resolve_seed(p, sol_idx);
-      ao.iterations = p.params().anneal_iterations;
-      auto best = sino::solve_anneal(sol.instance, keff, ao);
-      if (best.feasible) slots = std::move(best.slots);
-    }
-  }
-  const sino::SinoEvaluator eval(sol.instance, keff);
-  std::vector<double> ki = eval.all_ki(slots);
-  commit_region(sol_idx, std::move(slots), std::move(ki));
+  sino::SinoBatchResult solved = sino::solve_region(
+      region_resolve_item(*problem, sol, sol_idx, allow_anneal),
+      problem->keff());
+  commit_region(sol_idx, std::move(solved.slots), std::move(solved.ki));
 
   if (observer) {
     observer(StageEvent{Stage::kRefine, kind, sol_idx, watch.seconds(), false});
@@ -190,11 +189,7 @@ void FlowState::resolve_regions(const std::vector<std::size_t>& sol_indices,
   for (std::size_t k = 0; k < sol_indices.size(); ++k) {
     const RegionSolution& sol = solutions[sol_indices[k]];
     if (sol.empty()) continue;
-    items[k].instance = &sol.instance;
-    items[k].mode = allow_anneal ? sino::SinoSolveMode::kGreedyAnneal
-                                 : sino::SinoSolveMode::kGreedy;
-    items[k].anneal_seed = region_resolve_seed(p, sol_indices[k]);
-    items[k].anneal_iterations = p.params().anneal_iterations;
+    items[k] = region_resolve_item(p, sol, sol_indices[k], allow_anneal);
   }
   sino::SinoBatchOptions bopt;
   bopt.threads = threads;

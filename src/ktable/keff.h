@@ -22,7 +22,10 @@
 // means higher simulated noise at fixed length.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "circuit/extract.h"
@@ -52,6 +55,13 @@ struct KeffParams {
 
 class KeffModel {
  public:
+  /// Throws std::invalid_argument unless every field is finite,
+  /// max_separation >= 1, shield_attenuation is in (0, 1], and
+  /// decay_exponent and scale are >= 0. These ranges make coupling
+  /// non-negative and non-increasing in both distance and shield count,
+  /// which the SINO kernel relies on (src/core/README.md, "The SINO
+  /// kernel").
+  ///
   /// `tech` is accepted for interface stability (the profile used to be
   /// derived from the extractor's bare-pair formula; it is now calibrated
   /// directly against simulation and depends only on `params`).
@@ -64,6 +74,24 @@ class KeffModel {
   /// normalized so separation 1 gives params.scale.
   double profile(int separation) const;
 
+  /// Coupling of a signal pair `separation` >= 1 tracks apart with
+  /// `shields` shields strictly between them:
+  ///   profile(separation) * shield_attenuation^shields.
+  /// The one place the formula lives; every other coupling goes through it.
+  double coupling(std::size_t separation, int shields) const {
+    const std::size_t d =
+        std::min(separation, static_cast<std::size_t>(params_.max_separation));
+    return profile_[d] * attenuation(shields);
+  }
+
+  /// shield_attenuation^shields, tabulated with the same std::pow call the
+  /// fallback past the table makes, so both give the same bits.
+  double attenuation(int shields) const {
+    return static_cast<std::size_t>(shields) < attenuation_.size()
+               ? attenuation_[static_cast<std::size_t>(shields)]
+               : std::pow(params_.shield_attenuation, shields);
+  }
+
   /// Coupling coefficient between slots i and j of `slots`, accounting for
   /// shields strictly between them. Zero for i == j or non-signal slots.
   double pair_coupling(const SlotVec& slots, std::size_t i, std::size_t j) const;
@@ -71,22 +99,53 @@ class KeffModel {
   /// Total inductive coupling Ki of the signal in slot `victim`:
   /// sum of pair_coupling over all slots holding aggressors, where
   /// `is_aggressor(net_value)` says whether a slot's net attacks the victim.
+  /// Summed in ascending slot order; the shield count between the victim
+  /// and each slot is carried along the sweep, so Ki is O(slots).
+  ///
+  /// Returns early, with the partial sum, once that sum exceeds
+  /// `stop_above`. Every term is >= 0, so partial sums never fall: the
+  /// early result is > stop_above exactly when the full sum is.
   template <typename AggressorPred>
   double total_coupling(const SlotVec& slots, std::size_t victim,
-                        AggressorPred&& is_aggressor) const {
+                        AggressorPred&& is_aggressor,
+                        double stop_above =
+                            std::numeric_limits<double>::infinity()) const {
     if (victim >= slots.size() || slots[victim] < 0) return 0.0;
+    // Shields strictly between slot j and the victim: left of the victim
+    // it starts at every shield there and drops as j passes each one;
+    // right of the victim it counts up from zero.
+    int between = 0;
+    for (std::size_t j = 0; j < victim; ++j) {
+      if (slots[j] == kShieldSlot) ++between;
+    }
     double acc = 0.0;
-    for (std::size_t j = 0; j < slots.size(); ++j) {
-      if (j == victim || slots[j] < 0) continue;
-      if (!is_aggressor(slots[j])) continue;
-      acc += pair_coupling(slots, victim, j);
+    for (std::size_t j = 0; j < victim; ++j) {
+      const Slot s = slots[j];
+      if (s < 0) {
+        if (s == kShieldSlot) --between;
+        continue;
+      }
+      if (!is_aggressor(s)) continue;
+      acc += coupling(victim - j, between);
+      if (acc > stop_above) return acc;
+    }
+    for (std::size_t j = victim + 1; j < slots.size(); ++j) {
+      const Slot s = slots[j];
+      if (s < 0) {
+        if (s == kShieldSlot) ++between;
+        continue;
+      }
+      if (!is_aggressor(s)) continue;
+      acc += coupling(j - victim, between);
+      if (acc > stop_above) return acc;
     }
     return acc;
   }
 
  private:
   KeffParams params_;
-  std::vector<double> profile_;  // [separation] -> normalized coupling
+  std::vector<double> profile_;      // [separation] -> normalized coupling
+  std::vector<double> attenuation_;  // [shields] -> shield_attenuation^shields
 };
 
 }  // namespace rlcr::ktable

@@ -20,17 +20,25 @@ void trim(SlotVec& slots) {
 AnnealResult solve_anneal(const SinoInstance& instance,
                           const ktable::KeffModel& keff,
                           const AnnealOptions& options) {
+  return solve_anneal(instance, keff, solve_greedy(instance, keff), options);
+}
+
+AnnealResult solve_anneal(const SinoInstance& instance,
+                          const ktable::KeffModel& keff, SlotVec start,
+                          const AnnealOptions& options) {
   const SinoEvaluator eval(instance, keff);
   util::Xoshiro256 rng(util::SplitMix64::mix2(options.seed, 0xA22EA1));
 
-  SlotVec current = solve_greedy(instance, keff);
+  SlotVec current = std::move(start);
   trim(current);
-  double current_cost = eval.cost(current, options.violation_penalty);
+  const SinoCheck start_check = eval.check(current);
+  double current_cost =
+      SinoEvaluator::cost(start_check, current, options.violation_penalty);
 
   AnnealResult best;
   best.slots = current;
   best.cost = current_cost;
-  best.feasible = eval.check(current).feasible();
+  best.feasible = start_check.feasible();
 
   if (instance.net_count() == 0) return best;
 
@@ -39,8 +47,9 @@ AnnealResult solve_anneal(const SinoInstance& instance,
                1.0 / std::max(1, options.iterations - 1));
   double temp = options.t_start;
 
+  SlotVec trial;  // reused across iterations: swapped with `current` on accept
   for (int it = 0; it < options.iterations; ++it, temp *= cool) {
-    SlotVec trial = current;
+    trial.assign(current.begin(), current.end());
     const double move = rng.uniform();
 
     if (move < 0.40 && trial.size() >= 2) {
@@ -64,24 +73,29 @@ AnnealResult solve_anneal(const SinoInstance& instance,
       const auto pos = static_cast<std::size_t>(rng.below(trial.size() + 1));
       trial.insert(trial.begin() + static_cast<std::ptrdiff_t>(pos), kShieldSlot);
     } else {
-      // Remove a random shield (if there is one).
-      std::vector<std::size_t> shields;
-      for (std::size_t s = 0; s < trial.size(); ++s) {
-        if (trial[s] == kShieldSlot) shields.push_back(s);
+      // Remove a random shield (if there is one): the pick-th shield from
+      // the left.
+      const auto shields =
+          static_cast<std::size_t>(SinoEvaluator::shield_count(trial));
+      if (shields == 0) continue;
+      auto pick = static_cast<std::size_t>(rng.below(shields));
+      auto at = trial.begin();
+      for (;; ++at) {
+        if (*at == kShieldSlot && pick-- == 0) break;
       }
-      if (shields.empty()) continue;
-      const std::size_t pick = shields[rng.below(shields.size())];
-      trial.erase(trial.begin() + static_cast<std::ptrdiff_t>(pick));
+      trial.erase(at);
     }
     trim(trial);
 
-    const double trial_cost = eval.cost(trial, options.violation_penalty);
+    const SinoCheck trial_check = eval.check(trial);
+    const double trial_cost =
+        SinoEvaluator::cost(trial_check, trial, options.violation_penalty);
     const double delta = trial_cost - current_cost;
     if (delta <= 0.0 || rng.uniform() < std::exp(-delta / temp)) {
-      current = std::move(trial);
+      current.swap(trial);
       current_cost = trial_cost;
       ++best.moves_accepted;
-      const bool feasible = eval.check(current).feasible();
+      const bool feasible = trial_check.feasible();
       if ((feasible && !best.feasible) ||
           (feasible == best.feasible && current_cost < best.cost)) {
         best.slots = current;
@@ -93,8 +107,10 @@ AnnealResult solve_anneal(const SinoInstance& instance,
 
   // Final polish: drop any shield the best solution does not need.
   compact_shields(best.slots, eval);
-  best.cost = eval.cost(best.slots, options.violation_penalty);
-  best.feasible = eval.check(best.slots).feasible();
+  const SinoCheck final_check = eval.check(best.slots);
+  best.cost =
+      SinoEvaluator::cost(final_check, best.slots, options.violation_penalty);
+  best.feasible = final_check.feasible();
   return best;
 }
 

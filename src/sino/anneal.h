@@ -29,8 +29,14 @@ struct AnnealResult {
   int moves_accepted = 0;
 };
 
+/// Anneal from the greedy solution of `instance`.
 AnnealResult solve_anneal(const SinoInstance& instance,
                           const ktable::KeffModel& keff,
                           const AnnealOptions& options = {});
+
+/// Anneal from `start` (a greedy solution the caller already holds).
+AnnealResult solve_anneal(const SinoInstance& instance,
+                          const ktable::KeffModel& keff, SlotVec start,
+                          const AnnealOptions& options);
 
 }  // namespace rlcr::sino

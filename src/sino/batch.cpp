@@ -9,46 +9,45 @@
 
 namespace rlcr::sino {
 
-namespace {
-
-SinoBatchResult solve_one(const SinoBatchItem& item,
-                          const ktable::KeffModel& keff) {
+SinoBatchResult solve_region(const SinoBatchItem& item,
+                             const ktable::KeffModel& keff) {
   SinoBatchResult out;
   if (item.instance == nullptr || item.instance->net_count() == 0) return out;
   const SinoInstance& inst = *item.instance;
-  RLCR_TRACE_SPAN(span, "sino.solve", "sino");
-  span.arg("nets", static_cast<double>(inst.net_count()));
+  const SinoEvaluator eval(inst, keff);
 
   if (item.mode == SinoSolveMode::kNetOrder) {
     out.slots = solve_net_order(inst, keff).slots;
   } else {
     out.slots = solve_greedy(inst, keff);
-    if (item.mode == SinoSolveMode::kGreedyAnneal) {
-      const SinoEvaluator eval(inst, keff);
-      if (!eval.check(out.slots).feasible()) {
-        AnnealOptions ao;
-        ao.seed = item.anneal_seed;
-        ao.iterations = item.anneal_iterations;
-        const AnnealResult best = solve_anneal(inst, keff, ao);
-        out.annealed = true;
-        if (best.feasible) out.slots = best.slots;
-      }
+    if (item.mode == SinoSolveMode::kGreedyAnneal &&
+        !eval.check(out.slots).feasible()) {
+      AnnealOptions ao;
+      ao.seed = item.anneal_seed;
+      ao.iterations = item.anneal_iterations;
+      AnnealResult best = solve_anneal(inst, keff, out.slots, ao);
+      out.annealed = true;
+      if (best.feasible) out.slots = std::move(best.slots);
     }
   }
-  const SinoEvaluator eval(inst, keff);
   out.ki = eval.all_ki(out.slots);
   out.feasible = eval.check(out.slots).feasible();
   return out;
 }
 
-}  // namespace
-
 std::vector<SinoBatchResult> solve_batch(const std::vector<SinoBatchItem>& items,
                                          const ktable::KeffModel& keff,
                                          const SinoBatchOptions& options) {
   return parallel::parallel_map<SinoBatchResult>(
-      items.size(), options.grain, options.threads,
-      [&](std::size_t i) { return solve_one(items[i], keff); });
+      items.size(), options.grain, options.threads, [&](std::size_t i) {
+        const SinoBatchItem& item = items[i];
+        if (item.instance == nullptr || item.instance->net_count() == 0) {
+          return SinoBatchResult{};
+        }
+        RLCR_TRACE_SPAN(span, "sino.solve", "sino");
+        span.arg("nets", static_cast<double>(item.instance->net_count()));
+        return solve_region(item, keff);
+      });
 }
 
 }  // namespace rlcr::sino

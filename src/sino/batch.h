@@ -62,6 +62,13 @@ inline std::uint64_t stream_seed(std::uint64_t base, std::uint64_t item) {
   return util::SplitMix64::mix2(base, item);
 }
 
+/// Solve one item: the single region-solve path behind Phase II, every
+/// Phase III re-solve and solve_batch. Greedy; in kGreedyAnneal mode, an
+/// infeasible greedy result is handed to the annealer, whose solution is
+/// kept only when feasible; then Ki of every net under the final slots.
+SinoBatchResult solve_region(const SinoBatchItem& item,
+                             const ktable::KeffModel& keff);
+
 /// Solve every item across the pool. Results are parallel to `items`.
 std::vector<SinoBatchResult> solve_batch(const std::vector<SinoBatchItem>& items,
                                          const ktable::KeffModel& keff,

@@ -4,24 +4,37 @@
 
 namespace rlcr::sino {
 
-bool SinoEvaluator::capacitively_adjacent(const SlotVec& slots, std::size_t i,
-                                          std::size_t j) const {
-  if (i == j || i >= slots.size() || j >= slots.size()) return false;
-  const std::size_t lo = std::min(i, j);
-  const std::size_t hi = std::max(i, j);
-  for (std::size_t k = lo + 1; k < hi; ++k) {
-    if (slots[k] != kEmptySlot) return false;
+SinoEvaluator::SinoEvaluator(const SinoInstance& instance,
+                             const ktable::KeffModel& keff)
+    : instance_(&instance), keff_(&keff), never_over_(instance.net_count(), 0) {
+  // In a stack holding each net at most once, Ki of net v sums at most one
+  // term per net sensitive to v, and no term exceeds profile(1): coupling
+  // never grows with distance or shield count (KeffModel's parameter
+  // ranges). Rounding is monotone, so the computed Ki is at most the same
+  // left-to-right float sum of that many profile(1) terms. When that sum
+  // is within Kth, no placement can violate the net's bound.
+  const double term_max = keff.profile(1);
+  const std::size_t n = instance.net_count();
+  for (std::size_t v = 0; v < n; ++v) {
+    std::size_t terms = 0;
+    for (std::size_t u = 0; u < n; ++u) terms += instance.sensitive(v, u);
+    double ki_max = 0.0;
+    for (std::size_t k = 0; k < terms; ++k) ki_max += term_max;
+    never_over_[v] = ki_max <= instance.net(v).kth;
   }
-  return true;
 }
 
-double SinoEvaluator::ki(const SlotVec& slots, std::size_t slot_index) const {
+double SinoEvaluator::ki(const SlotVec& slots, std::size_t slot_index,
+                         double stop_above) const {
   const auto victim_net = slots[slot_index];
   if (victim_net < 0) return 0.0;
   const auto v = static_cast<std::size_t>(victim_net);
-  return keff_->total_coupling(slots, slot_index, [&](ktable::Slot other) {
-    return instance_->sensitive(v, static_cast<std::size_t>(other));
-  });
+  return keff_->total_coupling(
+      slots, slot_index,
+      [&](ktable::Slot other) {
+        return instance_->sensitive(v, static_cast<std::size_t>(other));
+      },
+      stop_above);
 }
 
 std::vector<double> SinoEvaluator::all_ki(const SlotVec& slots) const {
@@ -39,31 +52,23 @@ SinoCheck SinoEvaluator::check(const SlotVec& slots) const {
 
   // Placement completeness: every net exactly once.
   std::vector<int> seen(instance_->net_count(), 0);
-  bool ok = true;
+  bool at_most_once = true;
   for (ktable::Slot s : slots) {
     if (s >= 0) {
       const auto i = static_cast<std::size_t>(s);
-      if (i >= seen.size() || seen[i]++) ok = false;
+      if (i >= seen.size() || seen[i]++) at_most_once = false;
     }
   }
-  for (int c : seen) {
-    if (c != 1) ok = false;
-  }
-  result.placed_all = ok;
+  result.placed_all = at_most_once && std::find(seen.begin(), seen.end(), 0) ==
+                                          seen.end();
 
   // Capacitive: scan each occupied slot's next occupied slot to the right;
   // that single pair is the only capacitively-adjacent pair across the gap.
   std::ptrdiff_t prev = -1;
   for (std::size_t s = 0; s < slots.size(); ++s) {
     if (slots[s] == kEmptySlot) continue;
-    if (prev >= 0) {
-      const ktable::Slot a = slots[static_cast<std::size_t>(prev)];
-      const ktable::Slot b = slots[s];
-      if (a >= 0 && b >= 0 &&
-          instance_->sensitive(static_cast<std::size_t>(a),
-                               static_cast<std::size_t>(b))) {
-        ++result.capacitive_violations;
-      }
+    if (prev >= 0 && conflict(slots[static_cast<std::size_t>(prev)], slots[s])) {
+      ++result.capacitive_violations;
     }
     prev = static_cast<std::ptrdiff_t>(s);
   }
@@ -72,6 +77,7 @@ SinoCheck SinoEvaluator::check(const SlotVec& slots) const {
   for (std::size_t s = 0; s < slots.size(); ++s) {
     if (slots[s] < 0) continue;
     const auto net_idx = static_cast<std::size_t>(slots[s]);
+    if (at_most_once && never_over_[net_idx]) continue;
     const double k = ki(slots, s);
     const double bound = instance_->net(net_idx).kth;
     if (k > bound) {
@@ -80,6 +86,42 @@ SinoCheck SinoEvaluator::check(const SlotVec& slots) const {
     }
   }
   return result;
+}
+
+bool SinoEvaluator::violation_free(const SlotVec& slots,
+                                   std::size_t focus) const {
+  const std::size_t n = slots.size();
+  focus = std::min(focus, n);
+
+  // Local capacitive test: the occupied slots on either side of `focus`
+  // (`r` is the first at or right of it), and `r`'s right neighbour.
+  std::size_t l = focus;
+  while (l > 0 && slots[l - 1] == kEmptySlot) --l;
+  std::size_t r = focus;
+  while (r < n && slots[r] == kEmptySlot) ++r;
+  if (r < n) {
+    if (l > 0 && conflict(slots[l - 1], slots[r])) return false;
+    std::size_t next = r + 1;
+    while (next < n && slots[next] == kEmptySlot) ++next;
+    if (next < n && conflict(slots[r], slots[next])) return false;
+  }
+
+  // Every capacitive adjacency, as check() counts them.
+  std::size_t prev = n;
+  for (std::size_t s = 0; s < n; ++s) {
+    if (slots[s] == kEmptySlot) continue;
+    if (prev < n && conflict(slots[prev], slots[s])) return false;
+    prev = s;
+  }
+
+  // Inductive: the focus net first, then every other net.
+  const bool focus_net = r < n && slots[r] >= 0;
+  if (focus_net && over_bound(slots, r)) return false;
+  for (std::size_t s = 0; s < n; ++s) {
+    if (slots[s] < 0 || (focus_net && s == r)) continue;
+    if (over_bound(slots, s)) return false;
+  }
+  return true;
 }
 
 int SinoEvaluator::area(const SlotVec& slots) {
@@ -98,8 +140,8 @@ int SinoEvaluator::shield_count(const SlotVec& slots) {
   return n;
 }
 
-double SinoEvaluator::cost(const SlotVec& slots, double violation_penalty) const {
-  const SinoCheck c = check(slots);
+double SinoEvaluator::cost(const SinoCheck& c, const SlotVec& slots,
+                           double violation_penalty) {
   double penalty = violation_penalty *
                    (c.capacitive_violations + c.inductive_violations);
   penalty += violation_penalty * c.inductive_excess;

@@ -6,6 +6,7 @@
 // plus the area and violation measures the solvers optimize.
 #pragma once
 
+#include <limits>
 #include <vector>
 
 #include "ktable/keff.h"
@@ -31,36 +32,67 @@ struct SinoCheck {
 
 class SinoEvaluator {
  public:
-  SinoEvaluator(const SinoInstance& instance, const ktable::KeffModel& keff)
-      : instance_(&instance), keff_(&keff) {}
+  /// Reads every net's Kth and sensitivities once, here: build a new
+  /// evaluator after changing the instance.
+  SinoEvaluator(const SinoInstance& instance, const ktable::KeffModel& keff);
 
   const SinoInstance& instance() const { return *instance_; }
   const ktable::KeffModel& keff() const { return *keff_; }
 
-  /// Two slots are capacitively adjacent when every slot strictly between
-  /// them is empty (shields and other nets block capacitive coupling).
-  bool capacitively_adjacent(const SlotVec& slots, std::size_t i,
-                             std::size_t j) const;
-
   /// Total inductive coupling Ki of the net in slot `slot_index`, counting
-  /// only aggressors the instance marks as sensitive to it.
-  double ki(const SlotVec& slots, std::size_t slot_index) const;
+  /// only aggressors the instance marks as sensitive to it. O(slots).
+  /// Stops early once the partial sum exceeds `stop_above` (see
+  /// KeffModel::total_coupling).
+  double ki(const SlotVec& slots, std::size_t slot_index,
+            double stop_above = std::numeric_limits<double>::infinity()) const;
 
   /// Ki for every net, indexed by net index (not slot).
   std::vector<double> all_ki(const SlotVec& slots) const;
 
+  /// Full violation summary; O(slots^2).
   SinoCheck check(const SlotVec& slots) const;
+
+  /// True when `slots` has no capacitive and no inductive violation; stacks
+  /// that do not place every net pass too (the greedy builds partial ones).
+  /// `slots` must hold each net at most once, as every solver's stacks do.
+  /// Same answer as check() with both violation counts zero, but allocates
+  /// nothing and stops at the first violation. `focus` is a slot whose
+  /// neighbourhood just changed (an inserted net, or the slot a removed
+  /// shield left behind): its capacitive neighbours and its net's Ki are
+  /// tested first so a bad edit fails fast. The answer does not depend on
+  /// `focus`.
+  bool violation_free(const SlotVec& slots, std::size_t focus) const;
 
   /// Occupied tracks (nets + shields); the SINO area objective.
   static int area(const SlotVec& slots);
   static int shield_count(const SlotVec& slots);
 
-  /// Scalar objective for the annealer: area + penalty * violations.
-  double cost(const SlotVec& slots, double violation_penalty = 50.0) const;
+  /// Scalar objective for the annealer: area + penalty * violations, from
+  /// `c` = check(slots).
+  static double cost(const SinoCheck& c, const SlotVec& slots,
+                     double violation_penalty);
 
  private:
+  /// Do two capacitively adjacent slots hold mutually sensitive nets?
+  bool conflict(ktable::Slot a, ktable::Slot b) const {
+    return a >= 0 && b >= 0 &&
+           instance_->sensitive(static_cast<std::size_t>(a),
+                                static_cast<std::size_t>(b));
+  }
+  /// Does the net in slot `s` exceed its Kth? `slots` holds each net at
+  /// most once.
+  bool over_bound(const SlotVec& slots, std::size_t s) const {
+    const auto net = static_cast<std::size_t>(slots[s]);
+    if (never_over_[net]) return false;
+    const double bound = instance_->net(net).kth;
+    return ki(slots, s, bound) > bound;
+  }
+
   const SinoInstance* instance_;
   const ktable::KeffModel* keff_;
+  /// Per net: no stack holding each net at most once can push its Ki past
+  /// its Kth, so its Ki need not be computed to rule out a violation.
+  std::vector<char> never_over_;
 };
 
 }  // namespace rlcr::sino

@@ -5,19 +5,8 @@
 
 namespace rlcr::sino {
 
-namespace {
-
-/// Does the partial solution satisfy both SINO constraints?
-bool partial_feasible(const SlotVec& slots, const SinoEvaluator& eval) {
-  const SinoCheck c = eval.check(slots);
-  // placed_all is false for partial solutions by design; ignore it here.
-  return c.capacitive_violations == 0 && c.inductive_violations == 0;
-}
-
-}  // namespace
-
-SlotVec solve_greedy(const SinoInstance& instance, const ktable::KeffModel& keff,
-                     const GreedyOptions& options) {
+SlotVec solve_greedy(const SinoInstance& instance,
+                     const ktable::KeffModel& keff) {
   const SinoEvaluator eval(instance, keff);
   const std::size_t n = instance.net_count();
 
@@ -44,7 +33,7 @@ SlotVec solve_greedy(const SinoInstance& instance, const ktable::KeffModel& keff
       const std::size_t pos = slots.size() - k;  // append, then walk left
       slots.insert(slots.begin() + static_cast<std::ptrdiff_t>(pos),
                    static_cast<ktable::Slot>(net));
-      if (partial_feasible(slots, eval)) {
+      if (eval.violation_free(slots, pos)) {
         placed = true;
         break;
       }
@@ -55,13 +44,14 @@ SlotVec solve_greedy(const SinoInstance& instance, const ktable::KeffModel& keff
     // Shield + net at the end.
     slots.push_back(kShieldSlot);
     slots.push_back(static_cast<ktable::Slot>(net));
-    if (partial_feasible(slots, eval)) continue;
+    if (eval.violation_free(slots, slots.size() - 1)) continue;
 
     // Rare fallback: an inductive bound is still violated (capacitive
     // cannot be, the shield blocks the only adjacency). Interleave further
     // shields through the stack — every inserted shield attenuates all
     // couplings crossing it — until feasible, up to a small budget.
-    for (int extra = 0; extra < 6 && !partial_feasible(slots, eval); ++extra) {
+    for (int extra = 0;
+         extra < 6 && !eval.violation_free(slots, slots.size() - 1); ++extra) {
       // Alternate: left of the new net, then progressively deeper between
       // the earlier nets (covering aggressors on the far side too).
       const std::size_t pos =
@@ -74,35 +64,30 @@ SlotVec solve_greedy(const SinoInstance& instance, const ktable::KeffModel& keff
     }
   }
 
-  int removed = compact_shields(slots, eval);
-  (void)removed;
-
-  if (options.max_tracks > 0 &&
-      static_cast<int>(slots.size()) > options.max_tracks) {
-    // Caller imposed a width cap; we keep the (infeasible-by-width) best
-    // attempt — SINO area beyond capacity is exactly what the routing-area
-    // model charges for.
-  }
+  compact_shields(slots, eval);
   return slots;
 }
 
 int compact_shields(SlotVec& slots, const SinoEvaluator& eval) {
+  // One left-to-right sweep that, after a removal, resumes at the removed
+  // slot. Restarting from slot 0 instead would change nothing: a shield
+  // left of the resume point was kept because removing it left a
+  // violation, and removing another shield never lowers a Ki nor breaks a
+  // capacitive adjacency, so that violation is still there
+  // (src/core/README.md, "The SINO kernel").
   int removed = 0;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t s = 0; s < slots.size(); ++s) {
-      if (slots[s] != kShieldSlot) continue;
-      SlotVec trial = slots;
-      trial.erase(trial.begin() + static_cast<std::ptrdiff_t>(s));
-      const SinoCheck c = eval.check(trial);
-      if (c.capacitive_violations == 0 && c.inductive_violations == 0) {
-        slots = std::move(trial);
-        ++removed;
-        changed = true;
-        break;
-      }
+  for (std::size_t s = 0; s < slots.size();) {
+    if (slots[s] != kShieldSlot) {
+      ++s;
+      continue;
     }
+    slots.erase(slots.begin() + static_cast<std::ptrdiff_t>(s));
+    if (eval.violation_free(slots, s)) {
+      ++removed;
+      continue;
+    }
+    slots.insert(slots.begin() + static_cast<std::ptrdiff_t>(s), kShieldSlot);
+    ++s;
   }
   // Drop trailing empties if any crept in.
   while (!slots.empty() && slots.back() == kEmptySlot) slots.pop_back();

@@ -12,19 +12,13 @@
 
 namespace rlcr::sino {
 
-struct GreedyOptions {
-  /// Hard cap on solution width (tracks). 0 = unlimited. When the cap binds
-  /// the solver still returns its best attempt; callers check feasibility.
-  int max_tracks = 0;
-};
-
 /// Build a SINO solution for `instance`. The result uses exactly the slots
 /// it needs (no trailing empties).
-SlotVec solve_greedy(const SinoInstance& instance, const ktable::KeffModel& keff,
-                     const GreedyOptions& options = {});
+SlotVec solve_greedy(const SinoInstance& instance, const ktable::KeffModel& keff);
 
-/// Shield-compaction pass shared with the annealer: removes each shield
-/// whose removal keeps the solution feasible. Returns the number removed.
+/// Shield-compaction pass shared with the annealer: removes, left to right,
+/// each shield whose removal leaves no capacitive or inductive violation.
+/// Returns the number removed.
 int compact_shields(SlotVec& slots, const SinoEvaluator& eval);
 
 }  // namespace rlcr::sino

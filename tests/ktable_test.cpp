@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+
 #include "ktable/keff.h"
 #include "ktable/lsk_builder.h"
 #include "ktable/lsk_table.h"
@@ -67,6 +71,63 @@ TEST(Keff, VictimMustBeASignal) {
   const KeffModel m;
   const SlotVec slots{kShieldSlot, 1};
   EXPECT_DOUBLE_EQ(m.total_coupling(slots, 0, [](Slot) { return true; }), 0.0);
+}
+
+TEST(Keff, AttenuationPastTheTableMatchesStdPow) {
+  const KeffModel m;
+  for (int s : {0, 1, 5, 63, 64, 65, 200}) {
+    EXPECT_EQ(m.attenuation(s), std::pow(m.params().shield_attenuation, s))
+        << "shields=" << s;
+  }
+}
+
+// The constructor rejects every parameter outside the ranges the coupling
+// model (and SINO's shield compaction) relies on.
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(KeffParamsValidation, RejectsBadMaxSeparation) {
+  for (int v : {-1, 0}) {
+    KeffParams p;
+    p.max_separation = v;
+    EXPECT_THROW(KeffModel{p}, std::invalid_argument) << v;
+  }
+  KeffParams p;
+  p.max_separation = 1;
+  EXPECT_DOUBLE_EQ(KeffModel(p).profile(5), 1.0);  // the tail is profile(1)
+}
+
+TEST(KeffParamsValidation, RejectsBadShieldAttenuation) {
+  for (double v : {0.0, -0.2, 1.0 + 1e-12, 2.0, kNan, kInf}) {
+    KeffParams p;
+    p.shield_attenuation = v;
+    EXPECT_THROW(KeffModel{p}, std::invalid_argument) << v;
+  }
+  KeffParams p;
+  p.shield_attenuation = 1.0;
+  EXPECT_NO_THROW(KeffModel{p});
+}
+
+TEST(KeffParamsValidation, RejectsBadDecayExponent) {
+  for (double v : {-0.1, kNan, kInf, -kInf}) {
+    KeffParams p;
+    p.decay_exponent = v;
+    EXPECT_THROW(KeffModel{p}, std::invalid_argument) << v;
+  }
+  KeffParams p;
+  p.decay_exponent = 0.0;
+  EXPECT_NO_THROW(KeffModel{p});
+}
+
+TEST(KeffParamsValidation, RejectsBadScale) {
+  for (double v : {-1.0, kNan, kInf}) {
+    KeffParams p;
+    p.scale = v;
+    EXPECT_THROW(KeffModel{p}, std::invalid_argument) << v;
+  }
+  KeffParams p;
+  p.scale = 0.0;
+  EXPECT_NO_THROW(KeffModel{p});
 }
 
 // ---------------------------------------------------------------- table

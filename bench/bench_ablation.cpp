@@ -10,7 +10,7 @@
 #include <iostream>
 
 #include "core/experiment.h"
-#include "core/flow.h"
+#include "core/session.h"
 #include "router/maze.h"
 #include "util/stopwatch.h"
 #include "util/table_printer.h"
@@ -50,8 +50,8 @@ int main() {
       // For the "off" arm we run iSINO-style routing but with GSINO's
       // budgeting + refinement by toggling the router option through a
       // GSINO run on a problem whose Nss model is zeroed via params.
-      FlowResult fr = FlowRunner(problem).run(reserve ? FlowKind::kGsino
-                                                      : FlowKind::kIsino);
+      FlowResult fr = FlowSession(problem).run(reserve ? FlowKind::kGsino
+                                                       : FlowKind::kIsino);
       t.add_row({reserve ? "GSINO (reserved, Eq. 3 in HU)"
                          : "iSINO (no reservation)",
                  util::fmt_double(fr.total_shields, 0),
@@ -74,7 +74,7 @@ int main() {
         p.lr_max_outer_pass2 = 0;
       }
       const RoutingProblem problem = make_problem(design, spec, p);
-      const FlowResult fr = FlowRunner(problem).run(FlowKind::kGsino);
+      const FlowResult fr = FlowSession(problem).run(FlowKind::kGsino);
       t.add_row({refine ? "with Phase III (Fig. 2)" : "Phase I+II only",
                  util::fmt_int(static_cast<long long>(fr.violating)),
                  util::fmt_double(fr.total_shields, 0),
@@ -102,7 +102,7 @@ int main() {
       p.router.weights.beta = w.b;
       p.router.weights.gamma = w.g;
       const RoutingProblem problem = make_problem(design, spec, p);
-      const FlowResult fr = FlowRunner(problem).run(FlowKind::kIdNo);
+      const FlowResult fr = FlowSession(problem).run(FlowKind::kIdNo);
       t.add_row({util::fmt_double(w.a, 0), util::fmt_double(w.b, 0),
                  util::fmt_double(w.g, 0),
                  util::fmt_double(fr.avg_wirelength_um, 1),
@@ -123,7 +123,7 @@ int main() {
     GsinoParams p = base;
     const RoutingProblem problem = make_problem(design, spec, p);
 
-    const FlowResult id_fr = FlowRunner(problem).run(FlowKind::kIdNo);
+    const FlowResult id_fr = FlowSession(problem).run(FlowKind::kIdNo);
     t.add_row({"iterative deletion (paper)",
                util::fmt_double(id_fr.total_wirelength_um, 0),
                util::fmt_double(id_fr.congestion->max_density(), 2)});
@@ -158,7 +158,7 @@ int main() {
       p.router.threads = threads;
       const RoutingProblem problem = make_problem(design, spec, p);
       util::Stopwatch watch;
-      const FlowResult fr = FlowRunner(problem).run(FlowKind::kGsino);
+      const FlowResult fr = FlowSession(problem).run(FlowKind::kGsino);
       const double total_s = watch.seconds();
       t.add_row({util::fmt_int(threads), util::fmt_double(fr.timing.route_s, 3),
                  util::fmt_double(fr.timing.sino_s, 3),

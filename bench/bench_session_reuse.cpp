@@ -2,8 +2,8 @@
 // with and without the staged session's artifact cache.
 //
 //   BM_BoundSweepRebuild — N bounds, a fresh FlowSession per bound: every
-//     cell re-runs Phase I routing from scratch (the historical
-//     FlowRunner::run cost model).
+//     cell re-runs Phase I routing from scratch (the cost model of a
+//     session that is not reused).
 //   BM_BoundSweepReuse   — the same N bounds through one FlowSession:
 //     Phase I routes once, every other bound re-solves Phase II/III off
 //     the cached RoutingArtifact.

@@ -9,7 +9,7 @@
 
 #include "circuit/bus.h"
 #include "core/experiment.h"
-#include "core/flow.h"
+#include "core/session.h"
 #include "ktable/lsk_builder.h"
 #include "util/stats.h"
 
@@ -71,7 +71,8 @@ int main() {
   gsino::GsinoParams params;
   params.sensitivity_rate = 0.5;
   const gsino::RoutingProblem problem = gsino::make_problem(design, spec, params);
-  const gsino::FlowResult fr = gsino::FlowRunner(problem).run(gsino::FlowKind::kGsino);
+  const gsino::FlowResult fr =
+      gsino::FlowSession(problem).run(gsino::FlowKind::kGsino);
   std::vector<double> noise = fr.net_noise();
   std::printf("  max %.4f V, mean %.4f V, p95 %.4f V (bound %.2f V)\n",
               util::max_of(noise), util::mean(noise),

@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "core/flow.h"
+#include "core/session.h"
 #include "util/table_printer.h"
 
 namespace rlcr::gsino {

@@ -165,11 +165,7 @@ RefineStats LocalRefiner::refine(FlowState& fs,
                                  const RefineOptions& options) const {
   RefineStats stats;
   eliminate_violations(fs, stats, options);
-  if (options.batch_pass2) {
-    reduce_congestion_batched(fs, stats, options);
-  } else {
-    reduce_congestion(fs, stats);
-  }
+  reduce_congestion(fs, stats);
   fs.refresh_noise();
   return stats;
 }
@@ -270,87 +266,6 @@ void LocalRefiner::reduce_congestion(FlowState& fs, RefineStats& stats) const {
       restore(fs, backup);
       ++stats.pass2_rejected;
       heap.erase(heap_id(pick));
-    }
-  }
-}
-
-void LocalRefiner::reduce_congestion_batched(FlowState& fs, RefineStats& stats,
-                                             const RefineOptions& options) const {
-  RLCR_TRACE_SPAN(pass_span, "refine.pass2_batched", "refine");
-  const RoutingProblem& p = *problem_;
-  const auto& params = p.params();
-  const double lsk_budget = p.lsk_table().lsk_budget(fs.bound_v);
-  std::unordered_set<std::size_t> done;
-  std::vector<char> net_claimed(p.net_count(), 0);
-
-  int regions_processed = 0;
-  while (regions_processed < params.lr_max_outer_pass2) {
-    // Eligible regions by descending density (index ascending on ties —
-    // selection is a pure function of the current state).
-    std::vector<std::size_t> eligible;
-    for (std::size_t si = 0; si < fs.solutions.size(); ++si) {
-      if (done.count(si) || fs.solutions[si].empty()) continue;
-      if (fs.congestion->shields(sol_region(si), sol_dir(si)) < 1.0) {
-        continue;
-      }
-      eligible.push_back(si);
-    }
-    std::stable_sort(eligible.begin(), eligible.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return fs.solution_density(a) > fs.solution_density(b);
-                     });
-
-    // Greedy maximal net-disjoint subset: regions sharing no net, so each
-    // accept/reject decision is independent of the others in the sweep.
-    std::fill(net_claimed.begin(), net_claimed.end(), 0);
-    std::vector<std::size_t> picked;
-    for (std::size_t si : eligible) {
-      if (regions_processed + static_cast<int>(picked.size()) >=
-          params.lr_max_outer_pass2) {
-        break;
-      }
-      const RegionSolution& sol = fs.solutions[si];
-      bool disjoint = true;
-      for (std::size_t n : sol.net_index) {
-        if (net_claimed[n]) {
-          disjoint = false;
-          break;
-        }
-      }
-      if (!disjoint) continue;
-      for (std::size_t n : sol.net_index) net_claimed[n] = 1;
-      picked.push_back(si);
-    }
-    if (picked.empty()) break;
-
-    std::vector<RegionBackup> backups;
-    backups.reserve(picked.size());
-    for (std::size_t si : picked) {
-      backups.push_back(snapshot(fs, si));
-      loosen_kth(fs, si, lsk_budget);
-    }
-
-    // One batch re-solve across the pool; bit-identical to resolving the
-    // picked regions one at a time in this order.
-    RLCR_TRACE_SPAN(sweep_span, "refine.batch_sweep", "refine");
-    sweep_span.arg("regions", static_cast<double>(picked.size()));
-    fs.resolve_regions(picked, /*allow_anneal=*/false, options.threads);
-    ++stats.batch_sweeps;
-    stats.batch_regions_resolved += static_cast<int>(picked.size());
-    regions_processed += static_cast<int>(picked.size());
-
-    for (const RegionBackup& b : backups) {
-      if (accepted(fs, b)) {
-        const double shields_after =
-            fs.congestion->shields(sol_region(b.sol_index), sol_dir(b.sol_index));
-        stats.pass2_shields_removed +=
-            static_cast<int>(b.shields_before - shields_after);
-        ++stats.pass2_accepted;
-      } else {
-        restore(fs, b);
-        ++stats.pass2_rejected;
-        done.insert(b.sol_index);
-      }
     }
   }
 }

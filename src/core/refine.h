@@ -22,19 +22,9 @@
 // full argmax scan per step (tests/refine_test.cpp pins this against the
 // scan).
 //
-// Batched pass 2 (RefineOptions::batch_pass2): instead of one region per
-// step, each sweep picks a maximal net-disjoint set of eligible congested
-// regions (descending density), loosens them all, re-solves them in one
-// sino::solve_batch call across the pool, and then accepts/rejects each
-// individually. Net-disjointness makes the per-region accept checks
-// independent, so the sweep's outcome is deterministic and bit-identical
-// at any thread count; it visits regions in a different order than the
-// serial pass, so batched results differ from batch_pass2=false (the
-// goldens pin the serial pass).
-//
 // Pass 1 is inherently sequential (each step's worst-violator pick reads
-// every earlier fix), so it runs on the calling thread; only batched pass 2
-// fans out across the pool.
+// every earlier fix) and pass 2 accepts or rejects one region at a time,
+// so both run on the calling thread.
 #pragma once
 
 #include "core/session.h"
@@ -54,8 +44,6 @@ class LocalRefiner {
   void eliminate_violations(FlowState& fs, RefineStats& stats,
                             const RefineOptions& options = {}) const;
   void reduce_congestion(FlowState& fs, RefineStats& stats) const;
-  void reduce_congestion_batched(FlowState& fs, RefineStats& stats,
-                                 const RefineOptions& options) const;
 
  private:
   const RoutingProblem* problem_;

@@ -137,10 +137,13 @@ sino::SinoBatchItem region_resolve_item(const RoutingProblem& p,
 
 // ---------------------------------------------------------------- FlowState
 
-void FlowState::commit_region(std::size_t sol_idx, ktable::SlotVec&& slots,
-                              std::vector<double>&& ki) {
+void FlowState::resolve_region(std::size_t sol_idx, bool allow_anneal) {
   RegionSolution& sol = solutions[sol_idx];
+  if (sol.empty()) return;
   const RoutingProblem& p = *problem;
+  util::Stopwatch watch;
+  sino::SinoBatchResult solved = sino::solve_region(
+      region_resolve_item(p, sol, sol_idx, allow_anneal), p.keff());
 
   // Remove old LSK contributions (critical-path lengths; Eq. 1 is per sink).
   for (std::size_t i = 0; i < sol.net_index.size(); ++i) {
@@ -149,8 +152,8 @@ void FlowState::commit_region(std::size_t sol_idx, ktable::SlotVec&& slots,
     }
   }
 
-  sol.slots = std::move(slots);
-  sol.ki = std::move(ki);
+  sol.slots = std::move(solved.slots);
+  sol.ki = std::move(solved.ki);
 
   // Add new contributions and refresh noise for member nets.
   for (std::size_t i = 0; i < sol.net_index.size(); ++i) {
@@ -163,54 +166,9 @@ void FlowState::commit_region(std::size_t sol_idx, ktable::SlotVec&& slots,
   congestion->set_shields(
       sol_region(sol_idx), sol_dir(sol_idx),
       static_cast<double>(sino::SinoEvaluator::shield_count(sol.slots)));
-}
-
-void FlowState::resolve_region(std::size_t sol_idx, bool allow_anneal) {
-  RegionSolution& sol = solutions[sol_idx];
-  if (sol.empty()) return;
-  util::Stopwatch watch;
-  sino::SinoBatchResult solved = sino::solve_region(
-      region_resolve_item(*problem, sol, sol_idx, allow_anneal),
-      problem->keff());
-  commit_region(sol_idx, std::move(solved.slots), std::move(solved.ki));
 
   if (observer) {
     observer(StageEvent{Stage::kRefine, kind, sol_idx, watch.seconds(), false});
-  }
-}
-
-void FlowState::resolve_regions(const std::vector<std::size_t>& sol_indices,
-                                bool allow_anneal, int threads) {
-  const RoutingProblem& p = *problem;
-
-  // Fan the solves out: each item is self-contained (the solve reads only
-  // its instance), so the batch is bit-identical to the serial loop.
-  std::vector<sino::SinoBatchItem> items(sol_indices.size());
-  for (std::size_t k = 0; k < sol_indices.size(); ++k) {
-    const RegionSolution& sol = solutions[sol_indices[k]];
-    if (sol.empty()) continue;
-    items[k] = region_resolve_item(p, sol, sol_indices[k], allow_anneal);
-  }
-  sino::SinoBatchOptions bopt;
-  bopt.threads = threads;
-  std::vector<sino::SinoBatchResult> solved =
-      sino::solve_batch(items, p.keff(), bopt);
-
-  // Serial replay in the given order: commit_region is the same sequence
-  // the one-at-a-time loop runs, so the floating-point op order matches
-  // exactly.
-  util::Stopwatch watch;
-  for (std::size_t k = 0; k < sol_indices.size(); ++k) {
-    const std::size_t si = sol_indices[k];
-    if (solutions[si].empty()) continue;
-    commit_region(si, std::move(solved[k].slots), std::move(solved[k].ki));
-    if (observer) {
-      // Same per-region progress events as the serial loop; solver time is
-      // fanned out across the pool, so `seconds` carries this region's
-      // replay slice only.
-      observer(StageEvent{Stage::kRefine, kind, si, watch.seconds(), false});
-      watch.reset();
-    }
   }
 }
 
@@ -608,7 +566,7 @@ std::shared_ptr<const RefineArtifact> FlowSession::refine(
   ++counters_.refine_requests;
   for (std::size_t i = 0; i < refine_cache_.size(); ++i) {
     const RefineEntry& e = refine_cache_[i];
-    if (e.solve == solve.get() && e.batch_pass2 == options.batch_pass2) {
+    if (e.solve == solve.get()) {
       lru_touch(refine_cache_, i);
       const auto art = refine_cache_.back().artifact;
       emit(Stage::kRefine, solve->kind, art->seconds, /*reused=*/true);
@@ -619,9 +577,8 @@ std::shared_ptr<const RefineArtifact> FlowSession::refine(
   const RoutingProblem& p = *problem_;
 
   // Store consult (see route()). The refine record keys on the solve
-  // record it refines plus the one Phase III knob that changes output
-  // (batch_pass2; threads never does), with the solve key
-  // rebuilt from the artifact's own provenance fields.
+  // record it refines (no Phase III option changes output), with the
+  // solve key rebuilt from the artifact's own provenance fields.
   std::uint64_t store_key = 0;
   if (options_.store) {
     const std::uint64_t routing_k =
@@ -632,15 +589,10 @@ std::shared_ptr<const RefineArtifact> FlowSession::refine(
         rule == BudgetRule::kRoutedLength ? routing_k : 0);
     store_key = store::refine_key(
         p, store::solve_key(p, solve->kind, solve->annealed, routing_k,
-                            budget_k),
-        options.batch_pass2);
-    // get_refine cross-checks the record's embedded batch_pass2 flag (the
-    // identity check of the other stages, folded into the load).
-    if (auto art = options_.store->get_refine(store_key, p, solve,
-                                              options.batch_pass2)) {
+                            budget_k));
+    if (auto art = options_.store->get_refine(store_key, p, solve)) {
       ++counters_.refine_loaded;
-      lru_insert(refine_cache_,
-                 RefineEntry{solve.get(), options.batch_pass2, art},
+      lru_insert(refine_cache_, RefineEntry{solve.get(), art},
                  options_.cache_entries);
       emit(Stage::kRefine, solve->kind, art->seconds, /*reused=*/true);
       return art;
@@ -668,11 +620,9 @@ std::shared_ptr<const RefineArtifact> FlowSession::refine(
   art->seconds = watch.seconds();
 
   ++counters_.refine_executed;
-  lru_insert(refine_cache_, RefineEntry{solve.get(), options.batch_pass2, art},
+  lru_insert(refine_cache_, RefineEntry{solve.get(), art},
              options_.cache_entries);
-  if (options_.store) {
-    options_.store->put_refine(store_key, *art, options.batch_pass2);
-  }
+  if (options_.store) options_.store->put_refine(store_key, *art);
   emit(Stage::kRefine, solve->kind, art->seconds, /*reused=*/false);
   return art;
 }

@@ -263,22 +263,14 @@ struct RefineStats {
   int pass2_shields_removed = 0;
   int pass2_accepted = 0;
   int pass2_rejected = 0;
-  int batch_sweeps = 0;          ///< batched pass-2 sweeps executed
-  int batch_regions_resolved = 0;  ///< regions re-solved inside those sweeps
 };
 
-/// Phase III knobs (a refine() option on the session).
+/// Phase III options (a refine() argument on the session). Both passes
+/// run on the calling thread, so nothing here changes output or cache
+/// identity.
 struct RefineOptions {
-  /// Batch independent (net-disjoint) region re-solves between refinement
-  /// sweeps through sino::solve_batch instead of one region at a time.
-  /// Output is deterministic and bit-identical at any thread count, but
-  /// the sweep visits regions in a different order than the serial pass 2,
-  /// so results differ from batch=false (goldens pin batch=false).
-  bool batch_pass2 = false;
-  /// Pool participants for batched pass-2 re-solves (pass 1 and serial
-  /// pass 2 run on the calling thread). 0 = auto (RLCR_THREADS env var,
-  /// else hardware concurrency); 1 = exact serial path. Never changes
-  /// output.
+  /// Unused: kept only because the perfbench harness still sets it; due
+  /// for removal in the next benchmark change (ROADMAP item 7).
   int threads = 0;
 };
 
@@ -381,28 +373,12 @@ struct FlowState {
   /// region's shield count, and every member net's LSK/noise.
   void resolve_region(std::size_t sol_index, bool allow_anneal);
 
-  /// Batched variant: re-solve several regions through sino::solve_batch.
-  /// Bit-identical to calling resolve_region over `sol_indices` in order,
-  /// at any `threads` value (the solves are independent; LSK/shield
-  /// accumulation replays serially in the given order).
-  void resolve_regions(const std::vector<std::size_t>& sol_indices,
-                       bool allow_anneal, int threads = 1);
-
   /// Density (utilization / capacity) of the (region, dir) behind
   /// `sol_index` under the current congestion map.
   double solution_density(std::size_t sol_index) const;
 
   /// Recompute noise from LSK for all nets and refresh `violating`.
   void refresh_noise();
-
- private:
-  /// The one region-commit sequence both resolve paths share — subtract
-  /// old LSK contributions, install slots/ki, add new contributions and
-  /// member-net noise, refresh the region's shield count — so the serial
-  /// and batched paths cannot drift apart in floating-point op order (the
-  /// bit-identity contract of resolve_regions).
-  void commit_region(std::size_t sol_index, ktable::SlotVec&& slots,
-                     std::vector<double>&& ki);
 };
 
 // -------------------------------------------------------------- FlowSession
@@ -519,9 +495,9 @@ class FlowSession {
       FlowKind kind, const std::shared_ptr<const RoutingArtifact>& phase1,
       const std::shared_ptr<const BudgetArtifact>& budget, bool anneal_phase2);
 
-  /// Phase III; cached per (solve artifact, batch_pass2) — refinement is
-  /// deterministic (RefineOptions::threads never changes output), so a
-  /// repeat request is a cache hit.
+  /// Phase III; cached per solve artifact — refinement is deterministic
+  /// and no RefineOptions field changes output, so a repeat request is a
+  /// cache hit.
   std::shared_ptr<const RefineArtifact> refine(
       const std::shared_ptr<const RegionSolveArtifact>& solve,
       const RefineOptions& options = {});
@@ -611,7 +587,6 @@ class FlowSession {
   struct RefineEntry {
     /// Kept alive by artifact->base, so pointer identity is stable.
     const RegionSolveArtifact* solve;
-    bool batch_pass2;
     std::shared_ptr<const RefineArtifact> artifact;
   };
   // Each cache is an LRU list in recency order (back = most recent): a hit

@@ -101,7 +101,7 @@ void append_metrics(MetricsSnapshot& out, const router::RoutingStats& s) {
 }
 
 void append_metrics(MetricsSnapshot& out, const gsino::RefineStats& s) {
-  static_assert(sizeof(gsino::RefineStats) == 8 * sizeof(int),
+  static_assert(sizeof(gsino::RefineStats) == 6 * sizeof(int),
                 "RefineStats changed: update this adapter and the "
                 "completeness test in tests/obs_test.cpp");
   out.set_counter("refine.pass1_nets_fixed", s.pass1_nets_fixed);
@@ -110,8 +110,6 @@ void append_metrics(MetricsSnapshot& out, const gsino::RefineStats& s) {
   out.set_counter("refine.pass2_shields_removed", s.pass2_shields_removed);
   out.set_counter("refine.pass2_accepted", s.pass2_accepted);
   out.set_counter("refine.pass2_rejected", s.pass2_rejected);
-  out.set_counter("refine.batch_sweeps", s.batch_sweeps);
-  out.set_counter("refine.batch_regions_resolved", s.batch_regions_resolved);
 }
 
 void append_metrics(MetricsSnapshot& out, const store::StoreStats& s) {

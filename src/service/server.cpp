@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <condition_variable>
 #include <cstring>
 #include <deque>
@@ -33,7 +34,15 @@ constexpr std::uint32_t kMaxPollWaitMs = 60'000;
 
 bool validate_query(const WhatIfQuery& q) {
   if (q.flow > 2) return false;
-  if (!(q.scale > 0.0) || !(q.rate >= 0.0 && q.rate <= 1.0)) return false;
+  // Every double must be finite: the suites cast count * scale to an
+  // integer. Scale 1.0 is the published circuit size, and larger scales
+  // would let one query build an arbitrarily large problem.
+  for (const double v : {q.scale, q.rate, q.bound_v, q.scenario_bound_v,
+                         q.scenario_margin}) {
+    if (!std::isfinite(v)) return false;
+  }
+  if (!(q.scale > 0.0 && q.scale <= 1.0)) return false;
+  if (!(q.rate >= 0.0 && q.rate <= 1.0)) return false;
   if (!(q.bound_v > 0.0)) return false;
   if (q.source == QuerySource::kTiny) {
     if (q.tiny_nets == 0 || q.tiny_nets > 1'000'000) return false;

@@ -20,7 +20,7 @@
 
 namespace rlcr::sino {
 
-/// How one batch item is solved; mirrors the flow kinds of core/flow.h.
+/// How one batch item is solved; mirrors the flow kinds of core/session.h.
 enum class SinoSolveMode {
   kNetOrder,      ///< ordering only, no shields (the ID+NO baseline)
   kGreedy,        ///< greedy constructive solve

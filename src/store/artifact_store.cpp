@@ -368,18 +368,17 @@ ArtifactStore::get_region_solve(
 }
 
 void ArtifactStore::put_refine(std::uint64_t key,
-                               const gsino::RefineArtifact& art,
-                               bool batch_pass2) {
+                               const gsino::RefineArtifact& art) {
   if (touch_existing(ArtifactType::kRefine, key)) return;
-  put(ArtifactType::kRefine, key, save(art, batch_pass2));
+  put(ArtifactType::kRefine, key, save(art));
 }
 
 std::shared_ptr<const gsino::RefineArtifact> ArtifactStore::get_refine(
     std::uint64_t key, const gsino::RoutingProblem& problem,
-    std::shared_ptr<const gsino::RegionSolveArtifact> base, bool batch_pass2) {
+    std::shared_ptr<const gsino::RegionSolveArtifact> base) {
   auto bytes = get(ArtifactType::kRefine, key);
   if (!bytes) return nullptr;
-  auto art = load_refine(*bytes, problem, std::move(base), batch_pass2);
+  auto art = load_refine(*bytes, problem, std::move(base));
   if (art == nullptr) {
     const std::lock_guard<std::mutex> lock(mu_);
     reject_locked(path_of(ArtifactType::kRefine, key), *bytes);
@@ -450,14 +449,11 @@ std::uint64_t solve_key(const gsino::RoutingProblem& problem,
 }
 
 std::uint64_t refine_key(const gsino::RoutingProblem& problem,
-                         std::uint64_t solve, bool batch_pass2) {
+                         std::uint64_t solve) {
   util::Fnv1a64 h;
   h.str("refine/v1");
   h.u64(problem.fingerprint());
   h.u64(solve);
-  // The one Phase III knob that changes output; threads never does (the
-  // session cache applies the same identity).
-  h.boolean(batch_pass2);
   return h.value();
 }
 

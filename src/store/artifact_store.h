@@ -105,15 +105,12 @@ class ArtifactStore {
       std::shared_ptr<const gsino::RoutingArtifact> phase1,
       std::shared_ptr<const gsino::BudgetArtifact> budget);
 
-  /// `batch_pass2` is the record's identity cross-check (serial.h): a get
-  /// under the other Phase III configuration is a miss, and the caller
-  /// re-attaches `base` like get_region_solve re-attaches its inputs.
-  void put_refine(std::uint64_t key, const gsino::RefineArtifact& art,
-                  bool batch_pass2);
+  /// The caller re-attaches `base` like get_region_solve re-attaches its
+  /// inputs.
+  void put_refine(std::uint64_t key, const gsino::RefineArtifact& art);
   std::shared_ptr<const gsino::RefineArtifact> get_refine(
       std::uint64_t key, const gsino::RoutingProblem& problem,
-      std::shared_ptr<const gsino::RegionSolveArtifact> base,
-      bool batch_pass2);
+      std::shared_ptr<const gsino::RegionSolveArtifact> base);
 
  private:
   std::filesystem::path path_of(ArtifactType type, std::uint64_t key) const;
@@ -166,9 +163,9 @@ std::uint64_t solve_key(const gsino::RoutingProblem& problem,
                         gsino::FlowKind kind, bool annealed,
                         std::uint64_t routing, std::uint64_t budget);
 
-/// Key of a Phase III refine artifact over the solve_key() it refines and
-/// the one output-changing Phase III knob (RefineOptions::batch_pass2).
+/// Key of a Phase III refine artifact over the solve_key() it refines (no
+/// Phase III option changes output).
 std::uint64_t refine_key(const gsino::RoutingProblem& problem,
-                         std::uint64_t solve, bool batch_pass2);
+                         std::uint64_t solve);
 
 }  // namespace rlcr::store

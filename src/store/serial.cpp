@@ -299,10 +299,8 @@ std::vector<std::uint8_t> save(const gsino::RegionSolveArtifact& art) {
   return frame(ArtifactType::kRegionSolve, w.take());
 }
 
-std::vector<std::uint8_t> save(const gsino::RefineArtifact& art,
-                               bool batch_pass2) {
+std::vector<std::uint8_t> save(const gsino::RefineArtifact& art) {
   BinaryWriter w;
-  w.u8(batch_pass2 ? 1 : 0);
   w.u64(art.violating);
   w.u64(art.unfixable);
   const gsino::RefineStats& s = art.stats;
@@ -312,8 +310,6 @@ std::vector<std::uint8_t> save(const gsino::RefineArtifact& art,
   w.i32(s.pass2_shields_removed);
   w.i32(s.pass2_accepted);
   w.i32(s.pass2_rejected);
-  w.i32(s.batch_sweeps);
-  w.i32(s.batch_regions_resolved);
   w.f64(art.seconds);
   write_region_state(w, *art.solutions, *art.net_lsk, *art.net_noise,
                      *art.congestion);
@@ -425,14 +421,10 @@ std::shared_ptr<const gsino::RegionSolveArtifact> load_region_solve(
 std::shared_ptr<const gsino::RefineArtifact> load_refine(
     const std::vector<std::uint8_t>& bytes,
     const gsino::RoutingProblem& problem,
-    std::shared_ptr<const gsino::RegionSolveArtifact> base, bool batch_pass2) {
+    std::shared_ptr<const gsino::RegionSolveArtifact> base) {
   const auto [payload, size] = unframe(bytes, ArtifactType::kRefine);
   if (payload == nullptr) return nullptr;
   BinaryReader r(payload, size);
-
-  // Identity cross-check: a record refined under the other batch_pass2
-  // configuration is a different output — treat it as a miss.
-  if ((r.u8() != 0) != batch_pass2) return nullptr;
 
   auto art = std::make_shared<gsino::RefineArtifact>();
   art->violating = static_cast<std::size_t>(r.u64());
@@ -444,8 +436,6 @@ std::shared_ptr<const gsino::RefineArtifact> load_refine(
   s.pass2_shields_removed = r.i32();
   s.pass2_accepted = r.i32();
   s.pass2_rejected = r.i32();
-  s.batch_sweeps = r.i32();
-  s.batch_regions_resolved = r.i32();
   art->seconds = r.f64();
 
   RegionState state;

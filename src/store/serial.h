@@ -46,7 +46,10 @@ namespace rlcr::store {
 /// v4: speculative execution was removed, so the routing record drops the
 /// deletion-loop speculation counters and the refine record drops the
 /// pass-1 ones; v3 records load as misses and recompute.
-inline constexpr std::uint32_t kFormatVersion = 4;
+/// v5: batched refine pass 2 was removed, so the refine record drops its
+/// pass-2 mode byte and the two batch counters; v4 records load as misses
+/// and recompute.
+inline constexpr std::uint32_t kFormatVersion = 5;
 
 enum class ArtifactType : std::uint32_t {
   kRouting = 1,
@@ -63,12 +66,7 @@ enum class ArtifactType : std::uint32_t {
 std::vector<std::uint8_t> save(const gsino::RoutingArtifact& art);
 std::vector<std::uint8_t> save(const gsino::BudgetArtifact& art);
 std::vector<std::uint8_t> save(const gsino::RegionSolveArtifact& art);
-/// `batch_pass2` is the one Phase III knob that changes refined output
-/// (RefineOptions; threads never does). It rides in the
-/// payload as the record's identity cross-check — RefineArtifact itself
-/// does not carry it.
-std::vector<std::uint8_t> save(const gsino::RefineArtifact& art,
-                               bool batch_pass2);
+std::vector<std::uint8_t> save(const gsino::RefineArtifact& art);
 
 // ------------------------------------------------------------------- load
 
@@ -89,11 +87,9 @@ std::shared_ptr<const gsino::RegionSolveArtifact> load_region_solve(
     std::shared_ptr<const gsino::BudgetArtifact> budget);
 
 /// Like load_region_solve, the refine artifact's base (solve) input is
-/// identity: the caller re-attaches it. A record whose embedded
-/// batch_pass2 flag differs from `batch_pass2` loads as null — it belongs
-/// to the other Phase III configuration.
+/// identity: the caller re-attaches it.
 std::shared_ptr<const gsino::RefineArtifact> load_refine(
     const std::vector<std::uint8_t>& bytes, const gsino::RoutingProblem& problem,
-    std::shared_ptr<const gsino::RegionSolveArtifact> base, bool batch_pass2);
+    std::shared_ptr<const gsino::RegionSolveArtifact> base);
 
 }  // namespace rlcr::store

@@ -7,7 +7,6 @@
 
 #include "core/budget.h"
 #include "core/experiment.h"
-#include "core/flow.h"
 #include "core/metrics.h"
 #include "core/paths.h"
 #include "core/problem.h"
@@ -328,7 +327,7 @@ TEST(CriticalPathDifferential, FlatMatchesHashMapReferenceOnRandomEdgeSets) {
 
 TEST(Flow, IdNoLeavesViolationsButOrdersNets) {
   const RoutingProblem p = tiny_problem(0.5);
-  const FlowResult fr = FlowRunner(p).run(FlowKind::kIdNo);
+  const FlowResult fr = FlowSession(p).run(FlowKind::kIdNo);
   EXPECT_EQ(fr.name, "ID+NO");
   // All region solutions are pure permutations (no shields).
   EXPECT_DOUBLE_EQ(fr.total_shields, 0.0);
@@ -337,20 +336,20 @@ TEST(Flow, IdNoLeavesViolationsButOrdersNets) {
 
 TEST(Flow, IsinoEliminatesAllViolations) {
   const RoutingProblem p = tiny_problem(0.5);
-  const FlowResult fr = FlowRunner(p).run(FlowKind::kIsino);
+  const FlowResult fr = FlowSession(p).run(FlowKind::kIsino);
   EXPECT_EQ(fr.violating, 0u);
 }
 
 TEST(Flow, GsinoEliminatesAllViolations) {
   const RoutingProblem p = tiny_problem(0.5);
-  const FlowResult fr = FlowRunner(p).run(FlowKind::kGsino);
+  const FlowResult fr = FlowSession(p).run(FlowKind::kGsino);
   EXPECT_EQ(fr.violating, 0u);
   EXPECT_EQ(fr.unfixable, 0u);
 }
 
 TEST(Flow, SolutionsSatisfySinoConstraints) {
   const RoutingProblem p = tiny_problem(0.4);
-  const FlowResult fr = FlowRunner(p).run(FlowKind::kIsino);
+  const FlowResult fr = FlowSession(p).run(FlowKind::kIsino);
   for (const RegionSolution& sol : fr.solutions()) {
     if (sol.empty()) continue;
     const sino::SinoEvaluator eval(sol.instance, p.keff());
@@ -364,7 +363,7 @@ TEST(Flow, SolutionsSatisfySinoConstraints) {
 TEST(Flow, LskAccountingIsConsistent) {
   // net_lsk must equal the sum over solutions of path_len * ki.
   const RoutingProblem p = tiny_problem(0.4);
-  const FlowResult fr = FlowRunner(p).run(FlowKind::kGsino);
+  const FlowResult fr = FlowSession(p).run(FlowKind::kGsino);
   std::vector<double> recomputed(p.net_count(), 0.0);
   for (const RegionSolution& sol : fr.solutions()) {
     for (std::size_t i = 0; i < sol.net_index.size(); ++i) {
@@ -378,7 +377,7 @@ TEST(Flow, LskAccountingIsConsistent) {
 
 TEST(Flow, CongestionSegmentsMatchOccupancy) {
   const RoutingProblem p = tiny_problem();
-  const FlowResult fr = FlowRunner(p).run(FlowKind::kIdNo);
+  const FlowResult fr = FlowSession(p).run(FlowKind::kIdNo);
   for (std::size_t r = 0; r < p.grid().region_count(); ++r) {
     for (grid::Dir d : grid::kBothDirs) {
       EXPECT_DOUBLE_EQ(
@@ -390,7 +389,7 @@ TEST(Flow, CongestionSegmentsMatchOccupancy) {
 
 TEST(Flow, WirelengthAggregatesAreCoherent) {
   const RoutingProblem p = tiny_problem();
-  const FlowResult fr = FlowRunner(p).run(FlowKind::kIdNo);
+  const FlowResult fr = FlowSession(p).run(FlowKind::kIdNo);
   EXPECT_NEAR(fr.avg_wirelength_um * static_cast<double>(p.net_count()),
               fr.total_wirelength_um, 1e-6);
   EXPECT_GT(fr.area.width_um, 0.0);
@@ -399,8 +398,8 @@ TEST(Flow, WirelengthAggregatesAreCoherent) {
 
 TEST(Flow, DeterministicAcrossRuns) {
   const RoutingProblem p = tiny_problem();
-  const FlowResult a = FlowRunner(p).run(FlowKind::kGsino);
-  const FlowResult b = FlowRunner(p).run(FlowKind::kGsino);
+  const FlowResult a = FlowSession(p).run(FlowKind::kGsino);
+  const FlowResult b = FlowSession(p).run(FlowKind::kGsino);
   EXPECT_EQ(a.violating, b.violating);
   EXPECT_DOUBLE_EQ(a.total_wirelength_um, b.total_wirelength_um);
   EXPECT_DOUBLE_EQ(a.total_shields, b.total_shields);
@@ -417,7 +416,7 @@ TEST(Flow, FlowNames) {
 
 TEST(Metrics, SummarizeCopiesFields) {
   const RoutingProblem p = tiny_problem();
-  const FlowResult fr = FlowRunner(p).run(FlowKind::kIdNo);
+  const FlowResult fr = FlowSession(p).run(FlowKind::kIdNo);
   const FlowSummary s = summarize(fr, p);
   EXPECT_EQ(s.name, "ID+NO");
   EXPECT_EQ(s.total_nets, p.net_count());

@@ -4,8 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
-#include "core/flow.h"
 #include "core/refine.h"
+#include "core/session.h"
 
 #include "golden_util.h"
 
@@ -36,7 +36,7 @@ struct Pipeline {
 TEST(Integration, ThreeFlowsReproduceThePaperShape) {
   const Pipeline pipe(0.5);
   const RoutingProblem p = pipe.problem();
-  const FlowRunner flows(p);
+  FlowSession flows(p);
 
   const FlowResult idno = flows.run(FlowKind::kIdNo);
   const FlowResult isino = flows.run(FlowKind::kIsino);
@@ -62,11 +62,11 @@ TEST(Integration, SensitivityRateRaisesViolationsAndShields) {
   const Pipeline lo(0.3), hi(0.5);
   const RoutingProblem p_lo = lo.problem();
   const RoutingProblem p_hi = hi.problem();
-  const FlowResult idno_lo = FlowRunner(p_lo).run(FlowKind::kIdNo);
-  const FlowResult idno_hi = FlowRunner(p_hi).run(FlowKind::kIdNo);
+  const FlowResult idno_lo = FlowSession(p_lo).run(FlowKind::kIdNo);
+  const FlowResult idno_hi = FlowSession(p_hi).run(FlowKind::kIdNo);
   EXPECT_GE(idno_hi.violating, idno_lo.violating);
-  const FlowResult is_lo = FlowRunner(p_lo).run(FlowKind::kIsino);
-  const FlowResult is_hi = FlowRunner(p_hi).run(FlowKind::kIsino);
+  const FlowResult is_lo = FlowSession(p_lo).run(FlowKind::kIsino);
+  const FlowResult is_hi = FlowSession(p_hi).run(FlowKind::kIsino);
   EXPECT_GE(is_hi.total_shields, is_lo.total_shields);
 }
 
@@ -81,10 +81,10 @@ TEST(Integration, RefinerPassesReportConsistentStats) {
     no_refine.lr_max_outer_pass2 = 0;
     const RoutingProblem p2 =
         make_problem(pipe.design, pipe.spec, no_refine);
-    return FlowRunner(p2).run(FlowKind::kGsino);
+    return FlowSession(p2).run(FlowKind::kGsino);
   }();
   // Refinement can only reduce the violation count.
-  const FlowResult after = FlowRunner(p).run(FlowKind::kGsino);
+  const FlowResult after = FlowSession(p).run(FlowKind::kGsino);
   EXPECT_LE(after.violating, before.violating);
   // And pass 2 must not create violations.
   EXPECT_EQ(after.violating, 0u);
@@ -94,7 +94,7 @@ TEST(Integration, EveryRouteIsConnectedInEveryFlow) {
   const Pipeline pipe(0.3);
   const RoutingProblem p = pipe.problem();
   for (FlowKind kind : {FlowKind::kIdNo, FlowKind::kIsino, FlowKind::kGsino}) {
-    const FlowResult fr = FlowRunner(p).run(kind);
+    const FlowResult fr = FlowSession(p).run(kind);
     for (std::size_t n = 0; n < p.net_count(); ++n) {
       const auto& pins = p.router_nets()[n].pins;
       if (pins.size() < 2) continue;
@@ -107,7 +107,7 @@ TEST(Integration, EveryRouteIsConnectedInEveryFlow) {
 TEST(Integration, NoiseIsTableLookupOfLsk) {
   const Pipeline pipe(0.4);
   const RoutingProblem p = pipe.problem();
-  const FlowResult fr = FlowRunner(p).run(FlowKind::kGsino);
+  const FlowResult fr = FlowSession(p).run(FlowKind::kGsino);
   for (std::size_t n = 0; n < p.net_count(); n += 7) {
     EXPECT_NEAR(fr.net_noise()[n], p.lsk_table().voltage(fr.net_lsk()[n]), 1e-12);
   }
@@ -117,8 +117,8 @@ TEST(Integration, DeterministicEndToEnd) {
   const Pipeline pipe(0.5);
   const RoutingProblem p1 = pipe.problem();
   const RoutingProblem p2 = pipe.problem();
-  const FlowResult a = FlowRunner(p1).run(FlowKind::kGsino);
-  const FlowResult b = FlowRunner(p2).run(FlowKind::kGsino);
+  const FlowResult a = FlowSession(p1).run(FlowKind::kGsino);
+  const FlowResult b = FlowSession(p2).run(FlowKind::kGsino);
   EXPECT_DOUBLE_EQ(a.total_shields, b.total_shields);
   EXPECT_DOUBLE_EQ(a.area.width_um, b.area.width_um);
   EXPECT_EQ(a.violating, b.violating);
@@ -133,7 +133,7 @@ TEST(Integration, DeterministicEndToEnd) {
 TEST(IntegrationGolden, ThreeFlowsPinnedAtRateHalf) {
   const Pipeline pipe(0.5);
   const RoutingProblem p = pipe.problem();
-  const FlowRunner flows(p);
+  FlowSession flows(p);
 
   const FlowResult idno = flows.run(FlowKind::kIdNo);
   EXPECT_DOUBLE_EQ(idno.total_wirelength_um, 132650.0);
@@ -158,8 +158,8 @@ TEST(IntegrationGolden, ThreeFlowsPinnedAtRateHalf) {
 
 TEST(Integration, SeedChangesOutcome) {
   Pipeline a(0.5, 400, 1), b(0.5, 400, 2);
-  const FlowResult fa = FlowRunner(a.problem()).run(FlowKind::kIdNo);
-  const FlowResult fb = FlowRunner(b.problem()).run(FlowKind::kIdNo);
+  const FlowResult fa = FlowSession(a.problem()).run(FlowKind::kIdNo);
+  const FlowResult fb = FlowSession(b.problem()).run(FlowKind::kIdNo);
   EXPECT_NE(fa.total_wirelength_um, fb.total_wirelength_um);
 }
 
@@ -168,7 +168,7 @@ class RateSweep : public ::testing::TestWithParam<double> {};
 TEST_P(RateSweep, GsinoAlwaysMeetsTheBound) {
   Pipeline pipe(GetParam());
   const RoutingProblem p = pipe.problem();
-  const FlowResult fr = FlowRunner(p).run(FlowKind::kGsino);
+  const FlowResult fr = FlowSession(p).run(FlowKind::kGsino);
   EXPECT_EQ(fr.violating, 0u) << "rate " << GetParam();
   for (std::size_t n = 0; n < p.net_count(); ++n) {
     EXPECT_LE(fr.net_noise()[n], fr.bound_v + 1e-9);

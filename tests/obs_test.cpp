@@ -287,8 +287,6 @@ TEST(Metrics, EveryStatsFieldAppearsInTheRegistryExactlyOnce) {
   f.pass2_shields_removed = static_cast<int>(v++);
   f.pass2_accepted = static_cast<int>(v++);
   f.pass2_rejected = static_cast<int>(v++);
-  f.batch_sweeps = static_cast<int>(v++);
-  f.batch_regions_resolved = static_cast<int>(v++);
 
   store::StoreStats st;
   st.hits = v++;
@@ -307,9 +305,9 @@ TEST(Metrics, EveryStatsFieldAppearsInTheRegistryExactlyOnce) {
   obs::append_metrics(snap, f);
   obs::append_metrics(snap, st);
 
-  // 17 + 7 + 8 + 9 exported fields across the four structs (RoutingStats'
+  // 17 + 7 + 6 + 9 exported fields across the four structs (RoutingStats'
   // two always-zero spec_* fields are not exported).
-  EXPECT_EQ(snap.metrics().size(), 41u);
+  EXPECT_EQ(snap.metrics().size(), 39u);
 
   const std::vector<std::pair<std::string, double>> expected = {
       {"session.route_requests", 1},
@@ -320,10 +318,10 @@ TEST(Metrics, EveryStatsFieldAppearsInTheRegistryExactlyOnce) {
       {"router.rsmt_fallback_nets", 23},
       {"router.runtime_s", 0.25},
       {"refine.pass1_nets_fixed", 24},
-      {"refine.batch_regions_resolved", 31},
-      {"store.hits", 32},
-      {"store.lock_waits", 38},
-      {"store.bytes_read", 40},
+      {"refine.pass2_rejected", 29},
+      {"store.hits", 30},
+      {"store.lock_waits", 36},
+      {"store.bytes_read", 38},
   };
   for (const auto& [name, want] : expected) {
     EXPECT_TRUE(snap.has(name)) << name;

@@ -131,57 +131,6 @@ TEST(Refiner, SolutionsStayFeasibleAfterRefinement) {
   }
 }
 
-// ------------------------------------------------- batched pass 2 (Phase
-// III region re-solves through sino::solve_batch)
-
-TEST(Refiner, BatchedPass2MeetsTheBound) {
-  const Fixture fx;
-  const RoutingProblem problem = fx.problem();
-  FlowSession session(problem);
-  FlowState fs = phase12_state(session);
-  RefineOptions opt;
-  opt.batch_pass2 = true;
-  const RefineStats stats = LocalRefiner(problem).refine(fs, opt);
-  EXPECT_EQ(fs.violating, 0u);
-  if (stats.pass2_accepted + stats.pass2_rejected > 0) {
-    EXPECT_GT(stats.batch_sweeps, 0);
-    EXPECT_GE(stats.batch_regions_resolved,
-              stats.pass2_accepted + stats.pass2_rejected);
-  }
-}
-
-TEST(Refiner, BatchedPass2BitIdenticalAcrossThreadCounts) {
-  // The determinism oracle of the batched sweep: threads=1 is the exact
-  // serial path, so any thread count must reproduce it bit for bit.
-  const Fixture fx;
-  const RoutingProblem problem = fx.problem();
-  FlowSession session(problem);
-  FlowState a = phase12_state(session);
-  FlowState b = phase12_state(session);
-  RefineOptions opt1;
-  opt1.batch_pass2 = true;
-  opt1.threads = 1;
-  RefineOptions opt8 = opt1;
-  opt8.threads = 8;
-  const RefineStats sa = LocalRefiner(problem).refine(a, opt1);
-  const RefineStats sb = LocalRefiner(problem).refine(b, opt8);
-
-  EXPECT_EQ(sa.pass2_accepted, sb.pass2_accepted);
-  EXPECT_EQ(sa.pass2_rejected, sb.pass2_rejected);
-  EXPECT_EQ(sa.pass2_shields_removed, sb.pass2_shields_removed);
-  EXPECT_EQ(a.violating, b.violating);
-  EXPECT_DOUBLE_EQ(a.congestion->total_shields(),
-                   b.congestion->total_shields());
-  ASSERT_EQ(a.net_lsk.size(), b.net_lsk.size());
-  for (std::size_t n = 0; n < a.net_lsk.size(); ++n) {
-    EXPECT_EQ(a.net_lsk[n], b.net_lsk[n]) << "net " << n;
-  }
-  ASSERT_EQ(a.solutions.size(), b.solutions.size());
-  for (std::size_t si = 0; si < a.solutions.size(); ++si) {
-    EXPECT_EQ(a.solutions[si].slots, b.solutions[si].slots) << "sol " << si;
-  }
-}
-
 // ------------------------------------------ pass-2 selection: heap vs scan
 //
 // reduce_congestion picks each step's region off an indexed max-heap. The

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -425,6 +426,41 @@ TEST(ServiceServer, RejectsBadQueryAndUnknownCircuit) {
   EXPECT_EQ(ack.reject, RejectReason::kBadQuery);
   EXPECT_EQ(ack.ticket, 0u);
 
+  // Non-finite doubles and scales past the published size are rejected at
+  // admission too, before any suite casts count * scale to an integer.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<WhatIfQuery> bad_doubles;
+  for (const double v : {inf, nan}) {
+    WhatIfQuery q = tiny_query();
+    q.scale = v;
+    bad_doubles.push_back(q);
+    q = tiny_query();
+    q.rate = v;
+    bad_doubles.push_back(q);
+    q = tiny_query();
+    q.bound_v = v;
+    bad_doubles.push_back(q);
+    q = tiny_query();
+    q.has_bound = true;
+    q.scenario_bound_v = v;
+    bad_doubles.push_back(q);
+    q = tiny_query();
+    q.has_margin = true;
+    q.scenario_margin = v;
+    bad_doubles.push_back(q);
+  }
+  for (const double s : {1.0000001, 1e6}) {
+    WhatIfQuery q = tiny_query();
+    q.scale = s;
+    bad_doubles.push_back(q);
+  }
+  for (const WhatIfQuery& q : bad_doubles) {
+    ASSERT_TRUE(client.submit(q, &ack));
+    EXPECT_EQ(ack.reject, RejectReason::kBadQuery);
+    EXPECT_EQ(ack.ticket, 0u);
+  }
+
   WhatIfQuery unknown;
   unknown.source = QuerySource::kSynthetic;
   unknown.circuit = "ibm99";  // validates, but assembly fails -> kFailed
@@ -441,7 +477,7 @@ TEST(ServiceServer, RejectsBadQueryAndUnknownCircuit) {
   EXPECT_EQ(missing.state, JobState::kFailed);
 
   server.stop();
-  EXPECT_EQ(server.stats().rejected_bad_query, 1u);
+  EXPECT_EQ(server.stats().rejected_bad_query, 1u + bad_doubles.size());
   EXPECT_EQ(server.stats().jobs_failed, 1u);
 }
 

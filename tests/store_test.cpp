@@ -203,8 +203,8 @@ TEST(StoreSerial, RefineRoundTripIsBitIdentical) {
       session.solve_regions(FlowKind::kGsino, phase1, budget, false);
   const auto art = session.refine(solve);
 
-  const std::vector<std::uint8_t> bytes = store::save(*art, false);
-  const auto loaded = store::load_refine(bytes, p, solve, false);
+  const std::vector<std::uint8_t> bytes = store::save(*art);
+  const auto loaded = store::load_refine(bytes, p, solve);
   ASSERT_NE(loaded, nullptr);
   EXPECT_EQ(loaded->base.get(), solve.get());
   EXPECT_EQ(loaded->violating, art->violating);
@@ -235,10 +235,6 @@ TEST(StoreSerial, RefineRoundTripIsBitIdentical) {
                 loaded->congestion->shields(r, d));
     }
   }
-
-  // The record is pinned to its Phase III configuration: loading it under
-  // the other batch_pass2 setting is a miss, not a wrong answer.
-  EXPECT_EQ(store::load_refine(bytes, p, solve, true), nullptr);
 }
 
 // ------------------------------------------------------- rejection paths
@@ -305,7 +301,8 @@ TEST(StoreSerial, RecordForDifferentProblemIsRejected) {
 TEST(ArtifactStore, WarmStartsAFreshSessionWithPhaseISkipped) {
   const fs::path dir = store_dir("warm_start");
 
-  // "Process" one: compute and publish.
+  // "Process" one: compute and publish. The two processes refine under
+  // different thread counts, which is no part of the refine record's key.
   FlowResult cold;
   {
     const Pipeline pipe(0.5);
@@ -313,7 +310,9 @@ TEST(ArtifactStore, WarmStartsAFreshSessionWithPhaseISkipped) {
     SessionOptions sopt;
     sopt.store = std::make_shared<store::ArtifactStore>(dir);
     FlowSession session(p, std::move(sopt));
-    cold = session.run(FlowKind::kGsino);
+    Scenario serial;
+    serial.refine.threads = 1;
+    cold = session.run(FlowKind::kGsino, serial);
     EXPECT_EQ(session.counters().route_executed, 1u);
     EXPECT_EQ(session.counters().route_loaded, 0u);
   }
@@ -325,7 +324,9 @@ TEST(ArtifactStore, WarmStartsAFreshSessionWithPhaseISkipped) {
   SessionOptions sopt;
   sopt.store = std::make_shared<store::ArtifactStore>(dir);
   FlowSession session(p, std::move(sopt));
-  const FlowResult warm = session.run(FlowKind::kGsino);
+  Scenario threaded;
+  threaded.refine.threads = 8;
+  const FlowResult warm = session.run(FlowKind::kGsino, threaded);
 
   // Stage counters prove Phase I, budgeting, and the Phase II region
   // solve never executed — the warm session replays entirely from disk.
@@ -542,26 +543,29 @@ TEST(ArtifactStore, CorruptRecordOnDiskIsRejectedRemovedAndRecomputed) {
   EXPECT_NE(store->get_routing(key, p), nullptr);
 }
 
-/// Re-frames a current (v4) record the way the v3 writer laid it out:
-/// version 3, with the speculation counters v3 still carried spliced back
-/// in as zeros — three u64 ahead of the routing record's trailing
-/// runtime_s/seconds/route_hash, three i32 after the refine record's eight
-/// pass counters — and the payload checksum recomputed, so the version
-/// field is the only thing a v4 reader can object to.
-std::vector<std::uint8_t> as_v3_record(const std::vector<std::uint8_t>& v4) {
+/// Re-frames a current (v5) record the way the v3 writer laid it out:
+/// version 3, with the fields v3 still carried spliced back in as zeros —
+/// three speculation u64 ahead of the routing record's trailing
+/// runtime_s/seconds/route_hash; in the refine record, the leading
+/// batched-pass-2 flag byte, and after its six pass counters the two batch
+/// counters and three speculation i32 — and the payload checksum
+/// recomputed, so the version field is the only thing a v5 reader can
+/// object to.
+std::vector<std::uint8_t> as_v3_record(const std::vector<std::uint8_t>& v5) {
   constexpr std::size_t kHeader = 8 + 4 + 4 + 8, kChecksum = 8;
-  util::BinaryReader tag(v4.data() + 12, 4);  // type field after magic+version
+  util::BinaryReader tag(v5.data() + 12, 4);  // type field after magic+version
   const auto type = static_cast<store::ArtifactType>(tag.u32());
   std::vector<std::uint8_t> payload(
-      v4.begin() + static_cast<std::ptrdiff_t>(kHeader),
-      v4.end() - static_cast<std::ptrdiff_t>(kChecksum));
+      v5.begin() + static_cast<std::ptrdiff_t>(kHeader),
+      v5.end() - static_cast<std::ptrdiff_t>(kChecksum));
   if (type == store::ArtifactType::kRouting) {
     payload.insert(payload.end() - 3 * 8, 3 * 8, 0);
   } else if (type == store::ArtifactType::kRefine) {
-    payload.insert(payload.begin() + (1 + 8 + 8 + 8 * 4), 3 * 4, 0);
+    payload.insert(payload.begin() + (8 + 8 + 6 * 4), (2 + 3) * 4, 0);
+    payload.insert(payload.begin(), 1, 0);
   }
   util::BinaryWriter w;
-  for (std::size_t i = 0; i < 8; ++i) w.u8(v4[i]);  // magic
+  for (std::size_t i = 0; i < 8; ++i) w.u8(v5[i]);  // magic
   w.u32(3);
   w.u32(static_cast<std::uint32_t>(type));
   w.u64(payload.size());

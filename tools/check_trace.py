@@ -59,11 +59,10 @@ REQUIRED_METRICS = [
     "router.edges_initial", "router.edges_deleted", "router.edges_locked",
     "router.reinserts", "router.prerouted_nets", "router.rsmt_fallback_nets",
     "router.runtime_s",
-    # refine.* — RefineStats (8)
+    # refine.* — RefineStats (6)
     "refine.pass1_nets_fixed", "refine.pass1_resolves",
     "refine.pass1_gave_up", "refine.pass2_shields_removed",
-    "refine.pass2_accepted", "refine.pass2_rejected", "refine.batch_sweeps",
-    "refine.batch_regions_resolved",
+    "refine.pass2_accepted", "refine.pass2_rejected",
     # resource.* — ResourceSampler gauges (5)
     "resource.samples", "resource.rss_peak_kb", "resource.rss_last_kb",
     "resource.store_peak_bytes", "resource.pool_peak_threads",

@@ -128,10 +128,7 @@ int main() {
                util::fmt_double(id_fr.total_wirelength_um, 0),
                util::fmt_double(id_fr.congestion->max_density(), 2)});
 
-    router::MazeOptions maze_opt;
-    maze_opt.use_astar = false;  // historical tie-breaks: keep the ablation
-                                 // baseline comparable across snapshots
-    const router::MazeRouter maze(problem.grid(), maze_opt);
+    const router::MazeRouter maze(problem.grid());
     const router::RoutingResult mres = maze.route(problem.router_nets());
     const router::Occupancy occ(problem.grid(), mres.routes);
     grid::CongestionMap cmap(problem.grid());

@@ -143,24 +143,6 @@ void BM_Maze64(benchmark::State& state) {
 }
 BENCHMARK(BM_Maze64)->Arg(200)->Arg(800)->Unit(benchmark::kMillisecond);
 
-void BM_Maze64Dijkstra(benchmark::State& state) {
-  const grid::RegionGrid g = scale_grid();
-  const auto nets = scale_nets(g, static_cast<std::size_t>(state.range(0)), 131);
-  MazeOptions opt;
-  opt.use_astar = false;  // historical tie-break order, seed-identical routes
-  const MazeRouter maze(g, opt);
-  double wl = 0.0;
-  for (auto _ : state) {
-    const RoutingResult res = maze.route(nets);
-    wl = res.total_wirelength_um;
-    benchmark::DoNotOptimize(res);
-  }
-  state.counters["wirelength_um"] = wl;
-  state.counters["nets_per_s"] = benchmark::Counter(
-      static_cast<double>(state.range(0)), benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_Maze64Dijkstra)->Arg(200)->Arg(800)->Unit(benchmark::kMillisecond);
-
 // Phase II batch solve across the pool. Instances mirror the per-region
 // shape the flow produces (tens of nets, dense sensitivity); a share of
 // near-impossible Kth bounds trips the annealing arm so both solver paths

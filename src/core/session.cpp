@@ -545,9 +545,7 @@ FlowState FlowSession::state(const RegionSolveArtifact& solve) const {
 std::shared_ptr<const RegionSolveArtifact> FlowSession::solve_for(
     FlowKind kind, const Scenario& scenario) {
   const GsinoParams& params = problem_->params();
-  router::IdRouterOptions ropt = router_profile(kind);
-  if (scenario.tree_profile) ropt.tree_profile = *scenario.tree_profile;
-  auto r = route(ropt, kind);
+  auto r = route(kind);
   auto b = budget(kind, r,
                   scenario.bound_v.value_or(params.crosstalk_bound_v),
                   scenario.budget_margin.value_or(params.budget_margin));

@@ -415,12 +415,6 @@ struct Scenario {
   std::optional<double> bound_v;
   std::optional<double> budget_margin;
   std::optional<bool> anneal_phase2;
-  /// Steiner tree-quality tier for the router (src/steiner). Unlike the
-  /// fields above — which re-solve downstream stages off a shared routing
-  /// artifact — overriding the tree profile changes the routing profile
-  /// itself, so Phase I reruns (or loads a per-profile artifact from the
-  /// store) rather than reusing the default-profile routes.
-  std::optional<steiner::TreeProfile> tree_profile;
   RefineOptions refine;
 };
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <tuple>
+#include <utility>
 
 #include "parallel/thread_pool.h"
 
@@ -131,19 +133,27 @@ void append_metrics(MetricsSnapshot& out, const store::StoreStats& s) {
 
 // ------------------------------------------------------ resource sampler
 
-double ResourceSampler::rss_kb_now() {
+namespace {
+
+/// VmRSS and VmHWM in kB from one pass over /proc/self/status; zeros on
+/// platforms without it.
+std::pair<double, double> rss_and_hwm_kb() {
+  double rss = 0.0, hwm = 0.0;
 #if defined(__linux__)
   std::ifstream status("/proc/self/status");
   std::string line;
   while (std::getline(status, line)) {
     if (line.rfind("VmRSS:", 0) == 0) {
-      double kb = 0.0;
-      if (std::sscanf(line.c_str(), "VmRSS: %lf", &kb) == 1) return kb;
+      std::sscanf(line.c_str(), "VmRSS: %lf", &rss);
+    } else if (line.rfind("VmHWM:", 0) == 0) {
+      std::sscanf(line.c_str(), "VmHWM: %lf", &hwm);
     }
   }
 #endif
-  return 0.0;
+  return {rss, hwm};
 }
+
+}  // namespace
 
 ResourceSampler::ResourceSampler(Options options)
     : options_(options), start_(std::chrono::steady_clock::now()) {
@@ -160,6 +170,11 @@ void ResourceSampler::stop() {
   }
   cv_.notify_all();
   if (thread_.joinable()) thread_.join();
+  // The closing sample: without it a run shorter than the period reports
+  // only its start-up state (no pool workers yet, start-up RSS).
+  const ResourceSample s = take_sample();
+  std::lock_guard<std::mutex> lock(mu_);
+  samples_.push_back(s);
 }
 
 std::vector<ResourceSample> ResourceSampler::samples() const {
@@ -167,21 +182,28 @@ std::vector<ResourceSample> ResourceSampler::samples() const {
   return samples_;
 }
 
+/// One sample, taken without holding mu_: the callees lock their own
+/// mutexes.
+ResourceSample ResourceSampler::take_sample() const {
+  ResourceSample s;
+  s.t_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                        start_)
+              .count();
+  std::tie(s.rss_kb, s.rss_hwm_kb) = rss_and_hwm_kb();
+  if (options_.store != nullptr) {
+    s.store_bytes = static_cast<double>(options_.store->bytes_on_disk());
+  }
+  s.pool_threads =
+      static_cast<double>(parallel::ThreadPool::global().spawned());
+  return s;
+}
+
 void ResourceSampler::run() {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    // Sample first so even a short-lived flow gets at least one point.
-    ResourceSample s;
-    s.t_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          start_)
-                .count();
-    lock.unlock();  // the callees lock their own mutexes; don't hold ours
-    s.rss_kb = rss_kb_now();
-    if (options_.store != nullptr) {
-      s.store_bytes = static_cast<double>(options_.store->bytes_on_disk());
-    }
-    s.pool_threads =
-        static_cast<double>(parallel::ThreadPool::global().spawned());
+    // Sample first so even a short-lived flow gets a start-up point.
+    lock.unlock();
+    const ResourceSample s = take_sample();
     lock.lock();
     samples_.push_back(s);
     if (cv_.wait_for(lock, options_.period, [this] { return stop_; })) return;
@@ -192,7 +214,7 @@ void ResourceSampler::append_gauges(MetricsSnapshot& out) const {
   std::lock_guard<std::mutex> lock(mu_);
   double peak_rss = 0.0, last_rss = 0.0, peak_store = 0.0, peak_pool = 0.0;
   for (const ResourceSample& s : samples_) {
-    peak_rss = std::max(peak_rss, s.rss_kb);
+    peak_rss = std::max({peak_rss, s.rss_kb, s.rss_hwm_kb});
     last_rss = s.rss_kb;
     peak_store = std::max(peak_store, s.store_bytes);
     peak_pool = std::max(peak_pool, s.pool_threads);

@@ -88,6 +88,7 @@ void append_metrics(MetricsSnapshot& out, const store::StoreStats& s);
 struct ResourceSample {
   double t_s = 0.0;              ///< seconds since sampler start
   double rss_kb = 0.0;           ///< VmRSS (0 where /proc is unavailable)
+  double rss_hwm_kb = 0.0;       ///< VmHWM: the process's peak RSS so far
   double store_bytes = 0.0;      ///< bytes on disk of the watched store
   double pool_threads = 0.0;     ///< spawned pool workers
 };
@@ -102,7 +103,9 @@ struct ResourceSamplerOptions {
 /// occupancy on a background thread. The sampled callees are internally
 /// synchronized (ArtifactStore::bytes_on_disk() and ThreadPool::spawned()
 /// both lock), so the sampler is safe to run alongside a flow — including
-/// under TSan. stop() (or destruction) joins the thread.
+/// under TSan. stop() (or destruction) joins the thread and takes one
+/// closing sample, so even a run shorter than the period is seen at its
+/// start and its end.
 class ResourceSampler {
  public:
   using Options = ResourceSamplerOptions;
@@ -116,14 +119,14 @@ class ResourceSampler {
   std::vector<ResourceSample> samples() const;
 
   /// resource.* gauges (sample count, peak/last RSS, peak store bytes,
-  /// peak pool threads) from the samples taken so far.
+  /// peak pool threads) from the samples taken so far. The RSS peak also
+  /// takes the kernel's VmHWM watermark, so an allocation that came and
+  /// went between two samples still counts.
   void append_gauges(MetricsSnapshot& out) const;
-
-  /// Current VmRSS in kB (0 on platforms without /proc/self/status).
-  static double rss_kb_now();
 
  private:
   void run();
+  ResourceSample take_sample() const;
 
   Options options_;
   mutable std::mutex mu_;

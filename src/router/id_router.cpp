@@ -172,18 +172,14 @@ void add_presence(RegionRec& r, double w, double si) {
   r.sum_si2 += w * si * si;
 }
 
-/// Monotone walk between two region points, L- or Z-shaped. The
-/// leading-leg axis is chosen by a deterministic hash of the endpoints so
-/// that pre-routed nets spread over both elbow choices instead of piling
-/// onto shared x-first corridors. An L walks the leading leg to the end;
-/// a Z breaks it at the midpoint, so a huge net's demand spreads over two
-/// parallel corridors. Both are monotone — identical wire length.
-void emit_preroute_shape(geom::Point p, geom::Point q, PrerouteShape shape,
-                         std::vector<GridEdge>& out) {
+/// Monotone L-shaped walk between two region points. The leading-leg axis
+/// is chosen by a deterministic hash of the endpoints so that pre-routed
+/// nets spread over both elbow choices instead of piling onto shared
+/// x-first corridors.
+void emit_preroute_l(geom::Point p, geom::Point q, std::vector<GridEdge>& out) {
   const std::uint64_t h =
       std::hash<geom::Point>{}(p) * 31 + std::hash<geom::Point>{}(q);
   const bool x_first = (h & 1) == 0;
-  const bool z = shape == PrerouteShape::kZ;
   geom::Point cur = p;
   auto walk_x_to = [&](std::int32_t tx) {
     const std::int32_t step_x = (tx > cur.x) ? 1 : -1;
@@ -202,13 +198,11 @@ void emit_preroute_shape(geom::Point p, geom::Point q, PrerouteShape shape,
     }
   };
   if (x_first) {
-    walk_x_to(z ? (p.x + q.x) / 2 : q.x);
-    walk_y_to(q.y);
     walk_x_to(q.x);
+    walk_y_to(q.y);
   } else {
-    walk_y_to(z ? (p.y + q.y) / 2 : q.y);
-    walk_x_to(q.x);
     walk_y_to(q.y);
+    walk_x_to(q.x);
   }
 }
 
@@ -246,21 +240,7 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
   // itself fans out with the chunked build pass below; its shared-stats
   // consequences commit in net order via the ordered reducer.
   steiner::TreeCache tree_cache;
-  const steiner::TreeBuilder tree_builder(steiner::TreeBuilderOptions{},
-                                          &tree_cache);
-  const auto net_profile = [&](std::int32_t net_id) {
-    const auto& ov = options_.tree_profile_overrides;
-    const auto it = std::lower_bound(
-        ov.begin(), ov.end(), net_id,
-        [](const std::pair<std::int32_t, std::uint8_t>& e, std::int32_t id) {
-          return e.first < id;
-        });
-    if (it != ov.end() && it->first == net_id) {
-      return static_cast<steiner::TreeProfile>(
-          std::min<std::uint8_t>(it->second, steiner::kTreeProfileCount - 1));
-    }
-    return options_.tree_profile;
-  };
+  const steiner::TreeBuilder tree_builder({}, &tree_cache);
 
   // ---------------------------------------------------------------- build
   //
@@ -293,7 +273,7 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
     // serial sizing pass (from the raw pin count, mirroring the
     // rsmt::rsmt fallback predicate) so the value never depends on tree
     // cache hits, thread count, or build order.
-    if (net.pins.size() > tree_builder.options().steiner.max_pins_exact) {
+    if (net.pins.size() > tree_builder.options().max_pins_exact) {
       ++result.stats.rsmt_fallback_nets;
     }
     if (static_cast<std::size_t>(wk.bbox.cell_count()) >
@@ -399,14 +379,13 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
       sc.present_stamp.assign(region_count * 2, 0);
     }
     const std::shared_ptr<const rsmt::Tree> tree_ptr =
-        tree_builder.build(net.pins, net_profile(net.id));
+        tree_builder.build(net.pins);
     const rsmt::Tree& tree = *tree_ptr;
     ++sc.edge_epoch;
     for (const auto& [a, b] : tree.edges) {
       sc.l_shape.clear();
-      emit_preroute_shape(tree.nodes[static_cast<std::size_t>(a)],
-                          tree.nodes[static_cast<std::size_t>(b)],
-                          options_.preroute_shape, sc.l_shape);
+      emit_preroute_l(tree.nodes[static_cast<std::size_t>(a)],
+                      tree.nodes[static_cast<std::size_t>(b)], sc.l_shape);
       for (const GridEdge& e : sc.l_shape) {
         const std::size_t slot = edge_slot(e);
         if (sc.edge_stamp[slot] != sc.edge_epoch) {
@@ -524,7 +503,7 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
     // directions in proportion to the bbox aspect; +1 converts crossings
     // to touched regions.
     wk.rsmt_len = static_cast<double>(std::max<std::int64_t>(
-        1, tree_builder.length(net.pins, net_profile(net.id))));
+        1, tree_builder.length(net.pins)));
     {
       const double wx = std::max(1, wk.w - 1);
       const double wy = std::max(1, wk.h - 1);

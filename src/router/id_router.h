@@ -69,13 +69,14 @@
 
 #include <cstdint>
 #include <tuple>
-#include <utility>
 #include <vector>
 
 #include "grid/congestion.h"
 #include "grid/region_grid.h"
 #include "router/route_types.h"
 #include "sino/nss.h"
+// Not used here: kept because perfbench reaches steiner::TreeBuilder only
+// through this header (via core/session.h); due in ROADMAP item 7.
 #include "steiner/tree_builder.h"
 
 namespace rlcr::router {
@@ -86,13 +87,6 @@ struct IdWeights {
   double gamma = 50.0; ///< overflow coefficient (paper's value)
 };
 
-/// Segment shape used when pre-routing huge nets on their RSMT topology.
-enum class PrerouteShape {
-  kL,  ///< single-elbow L (historical default; elbow choice hashed)
-  kZ,  ///< two-elbow Z through the midpoint — splits each leg's demand
-       ///< across two parallel corridors instead of one
-};
-
 struct IdRouterOptions {
   IdWeights weights;
   /// Include the Eq. (3) shield estimate in HU. True for GSINO Phase I;
@@ -101,10 +95,6 @@ struct IdRouterOptions {
   /// Pin bounding boxes with more regions than this are pre-routed on
   /// their RSMT instead of entering the deletion pool.
   std::size_t huge_net_bbox_threshold = 600;
-  /// Shape of huge-net pre-route segments. Both shapes are monotone
-  /// (identical wire length); kL keeps every historical golden, kZ has
-  /// its own golden pinned at introduction.
-  PrerouteShape preroute_shape = PrerouteShape::kL;
   /// Detour guard: a deletion is refused when it would leave some sink's
   /// shortest path from the source longer than
   ///   max_detour_factor * manhattan(source, sink) + detour_slack.
@@ -120,16 +110,6 @@ struct IdRouterOptions {
   /// count, and shared-stats accumulation is replayed in net order by the
   /// ordered reducer. The deletion loop runs on the calling thread.
   int threads = 0;
-  /// Quality tier for every net topology the router builds (huge-net
-  /// pre-routes and the f(WL) normalization trees): src/steiner profiles.
-  /// kFast is the historical rsmt::rsmt path, bit-identical to the
-  /// pre-profile router. Part of the routing profile — a different tier is
-  /// a different routing answer.
-  steiner::TreeProfile tree_profile = steiner::TreeProfile::kFast;
-  /// Per-net tier overrides for critical nets: (net id, TreeProfile value)
-  /// pairs, kept sorted by net id. A listed net is built at its own tier;
-  /// all others use `tree_profile`. Also part of the routing profile.
-  std::vector<std::pair<std::int32_t, std::uint8_t>> tree_profile_overrides;
 
  private:
   /// The single enumeration behind both profile_tie() overloads below.
@@ -138,9 +118,7 @@ struct IdRouterOptions {
   static auto profile_tie_of(Self& self) {
     return std::tie(self.weights.alpha, self.weights.beta, self.weights.gamma,
                     self.reserve_shields, self.huge_net_bbox_threshold,
-                    self.preroute_shape, self.max_detour_factor,
-                    self.detour_slack, self.tree_profile,
-                    self.tree_profile_overrides);
+                    self.max_detour_factor, self.detour_slack);
   }
 
  public:

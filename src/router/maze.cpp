@@ -7,6 +7,7 @@
 
 #include "obs/trace.h"
 #include "rsmt/steiner.h"
+#include "steiner/tree_builder.h"
 #include "steiner/tree_cache.h"
 #include "util/stopwatch.h"
 
@@ -51,12 +52,10 @@ RoutingResult MazeRouter::route(const std::vector<RouterNet>& nets) const {
   std::vector<std::int32_t> reached_list;
   std::vector<QE> pq;  // min-heap via std::push_heap/pop_heap + greater<>
 
-  // Decomposition topologies come from the tiered tree builder; the cache
-  // collapses identical pin configurations across nets. kFast (the default)
-  // reproduces the historical rsmt::rsmt trees bit-for-bit.
+  // Decomposition topologies come from the tree builder; the cache
+  // collapses identical pin configurations across nets.
   steiner::TreeCache tree_cache;
-  const steiner::TreeBuilder tree_builder(steiner::TreeBuilderOptions{},
-                                          &tree_cache);
+  const steiner::TreeBuilder tree_builder({}, &tree_cache);
 
   auto edge_cost = [&](geom::Point a, geom::Point b) {
     const grid::Dir d = (a.y == b.y) ? grid::Dir::kHorizontal : grid::Dir::kVertical;
@@ -96,7 +95,7 @@ RoutingResult MazeRouter::route(const std::vector<RouterNet>& nets) const {
     // Route 2-pin connections along the RSMT topology, connecting each new
     // terminal to the set of already-reached vertices.
     const std::shared_ptr<const rsmt::Tree> topo_ptr =
-        tree_builder.build(net.pins, options_.tree_profile);
+        tree_builder.build(net.pins);
     const rsmt::Tree& topo = *topo_ptr;
     for (const auto& [ta, tb] : topo.edges) {
       const geom::Point target_a = topo.nodes[static_cast<std::size_t>(ta)];
@@ -112,16 +111,6 @@ RoutingResult MazeRouter::route(const std::vector<RouterNet>& nets) const {
         continue;  // both endpoints already in the tree
       }
       const std::int32_t goal_v = static_cast<std::int32_t>(grid_->index(goal));
-
-      // A* heuristic: Manhattan distance to the goal. Every region crossing
-      // costs at least 1, so it is admissible and consistent; with the
-      // penalty-free cost floor of exactly 1 it is also tight in quiet
-      // fabric. Disabled (h = 0) in Dijkstra mode.
-      auto heuristic = [&](geom::Point p) {
-        return options_.use_astar
-                   ? static_cast<double>(geom::manhattan(p, goal))
-                   : 0.0;
-      };
 
       // Multi-source shortest path from the routed tree to `goal`, seeded
       // frontier-only: interior tree vertices (all four neighbours already
@@ -142,7 +131,7 @@ RoutingResult MazeRouter::route(const std::vector<RouterNet>& nets) const {
         for (const geom::Point& pn : nbrs) {
           if (!window.contains(pn)) continue;
           if (!is_reached(static_cast<std::int32_t>(grid_->index(pn)))) {
-            pq.emplace_back(heuristic(pv), v);
+            pq.emplace_back(0.0, v);
             break;
           }
         }
@@ -154,7 +143,7 @@ RoutingResult MazeRouter::route(const std::vector<RouterNet>& nets) const {
         std::pop_heap(pq.begin(), pq.end(), std::greater<>{});
         pq.pop_back();
         const geom::Point pv = grid_->at(static_cast<std::size_t>(v));
-        if (kv > dist[static_cast<std::size_t>(v)] + heuristic(pv)) continue;
+        if (kv > dist[static_cast<std::size_t>(v)]) continue;
         if (v == goal_v) break;
         const geom::Point nbrs[4] = {{pv.x - 1, pv.y}, {pv.x + 1, pv.y},
                                      {pv.x, pv.y - 1}, {pv.x, pv.y + 1}};
@@ -170,7 +159,7 @@ RoutingResult MazeRouter::route(const std::vector<RouterNet>& nets) const {
           if (cost < dist[u]) {
             dist[u] = cost;
             prev[u] = v;
-            pq.emplace_back(cost + heuristic(pn), static_cast<std::int32_t>(u));
+            pq.emplace_back(cost, static_cast<std::int32_t>(u));
             std::push_heap(pq.begin(), pq.end(), std::greater<>{});
           }
         }

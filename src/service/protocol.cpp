@@ -45,7 +45,6 @@ void WhatIfQuery::encode(util::BinaryWriter& w) const {
   w.f64(scenario_margin);
   w.u8(has_anneal ? 1 : 0);
   w.u8(scenario_anneal ? 1 : 0);
-  w.u8(quality);
 }
 
 bool WhatIfQuery::decode(util::BinaryReader& r) {
@@ -66,8 +65,6 @@ bool WhatIfQuery::decode(util::BinaryReader& r) {
   scenario_margin = r.f64();
   has_anneal = r.u8() != 0;
   scenario_anneal = r.u8() != 0;
-  quality = r.u8();
-  if (quality > 2) return false;  // steiner::TreeProfile range
   return r.ok();
 }
 
@@ -92,8 +89,7 @@ std::uint64_t query_coalesce_key(const WhatIfQuery& q) {
       .boolean(q.has_margin)
       .f64(q.has_margin ? q.scenario_margin : 0.0)
       .boolean(q.has_anneal)
-      .boolean(q.has_anneal ? q.scenario_anneal : false)
-      .u8(q.quality);
+      .boolean(q.has_anneal ? q.scenario_anneal : false);
   return h.value();
 }
 

@@ -51,7 +51,6 @@ bool validate_query(const WhatIfQuery& q) {
   }
   if (q.has_bound && !(q.scenario_bound_v > 0.0)) return false;
   if (q.has_margin && !(q.scenario_margin > 0.0)) return false;
-  if (q.quality >= steiner::kTreeProfileCount) return false;
   return true;
 }
 
@@ -145,11 +144,6 @@ gsino::Scenario scenario_of(const WhatIfQuery& q) {
   if (q.has_bound) s.bound_v = q.scenario_bound_v;
   if (q.has_margin) s.budget_margin = q.scenario_margin;
   if (q.has_anneal) s.anneal_phase2 = q.scenario_anneal;
-  // quality 0 (kFast) stays unset: it is the flows' default profile, so the
-  // default-tier query shares its routing artifact with no-tier queries.
-  if (q.quality != 0) {
-    s.tree_profile = static_cast<steiner::TreeProfile>(q.quality);
-  }
   return s;
 }
 

@@ -1,28 +1,16 @@
-// Quality-tiered Steiner-tree construction behind one TreeBuilder facade.
+// Phase I Steiner-tree construction behind one TreeBuilder facade.
 //
-// Three deterministic profiles trade construction time for topology quality:
-//
-//   kFast      — the historical path: delegate to rsmt::rsmt() unchanged, so
-//                every existing route-hash golden holds bit-for-bit.
-//   kBalanced  — start from the kFast tree and apply only length-non-
-//                increasing local moves (edge-overlap steinerization plus an
-//                ascend-and-prune cleanup of Steiner chains), bounded passes.
-//   kBest      — iterated perturb-and-reconstruct with recombination: build k
-//                randomized candidates, merge their edge sets, re-solve the
-//                problem restricted to that union, keep the shortest tree.
-//
-// Every profile is a pure function of (pins, options): no global state, no
-// wall-clock, no thread-id — which is what makes the parallel fan-out in the
-// router and the content-addressed TreeCache transparent by construction.
-// kBest randomness is split per pin set from options.seed via the SplitMix64
-// stream-seed discipline, so results are seed-deterministic and invariant to
-// thread count and net enumeration order.
+// Every net topology the routers build comes from rsmt::rsmt() (iterated
+// 1-Steiner, RMST above the exact-pin cap). The facade adds an optional
+// content-addressed TreeCache so identical pin configurations build once.
+// rsmt::rsmt is a pure function of (pins, options): no global state, no
+// wall-clock, no thread-id — which is what makes the parallel fan-out in
+// the router and the cache transparent by construction.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <vector>
 
 #include "geom/point.h"
 #include "rsmt/steiner.h"
@@ -32,59 +20,36 @@ namespace rlcr::steiner {
 
 class TreeCache;
 
-/// Quality tier for tree construction. Wire/profile stable: the numeric
-/// values travel through the artifact store and the service protocol.
-enum class TreeProfile : std::uint8_t {
-  kFast = 0,
-  kBalanced = 1,
-  kBest = 2,
-};
+/// The one tree-construction path. Kept only because perfbench still names
+/// it in its TreeBuilder::length calls; to be dropped with the `length()`
+/// argument below once it stops (ROADMAP item 7).
+enum class TreeProfile : std::uint8_t { kFast = 0 };
 
-inline constexpr std::uint8_t kTreeProfileCount = 3;
-
-const char* profile_name(TreeProfile profile);
-
-struct TreeBuilderOptions {
-  /// Base 1-Steiner knobs (kFast fidelity requires the defaults).
-  rsmt::SteinerOptions steiner;
-  /// Master seed for kBest perturbation streams. Mixed with a content hash
-  /// of the pin set, never with a net id, so identical pin sets always get
-  /// identical trees regardless of which net (or thread) asks first.
-  std::uint64_t seed = 1;
-  /// Candidate trees built per net under kBest (the first is the kBalanced
-  /// tree, so kBest can never be longer than kBalanced).
-  std::size_t best_candidates = 4;
-  /// Upper bound on steinerize/prune sweeps per local-search invocation.
-  std::size_t local_passes = 4;
-};
-
-/// Builds one tree at an explicit profile. Pure function; the returned tree
-/// keeps the rsmt::Tree contract (nodes[0..pins.size()) are the pins in
-/// input order, Steiner points follow).
-rsmt::Tree build_tree(std::span<const geom::Point> pins,
-                      TreeProfile profile, const TreeBuilderOptions& options);
-
-/// Facade bundling options with an optional shared cache. Copies of the
-/// returned trees are immutable and safe to share across threads.
+/// Facade bundling Steiner options with an optional shared cache. Copies of
+/// the returned trees are immutable and safe to share across threads. The
+/// trees keep the rsmt::Tree contract (nodes[0..pins.size()) are the pins
+/// in input order, Steiner points follow).
 class TreeBuilder {
  public:
-  explicit TreeBuilder(TreeBuilderOptions options = {},
+  explicit TreeBuilder(rsmt::SteinerOptions options = {},
                        TreeCache* cache = nullptr)
       : options_(options), cache_(cache) {}
 
-  /// Build (or fetch from the cache) the tree for `pins` at `profile`.
-  std::shared_ptr<const rsmt::Tree> build(std::span<const geom::Point> pins,
-                                          TreeProfile profile) const;
+  /// Build (or fetch from the cache) the tree for `pins`; bit-identical to
+  /// rsmt::rsmt(pins, options()).
+  std::shared_ptr<const rsmt::Tree> build(
+      std::span<const geom::Point> pins) const;
 
-  /// Tree length at `profile` (one cached build serves later calls that
-  /// need the full topology for the same pin set).
+  /// Tree length (one cached build serves later calls that need the full
+  /// topology for the same pin set). The profile argument is kept for
+  /// perfbench; see TreeProfile.
   std::int64_t length(std::span<const geom::Point> pins,
-                      TreeProfile profile) const;
+                      TreeProfile = TreeProfile::kFast) const;
 
-  const TreeBuilderOptions& options() const { return options_; }
+  const rsmt::SteinerOptions& options() const { return options_; }
 
  private:
-  TreeBuilderOptions options_;
+  rsmt::SteinerOptions options_;
   TreeCache* cache_ = nullptr;
 };
 

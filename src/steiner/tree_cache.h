@@ -4,12 +4,12 @@
 // origin while preserving input order, then fingerprinted (FNV-1a over the
 // translated coordinate sequence). Order is deliberately part of the key —
 // the rsmt::Tree contract puts the pins at nodes[0..pin_count) in input
-// order, and the kFast profile must stay bit-identical to the historical
-// rsmt::rsmt() call, whose output depends on pin order. Sorting the key
+// order, and a cached tree must stay bit-identical to the rsmt::rsmt()
+// call it replaces, whose output depends on pin order. Sorting the key
 // would alias pin sequences that build different (equally valid) trees.
 //
 // Values are stored in canonical (translated) coordinates; the builder
-// translates them back on a hit. This is sound because every profile is
+// translates them back on a hit. This is sound because rsmt::rsmt is
 // translation-equivariant: build(pins + t) == build(pins) + t, a contract
 // pinned by steiner_test. Identical small-net configurations — the common
 // case in real netlists — therefore collapse to one construction no matter
@@ -29,9 +29,7 @@
 namespace rlcr::steiner {
 
 /// A pin set translated so min x == min y == 0, plus the offset back and a
-/// fingerprint of the translated sequence. The fingerprint doubles as the
-/// kBest per-net RNG stream salt, which is what makes the cache transparent
-/// under kBest: the stream depends on content, never on net id.
+/// fingerprint of the translated sequence.
 struct CanonicalPins {
   std::vector<geom::Point> pins;
   std::int32_t dx = 0;  ///< original = canonical + (dx, dy)
@@ -41,7 +39,7 @@ struct CanonicalPins {
 
 CanonicalPins canonicalize(std::span<const geom::Point> pins);
 
-/// Thread-safe map from (canonical pin fingerprint, profile/options hash)
+/// Thread-safe map from (canonical pin fingerprint, Steiner options hash)
 /// to an immutable canonical tree. Lookup order across threads does not
 /// affect results: the builder is a pure function of the key's content, so
 /// whichever thread populates an entry stores the same value any other

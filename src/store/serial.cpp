@@ -73,20 +73,6 @@ void put_field(BinaryWriter& w, double v) { w.f64(v); }
 void put_field(BinaryWriter& w, bool v) { w.u8(v ? 1 : 0); }
 void put_field(BinaryWriter& w, std::size_t v) { w.u64(v); }
 void put_field(BinaryWriter& w, std::int32_t v) { w.i32(v); }
-void put_field(BinaryWriter& w, router::PrerouteShape v) {
-  w.u32(static_cast<std::uint32_t>(v));
-}
-void put_field(BinaryWriter& w, steiner::TreeProfile v) {
-  w.u8(static_cast<std::uint8_t>(v));
-}
-void put_field(BinaryWriter& w,
-               const std::vector<std::pair<std::int32_t, std::uint8_t>>& v) {
-  w.u64(v.size());
-  for (const auto& [id, profile] : v) {
-    w.i32(id);
-    w.u8(profile);
-  }
-}
 
 void get_field(BinaryReader& r, double& v) { v = r.f64(); }
 void get_field(BinaryReader& r, bool& v) { v = r.u8() != 0; }
@@ -94,22 +80,6 @@ void get_field(BinaryReader& r, std::size_t& v) {
   v = static_cast<std::size_t>(r.u64());
 }
 void get_field(BinaryReader& r, std::int32_t& v) { v = r.i32(); }
-void get_field(BinaryReader& r, router::PrerouteShape& v) {
-  v = static_cast<router::PrerouteShape>(r.u32());
-}
-void get_field(BinaryReader& r, steiner::TreeProfile& v) {
-  v = static_cast<steiner::TreeProfile>(r.u8());
-}
-void get_field(BinaryReader& r,
-               std::vector<std::pair<std::int32_t, std::uint8_t>>& v) {
-  const std::uint64_t n = r.seq_size(/*elem_bytes=*/5);
-  if (!r.ok()) return;
-  v.resize(static_cast<std::size_t>(n));
-  for (auto& [id, profile] : v) {
-    id = r.i32();
-    profile = r.u8();
-  }
-}
 
 void write_options(BinaryWriter& w, const router::IdRouterOptions& o) {
   std::apply([&](const auto&... field) { (put_field(w, field), ...); },

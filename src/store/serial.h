@@ -49,7 +49,11 @@ namespace rlcr::store {
 /// v5: batched refine pass 2 was removed, so the refine record drops its
 /// pass-2 mode byte and the two batch counters; v4 records load as misses
 /// and recompute.
-inline constexpr std::uint32_t kFormatVersion = 5;
+/// v6: the Steiner quality tiers and the Z pre-route shape were removed,
+/// so the routing profile drops preroute_shape (u32), tree_profile (u8)
+/// and the tree_profile_overrides vector; v5 records load as misses and
+/// recompute.
+inline constexpr std::uint32_t kFormatVersion = 6;
 
 enum class ArtifactType : std::uint32_t {
   kRouting = 1,

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -394,6 +396,36 @@ TEST(Metrics, ResourceSamplerRecordsAtLeastOneSampleAndExportsGauges) {
   }
   EXPECT_EQ(snap.value_of("resource.samples"),
             static_cast<double>(samples.size()));
+}
+
+// A run shorter than the sampling period still sees its own peak: stop()
+// takes a closing sample, and the RSS peak reads the kernel's VmHWM
+// watermark, so a 64 MiB block touched and freed between the two samples
+// counts even though neither sample saw it resident.
+TEST(Metrics, ResourceSamplerPeakSeesShortLivedAllocation) {
+  obs::ResourceSamplerOptions ro;
+  ro.period = std::chrono::seconds(60);
+  obs::ResourceSampler sampler(ro);
+  while (sampler.samples().empty()) std::this_thread::yield();
+  {
+    constexpr std::size_t kBytes = std::size_t{64} << 20;
+    const std::unique_ptr<char[]> block(new char[kBytes]);
+    volatile char* const touch = block.get();
+    for (std::size_t i = 0; i < kBytes; i += 4096) {
+      touch[i] = static_cast<char>(i >> 12);
+    }
+  }
+  sampler.stop();
+
+  const std::vector<obs::ResourceSample> samples = sampler.samples();
+  ASSERT_EQ(samples.size(), 2u);
+  obs::MetricsSnapshot snap;
+  sampler.append_gauges(snap);
+  EXPECT_EQ(snap.value_of("resource.samples"), 2.0);
+#if defined(__linux__)
+  EXPECT_GE(snap.value_of("resource.rss_peak_kb"),
+            samples.front().rss_kb + 60.0 * 1024.0);
+#endif
 }
 
 }  // namespace

@@ -375,51 +375,9 @@ TEST(IdRouterGolden, PreRoutedHugeNet) {
   EXPECT_EQ(route_hash(res), 13553872594035981539ULL);
 }
 
-// Z-shape pre-route option: same monotone wire length as the default L
-// shape, different corridor split. Golden pinned at introduction.
-TEST(IdRouterGolden, PreRoutedHugeNetZShape) {
-  const grid::RegionGrid g = make_grid(24, 24);
-  const sino::NssModel nss;
-  IdRouterOptions opt;
-  opt.huge_net_bbox_threshold = 20;
-  opt.preroute_shape = PrerouteShape::kZ;
-  std::vector<RouterNet> nets(1);
-  nets[0].id = 0;
-  nets[0].pins = {{0, 0}, {20, 15}, {3, 18}};
-  const RoutingResult res = IdRouter(g, nss, opt).route(nets);
-  EXPECT_EQ(res.stats.prerouted_nets, 1u);
-  EXPECT_TRUE(res.routes[0].connects(nets[0].pins));
-  // Monotone like the L shape: identical total wire length...
-  EXPECT_DOUBLE_EQ(res.total_wirelength_um, 850.0);
-  // ...but a different corridor split (pinned Z golden).
-  EXPECT_EQ(route_hash(res), 838763700482254819ULL);
-}
-
-TEST(IdRouter, ZShapeSplitsCorridorDemand) {
-  // A single huge two-pin net: the L shape crosses one elbow, the Z two.
-  const grid::RegionGrid g = make_grid(24, 24);
-  const sino::NssModel nss;
-  IdRouterOptions opt;
-  opt.huge_net_bbox_threshold = 10;
-  std::vector<RouterNet> nets(1);
-  nets[0].id = 0;
-  nets[0].pins = {{2, 2}, {18, 14}};
-
-  const RoutingResult l_res = IdRouter(g, nss, opt).route(nets);
-  opt.preroute_shape = PrerouteShape::kZ;
-  const RoutingResult z_res = IdRouter(g, nss, opt).route(nets);
-
-  EXPECT_TRUE(l_res.routes[0].connects(nets[0].pins));
-  EXPECT_TRUE(z_res.routes[0].connects(nets[0].pins));
-  EXPECT_DOUBLE_EQ(l_res.total_wirelength_um, z_res.total_wirelength_um);
-  EXPECT_EQ(l_res.routes[0].edges.size(), z_res.routes[0].edges.size());
-  EXPECT_NE(route_hash(l_res), route_hash(z_res));
-}
-
-// Dijkstra mode reproduces the seed maze router bit for bit.
+// The Dijkstra search reproduces the seed maze router bit for bit.
 TEST(MazeGolden, DijkstraModeMatchesSeed) {
-  MazeOptions opt;
-  opt.use_astar = false;
+  const MazeOptions opt;
   {
     const grid::RegionGrid g = make_grid();
     const RoutingResult res = MazeRouter(g, opt).route(random_nets(g, 100, 17));
@@ -444,57 +402,12 @@ TEST(MazeGolden, DijkstraModeMatchesSeed) {
   }
 }
 
-// A* (the default) keeps path costs but may break equal-cost ties
-// differently; these goldens were captured at introduction and pin the
-// default-mode behavior against future regressions.
-TEST(MazeGolden, AStarDefaultMode) {
-  {
-    const grid::RegionGrid g = make_grid();
-    const RoutingResult res = MazeRouter(g).route(random_nets(g, 100, 17));
-    EXPECT_DOUBLE_EQ(res.total_wirelength_um, 15795.0);
-    EXPECT_EQ(route_hash(res), 6889147554860165043ULL);
-  }
-  {
-    const grid::RegionGrid g = make_grid(8, 8, 1);
-    const RoutingResult res = MazeRouter(g).route(random_nets(g, 40, 23));
-    EXPECT_DOUBLE_EQ(res.total_wirelength_um, 6460.0);
-    EXPECT_EQ(total_edges(res), 289u);
-    EXPECT_EQ(route_hash(res), 14270321430572745393ULL);
-  }
-  {
-    const grid::RegionGrid g = make_grid(32, 32, 12);
-    const RoutingResult res = MazeRouter(g).route(random_nets(g, 200, 9, 5));
-    EXPECT_DOUBLE_EQ(res.total_wirelength_um, 41860.0);
-    EXPECT_EQ(route_hash(res), 16457129758403932149ULL);
-  }
-}
-
-// Where the workload is uncongested, A* and Dijkstra must agree on cost
-// exactly even when tie shapes differ.
-TEST(MazeGolden, AStarPreservesPathCostsWhenUncongested) {
-  const grid::RegionGrid g = make_grid(20, 20, 16);
-  const auto nets = random_nets(g, 80, 77, 5);
-  MazeOptions dij;
-  dij.use_astar = false;
-  const RoutingResult a = MazeRouter(g).route(nets);
-  const RoutingResult b = MazeRouter(g, dij).route(nets);
-  EXPECT_DOUBLE_EQ(a.total_wirelength_um, b.total_wirelength_um);
-  for (std::size_t i = 0; i < nets.size(); ++i) {
-    EXPECT_TRUE(a.routes[i].connects(nets[i].pins)) << "net " << i;
-  }
-}
-
 TEST(MazeGolden, OptionsStillRouteEverything) {
   const grid::RegionGrid g = make_grid(16, 16, 2);
   const auto nets = random_nets(g, 120, 99, 6);
-  for (const bool astar : {false, true}) {
-    MazeOptions opt;
-    opt.use_astar = astar;
-    const RoutingResult res = MazeRouter(g, opt).route(nets);
-    for (std::size_t i = 0; i < nets.size(); ++i) {
-      EXPECT_TRUE(res.routes[i].connects(nets[i].pins))
-          << (astar ? "A*" : "dijkstra") << " net " << i;
-    }
+  const RoutingResult res = MazeRouter(g).route(nets);
+  for (std::size_t i = 0; i < nets.size(); ++i) {
+    EXPECT_TRUE(res.routes[i].connects(nets[i].pins)) << "net " << i;
   }
 }
 

@@ -98,7 +98,6 @@ TEST(ServiceProtocol, SubmitRoundTripCarriesEveryQueryField) {
   in.query.scenario_margin = 0.07;
   in.query.has_anneal = true;
   in.query.scenario_anneal = true;
-  in.query.quality = 2;  // steiner::TreeProfile::kBest
   const Submit out = roundtrip(in);
   EXPECT_EQ(out.query.source, in.query.source);
   EXPECT_EQ(out.query.circuit, in.query.circuit);
@@ -114,31 +113,32 @@ TEST(ServiceProtocol, SubmitRoundTripCarriesEveryQueryField) {
   EXPECT_EQ(out.query.scenario_margin, in.query.scenario_margin);
   EXPECT_EQ(out.query.has_anneal, true);
   EXPECT_EQ(out.query.scenario_anneal, true);
-  EXPECT_EQ(out.query.quality, 2);
   EXPECT_EQ(query_coalesce_key(out.query), query_coalesce_key(in.query));
 }
 
-// Protocol v2 compatibility: the version bump that added the quality tier
-// makes v1 frames kBad at the 12-byte header — a v1 client is refused
+// Protocol version bumps (v2 added the quality tier byte, v3 dropped it)
+// make older frames kBad at the 12-byte header — an old client is refused
 // before any payload parsing, never silently mis-decoded.
 TEST(ServiceProtocol, Version1FramesAreRejectedAtTheHeader) {
-  ASSERT_EQ(kProtocolVersion, 2u);
-  std::vector<std::uint8_t> bytes = encode(Submit{});
-  const std::uint32_t v1 = 1;
-  std::memcpy(bytes.data() + 8, &v1, sizeof v1);  // version follows magic
-  Frame frame;
-  std::size_t consumed = 0;
-  EXPECT_EQ(try_parse(bytes.data(), bytes.size(), &consumed, &frame),
-            ParseStatus::kBad);
+  ASSERT_EQ(kProtocolVersion, 3u);
+  for (const std::uint32_t old : {1u, 2u}) {
+    std::vector<std::uint8_t> bytes = encode(Submit{});
+    std::memcpy(bytes.data() + 8, &old, sizeof old);  // version follows magic
+    Frame frame;
+    std::size_t consumed = 0;
+    EXPECT_EQ(try_parse(bytes.data(), bytes.size(), &consumed, &frame),
+              ParseStatus::kBad)
+        << "v" << old;
+  }
 }
 
-TEST(ServiceProtocol, OutOfRangeQualityFailsDecode) {
+// A v2 Submit payload ends in the quality byte v3 dropped; under a v3
+// header it is a trailing byte, so the decode fails instead of ignoring it.
+TEST(ServiceProtocol, TrailingV2QualityByteFailsDecode) {
   util::BinaryWriter w;
-  WhatIfQuery q = tiny_query();
-  q.quality = 1;
-  q.encode(w);
+  tiny_query().encode(w);
   std::vector<std::uint8_t> payload = w.take();
-  payload.back() = 3;  // quality is the final payload byte; 3 > kBest
+  payload.push_back(0);  // v2 quality: kFast
   const std::vector<std::uint8_t> bytes =
       encode_frame(PduType::kSubmit, std::move(payload));
   Frame frame;
@@ -146,14 +146,6 @@ TEST(ServiceProtocol, OutOfRangeQualityFailsDecode) {
   ASSERT_EQ(try_parse(bytes.data(), bytes.size(), &consumed, &frame),
             ParseStatus::kFrame);
   EXPECT_FALSE(decode<Submit>(frame).has_value());
-}
-
-TEST(ServiceProtocol, QualityIsInCoalesceKeyNotSessionKey) {
-  WhatIfQuery a = tiny_query();
-  WhatIfQuery b = a;
-  b.quality = 2;
-  EXPECT_EQ(query_session_key(a), query_session_key(b));
-  EXPECT_NE(query_coalesce_key(a), query_coalesce_key(b));
 }
 
 TEST(ServiceProtocol, SubmitAckRoundTrip) {

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "grid/region_grid.h"
@@ -17,10 +16,6 @@ namespace {
 
 using geom::Point;
 using rsmt::Tree;
-
-constexpr TreeProfile kAllProfiles[] = {TreeProfile::kFast,
-                                        TreeProfile::kBalanced,
-                                        TreeProfile::kBest};
 
 std::vector<Point> random_pins(util::Xoshiro256& rng, std::size_t n,
                                std::int32_t spread) {
@@ -53,99 +48,52 @@ bool same_tree(const Tree& a, const Tree& b) {
   return a.pin_count == b.pin_count && a.nodes == b.nodes && a.edges == b.edges;
 }
 
-TEST(TreeProfileNames, AreStable) {
-  EXPECT_STREQ(profile_name(TreeProfile::kFast), "fast");
-  EXPECT_STREQ(profile_name(TreeProfile::kBalanced), "balanced");
-  EXPECT_STREQ(profile_name(TreeProfile::kBest), "best");
-  EXPECT_EQ(static_cast<int>(TreeProfile::kFast), 0);
-  EXPECT_EQ(static_cast<int>(TreeProfile::kBest), kTreeProfileCount - 1);
-}
-
-// kFast is the historical path: bit-identical to a direct rsmt::rsmt()
-// call (node list, edge list, pin count), with and without the cache.
-// This is the contract every pre-existing route-hash golden rests on.
+// The builder is bit-identical to a direct rsmt::rsmt() call (node list,
+// edge list, pin count), with and without the cache. This is the contract
+// every route-hash golden rests on.
 TEST(TreeBuilderFast, BitIdenticalToRsmt) {
   util::Xoshiro256 rng(101);
-  const TreeBuilderOptions opts;
   TreeCache cache;
-  const TreeBuilder direct(opts);
-  const TreeBuilder cached(opts, &cache);
+  const TreeBuilder direct;
+  const TreeBuilder cached({}, &cache);
   for (int iter = 0; iter < 60; ++iter) {
-    const auto pins = random_pins(rng, 2 + rng.below(12), 30);
-    const Tree want = rsmt::rsmt(pins, opts.steiner);
-    EXPECT_TRUE(same_tree(*direct.build(pins, TreeProfile::kFast), want));
-    EXPECT_TRUE(same_tree(*cached.build(pins, TreeProfile::kFast), want));
+    const auto pins = random_pins(rng, 2 + rng.below(24), 30);
+    const Tree want = rsmt::rsmt(pins);
+    EXPECT_TRUE(same_tree(*direct.build(pins), want));
+    EXPECT_TRUE(same_tree(*cached.build(pins), want));
   }
 }
 
-// Degenerate pin sets every profile must survive: empty, singleton,
-// two-pin, duplicated pins, and collinear runs.
+// Degenerate pin sets the builder must survive: empty, singleton, two-pin,
+// duplicated pins, and collinear runs.
 TEST(TreeBuilderDegenerate, EmptyAndSingleton) {
-  for (const TreeProfile p : kAllProfiles) {
-    const Tree empty = build_tree(std::vector<Point>{}, p, {});
-    EXPECT_TRUE(empty.edges.empty()) << profile_name(p);
-    const Tree one = build_tree(std::vector<Point>{{7, 3}}, p, {});
-    EXPECT_EQ(one.length(), 0) << profile_name(p);
-    EXPECT_TRUE(one.edges.empty()) << profile_name(p);
-  }
+  const TreeBuilder builder;
+  const auto empty = builder.build(std::vector<Point>{});
+  EXPECT_TRUE(empty->edges.empty());
+  const auto one = builder.build(std::vector<Point>{{7, 3}});
+  EXPECT_EQ(one->length(), 0);
+  EXPECT_TRUE(one->edges.empty());
 }
 
 TEST(TreeBuilderDegenerate, TwoPins) {
   const std::vector<Point> pins{{1, 2}, {4, 6}};
-  for (const TreeProfile p : kAllProfiles) {
-    const Tree t = build_tree(pins, p, {});
-    expect_spans(t, pins);
-    EXPECT_EQ(t.length(), 7) << profile_name(p);
-  }
+  const auto t = TreeBuilder().build(pins);
+  expect_spans(*t, pins);
+  EXPECT_EQ(t->length(), 7);
 }
 
 TEST(TreeBuilderDegenerate, DuplicatePinsAreFree) {
   const std::vector<Point> pins{{2, 2}, {2, 2}, {5, 2}, {2, 2}};
-  for (const TreeProfile p : kAllProfiles) {
-    const Tree t = build_tree(pins, p, {});
-    expect_spans(t, pins);
-    EXPECT_EQ(t.length(), 3) << profile_name(p);
-  }
+  const auto t = TreeBuilder().build(pins);
+  expect_spans(*t, pins);
+  EXPECT_EQ(t->length(), 3);
 }
 
 TEST(TreeBuilderDegenerate, CollinearPinsUseTheLine) {
   const std::vector<Point> pins{{0, 4}, {9, 4}, {3, 4}, {6, 4}};
-  for (const TreeProfile p : kAllProfiles) {
-    const Tree t = build_tree(pins, p, {});
-    expect_spans(t, pins);
-    EXPECT_EQ(t.length(), 9) << profile_name(p);
-  }
-}
-
-// The quality ladder: every profile spans the pins and the tiers are
-// ordered len(kBest) <= len(kBalanced) <= len(kFast) on a seeded corpus.
-// kBalanced applies only length-non-increasing moves to the kFast tree;
-// kBest keeps the kBalanced tree as candidate 0. The corpus deliberately
-// crosses max_pins_exact (16): below it kFast's iterated 1-Steiner is
-// already locally optimal and the tiers usually coincide; above it kFast
-// degrades to plain RMST and the higher tiers recover the Steiner gain.
-TEST(TreeBuilderQuality, ProfileOrderingOnRandomCorpus) {
-  util::Xoshiro256 rng(7);
-  std::int64_t fast_total = 0;
-  std::int64_t balanced_total = 0;
-  std::int64_t best_total = 0;
-  for (int iter = 0; iter < 60; ++iter) {
-    const auto pins = random_pins(rng, 3 + rng.below(24), 24);
-    std::int64_t len[3] = {};
-    for (const TreeProfile p : kAllProfiles) {
-      const Tree t = build_tree(pins, p, {});
-      expect_spans(t, pins);
-      len[static_cast<int>(p)] = t.length();
-    }
-    EXPECT_LE(len[1], len[0]) << "iter " << iter;
-    EXPECT_LE(len[2], len[1]) << "iter " << iter;
-    fast_total += len[0];
-    balanced_total += len[1];
-    best_total += len[2];
-  }
-  // The ladder is not vacuous: the higher tiers win somewhere on the corpus.
-  EXPECT_LT(balanced_total, fast_total);
-  EXPECT_LE(best_total, balanced_total);
+  const auto t = TreeBuilder().build(pins);
+  expect_spans(*t, pins);
+  EXPECT_EQ(t->length(), 9);
 }
 
 // Translation equivariance: build(pins + t) == build(pins) + t, node for
@@ -153,41 +101,37 @@ TEST(TreeBuilderQuality, ProfileOrderingOnRandomCorpus) {
 // translate-to-origin keying depends on (see tree_cache.h).
 TEST(TreeBuilderQuality, TranslationEquivariance) {
   util::Xoshiro256 rng(13);
-  for (const TreeProfile p : kAllProfiles) {
-    for (int iter = 0; iter < 20; ++iter) {
-      const auto pins = random_pins(rng, 3 + rng.below(8), 20);
-      const std::int32_t dx = static_cast<std::int32_t>(rng.below(100)) - 50;
-      const std::int32_t dy = static_cast<std::int32_t>(rng.below(100)) - 50;
-      std::vector<Point> moved = pins;
-      for (Point& q : moved) {
-        q.x += dx;
-        q.y += dy;
-      }
-      Tree base = build_tree(pins, p, {});
-      const Tree shifted = build_tree(moved, p, {});
-      for (Point& q : base.nodes) {
-        q.x += dx;
-        q.y += dy;
-      }
-      EXPECT_TRUE(same_tree(base, shifted))
-          << profile_name(p) << " iter " << iter;
+  const TreeBuilder builder;
+  for (int iter = 0; iter < 40; ++iter) {
+    const auto pins = random_pins(rng, 3 + rng.below(20), 20);
+    const std::int32_t dx = static_cast<std::int32_t>(rng.below(100)) - 50;
+    const std::int32_t dy = static_cast<std::int32_t>(rng.below(100)) - 50;
+    std::vector<Point> moved = pins;
+    for (Point& q : moved) {
+      q.x += dx;
+      q.y += dy;
     }
+    Tree base = *builder.build(pins);
+    const Tree shifted = *builder.build(moved);
+    for (Point& q : base.nodes) {
+      q.x += dx;
+      q.y += dy;
+    }
+    EXPECT_TRUE(same_tree(base, shifted)) << "iter " << iter;
   }
 }
 
 // The cache is transparent: cached results equal direct builds (after the
-// translate-back), across profiles, and repeated/translated queries hit.
+// translate-back), and repeated/translated queries hit.
 TEST(TreeCacheBehavior, TransparentAndCountsHits) {
   util::Xoshiro256 rng(29);
   TreeCache cache;
   const TreeBuilder cached({}, &cache);
-  const TreeBuilder direct{TreeBuilderOptions{}};
-  for (const TreeProfile p : kAllProfiles) {
-    for (int iter = 0; iter < 15; ++iter) {
-      const auto pins = random_pins(rng, 3 + rng.below(7), 16);
-      EXPECT_TRUE(same_tree(*cached.build(pins, p), *direct.build(pins, p)))
-          << profile_name(p) << " iter " << iter;
-    }
+  const TreeBuilder direct;
+  for (int iter = 0; iter < 45; ++iter) {
+    const auto pins = random_pins(rng, 3 + rng.below(7), 16);
+    EXPECT_TRUE(same_tree(*cached.build(pins), *direct.build(pins)))
+        << "iter " << iter;
   }
   const TreeCache::Stats cold = cache.stats();
   EXPECT_EQ(cold.hits, 0u);
@@ -200,34 +144,39 @@ TEST(TreeCacheBehavior, TransparentAndCountsHits) {
     q.x += 1000;
     q.y += 2000;
   }
-  for (const TreeProfile p : kAllProfiles) {
-    const auto a = cached.build(pins, p);
-    const TreeCache::Stats after_miss = cache.stats();
-    const auto b = cached.build(pins, p);
-    auto c = std::make_shared<Tree>(*cached.build(far, p));
-    EXPECT_EQ(cache.stats().hits, after_miss.hits + 2u) << profile_name(p);
-    EXPECT_TRUE(same_tree(*a, *b)) << profile_name(p);
-    for (Point& q : c->nodes) {
-      q.x -= 1000;
-      q.y -= 2000;
-    }
-    EXPECT_TRUE(same_tree(*a, *c)) << profile_name(p);
+  const auto a = cached.build(pins);
+  const TreeCache::Stats after_miss = cache.stats();
+  const auto b = cached.build(pins);
+  auto c = std::make_shared<Tree>(*cached.build(far));
+  EXPECT_EQ(cache.stats().hits, after_miss.hits + 2u);
+  EXPECT_TRUE(same_tree(*a, *b));
+  for (Point& q : c->nodes) {
+    q.x -= 1000;
+    q.y -= 2000;
   }
+  EXPECT_TRUE(same_tree(*a, *c));
 }
 
+// Both SteinerOptions fields change the tree, so each is part of the key:
+// builders that differ in either never share a cache entry.
 TEST(TreeCacheBehavior, DistinguishesProfilesAndOptions) {
   TreeCache cache;
   const std::vector<Point> pins{{0, 0}, {6, 0}, {3, 5}, {1, 4}};
-  const TreeBuilder b1({}, &cache);
-  TreeBuilderOptions o2;
-  o2.seed = 99;
-  const TreeBuilder b2(o2, &cache);
-  (void)b1.build(pins, TreeProfile::kFast);
-  (void)b1.build(pins, TreeProfile::kBest);
-  (void)b2.build(pins, TreeProfile::kBest);  // same pins, different seed
+  rsmt::SteinerOptions few_pins;
+  few_pins.max_pins_exact = 2;
+  rsmt::SteinerOptions few_points;
+  few_points.max_steiner_points = 1;
+  (void)TreeBuilder({}, &cache).build(pins);
+  (void)TreeBuilder(few_pins, &cache).build(pins);
+  (void)TreeBuilder(few_points, &cache).build(pins);
   const TreeCache::Stats s = cache.stats();
   EXPECT_EQ(s.entries, 3u);
   EXPECT_EQ(s.hits, 0u);
+  // The RMST fallback is what the tighter pin cap buys: a cache aliasing
+  // the two builders would hand back the 1-Steiner tree instead.
+  ASSERT_FALSE(same_tree(rsmt::rsmt(pins), rsmt::rsmt(pins, few_pins)));
+  EXPECT_TRUE(same_tree(*TreeBuilder(few_pins, &cache).build(pins),
+                        rsmt::rsmt(pins, few_pins)));
 }
 
 // ------------------------------------------------ router-level wiring
@@ -243,93 +192,9 @@ grid::RegionGrid make_grid(std::int32_t cols = 12, std::int32_t rows = 12) {
   return grid::RegionGrid(s);
 }
 
-/// Random nets whose degrees straddle max_pins_exact (16): small nets keep
-/// the profiles honest about bit-identity, big ones give the higher tiers
-/// real RMST-fallback topology to improve.
-std::vector<router::RouterNet> random_nets(const grid::RegionGrid& g,
-                                           std::size_t count,
-                                           std::uint64_t seed,
-                                           std::size_t degree_spread = 4) {
-  util::Xoshiro256 rng(seed);
-  std::vector<router::RouterNet> nets(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    nets[i].id = static_cast<std::int32_t>(i);
-    nets[i].si = 0.3;
-    const std::size_t degree = 2 + rng.below(degree_spread);
-    for (std::size_t p = 0; p < degree; ++p) {
-      const Point pt{static_cast<std::int32_t>(
-                         rng.below(static_cast<std::uint64_t>(g.cols()))),
-                     static_cast<std::int32_t>(
-                         rng.below(static_cast<std::uint64_t>(g.rows())))};
-      if (std::find(nets[i].pins.begin(), nets[i].pins.end(), pt) ==
-          nets[i].pins.end()) {
-        nets[i].pins.push_back(pt);
-      }
-    }
-    if (nets[i].pins.size() < 2) {
-      nets[i].pins.push_back(Point{(nets[i].pins[0].x + 1) % g.cols(),
-                                   nets[i].pins[0].y});
-    }
-  }
-  return nets;
-}
-
-// Routed results for the non-fast tiers are bit-identical across thread
-// counts: tree construction happens inside the deterministic ordered
-// Pass B fan-out and every profile is a pure function of the pin set.
-TEST(SteinerRouting, ProfilesAreThreadCountInvariant) {
-  const grid::RegionGrid g = make_grid();
-  const sino::NssModel nss;
-  const auto nets = random_nets(g, 90, 17, /*degree_spread=*/24);
-  for (const TreeProfile p :
-       {TreeProfile::kBalanced, TreeProfile::kBest}) {
-    std::uint64_t reference = 0;
-    for (const int threads : {1, 2, 8}) {
-      router::IdRouterOptions opt;
-      opt.tree_profile = p;
-      opt.threads = threads;
-      const router::RoutingResult res =
-          router::IdRouter(g, nss, opt).route(nets);
-      const std::uint64_t h = router::route_hash(res);
-      if (threads == 1) {
-        reference = h;
-      } else {
-        EXPECT_EQ(h, reference)
-            << profile_name(p) << " at threads=" << threads;
-      }
-    }
-  }
-}
-
-// A blanket per-net override to kBalanced routes exactly like the global
-// kBalanced profile; an override on a single net changes only that much.
-TEST(SteinerRouting, PerNetOverridesMatchGlobalProfile) {
-  const grid::RegionGrid g = make_grid();
-  const sino::NssModel nss;
-  const auto nets = random_nets(g, 60, 23, /*degree_spread=*/24);
-
-  router::IdRouterOptions global_opt;
-  global_opt.tree_profile = TreeProfile::kBalanced;
-  const std::uint64_t global_hash = router::route_hash(
-      router::IdRouter(g, nss, global_opt).route(nets));
-
-  router::IdRouterOptions override_opt;  // global default stays kFast
-  for (const auto& n : nets) {
-    override_opt.tree_profile_overrides.emplace_back(
-        n.id, static_cast<std::uint8_t>(TreeProfile::kBalanced));
-  }
-  const std::uint64_t override_hash = router::route_hash(
-      router::IdRouter(g, nss, override_opt).route(nets));
-  EXPECT_EQ(override_hash, global_hash);
-
-  const std::uint64_t fast_hash = router::route_hash(
-      router::IdRouter(g, nss).route(nets));
-  EXPECT_NE(override_hash, fast_hash);
-}
-
 // rsmt_fallback_nets counts exactly the nets whose pin count exceeds
 // max_pins_exact (the 1-Steiner -> RMST fallback inside rsmt::rsmt),
-// independent of profile or thread count.
+// independent of thread count.
 TEST(SteinerRouting, FallbackCounterPinsExceedingExactCap) {
   const grid::RegionGrid g = make_grid(24, 24);
   const sino::NssModel nss;
@@ -347,12 +212,12 @@ TEST(SteinerRouting, FallbackCounterPinsExceedingExactCap) {
   nets[1].pins = {{0, 0}, {5, 5}};
   nets[2].pins = {{10, 1}, {12, 8}, {15, 3}};
 
-  for (const TreeProfile p : kAllProfiles) {
+  for (const int threads : {1, 4}) {
     router::IdRouterOptions opt;
-    opt.tree_profile = p;
+    opt.threads = threads;
     const router::RoutingResult res =
         router::IdRouter(g, nss, opt).route(nets);
-    EXPECT_EQ(res.stats.rsmt_fallback_nets, 1u) << profile_name(p);
+    EXPECT_EQ(res.stats.rsmt_fallback_nets, 1u) << "threads=" << threads;
   }
 }
 

@@ -99,25 +99,25 @@ TEST(StoreSerial, RoutingRoundTripIsBitIdentical) {
   EXPECT_EQ(loaded->seconds, art->seconds);
 }
 
-// The routing profile extension (format v3): tree_profile and the per-net
-// override list survive the round trip and participate in profile
-// identity, so a kBalanced artifact can never be mistaken for a kFast one.
+// A non-default routing profile survives the round trip and participates
+// in profile identity, so its artifact can never be mistaken for the
+// default one. The low pre-route threshold sends nets down the huge-net
+// L path, which the fallback counter and route hash then cover too.
 TEST(StoreSerial, RoutingRoundTripCarriesTreeProfile) {
   const Pipeline pipe(0.5);
   const RoutingProblem p = pipe.problem();
   FlowSession session(p);
   router::IdRouterOptions opt = session.router_profile(FlowKind::kGsino);
-  opt.tree_profile = steiner::TreeProfile::kBalanced;
-  opt.tree_profile_overrides = {{3, 2}, {17, 0}};
+  opt.huge_net_bbox_threshold = 40;
+  opt.detour_slack = 3;
   const auto art = session.route(opt, FlowKind::kGsino);
+  ASSERT_GT(art->routing->stats.prerouted_nets, 0u);
 
   const auto loaded = store::load_routing(store::save(*art), p);
   ASSERT_NE(loaded, nullptr);
   expect_routing_equal(*art, *loaded, p);
-  EXPECT_EQ(loaded->options.tree_profile, steiner::TreeProfile::kBalanced);
-  ASSERT_EQ(loaded->options.tree_profile_overrides.size(), 2u);
-  EXPECT_EQ(loaded->options.tree_profile_overrides[0],
-            (std::pair<std::int32_t, std::uint8_t>{3, 2}));
+  EXPECT_EQ(loaded->options.huge_net_bbox_threshold, 40u);
+  EXPECT_EQ(loaded->options.detour_slack, 3);
   EXPECT_EQ(loaded->routing->stats.rsmt_fallback_nets,
             art->routing->stats.rsmt_fallback_nets);
   EXPECT_FALSE(loaded->options.same_routing_profile(
@@ -543,30 +543,41 @@ TEST(ArtifactStore, CorruptRecordOnDiskIsRejectedRemovedAndRecomputed) {
   EXPECT_NE(store->get_routing(key, p), nullptr);
 }
 
-/// Re-frames a current (v5) record the way the v3 writer laid it out:
-/// version 3, with the fields v3 still carried spliced back in as zeros —
-/// three speculation u64 ahead of the routing record's trailing
-/// runtime_s/seconds/route_hash; in the refine record, the leading
-/// batched-pass-2 flag byte, and after its six pass counters the two batch
-/// counters and three speculation i32 — and the payload checksum
-/// recomputed, so the version field is the only thing a v5 reader can
-/// object to.
-std::vector<std::uint8_t> as_v3_record(const std::vector<std::uint8_t>& v5) {
+/// Re-frames a current (v6) record the way an older writer laid it out:
+/// `version` in the header, with the fields that version still carried
+/// spliced back in as zeros, and the payload checksum recomputed, so the
+/// version field is the only thing a current reader can object to.
+///   - v3..v5: the routing profile's 13 bytes of Steiner-tier and
+///     pre-route-shape state — preroute_shape u32 (kL) after
+///     huge_net_bbox_threshold, then tree_profile u8 (kFast) and a zero
+///     tree_profile_overrides count u64 after detour_slack.
+///   - v3 only: three speculation u64 ahead of the routing record's
+///     trailing runtime_s/seconds/route_hash; in the refine record, the
+///     leading batched-pass-2 flag byte, and after its six pass counters
+///     the two batch counters and three speculation i32.
+std::vector<std::uint8_t> as_old_record(const std::vector<std::uint8_t>& v6,
+                                        std::uint32_t version) {
   constexpr std::size_t kHeader = 8 + 4 + 4 + 8, kChecksum = 8;
-  util::BinaryReader tag(v5.data() + 12, 4);  // type field after magic+version
+  // Profile offsets: weights 3 x f64, reserve_shields u8, then
+  // huge_net_bbox_threshold u64 | max_detour_factor f64, detour_slack i32.
+  constexpr std::size_t kAfterThreshold = 3 * 8 + 1 + 8;
+  constexpr std::size_t kAfterSlack = kAfterThreshold + 8 + 4;
+  util::BinaryReader tag(v6.data() + 12, 4);  // type field after magic+version
   const auto type = static_cast<store::ArtifactType>(tag.u32());
   std::vector<std::uint8_t> payload(
-      v5.begin() + static_cast<std::ptrdiff_t>(kHeader),
-      v5.end() - static_cast<std::ptrdiff_t>(kChecksum));
+      v6.begin() + static_cast<std::ptrdiff_t>(kHeader),
+      v6.end() - static_cast<std::ptrdiff_t>(kChecksum));
   if (type == store::ArtifactType::kRouting) {
-    payload.insert(payload.end() - 3 * 8, 3 * 8, 0);
-  } else if (type == store::ArtifactType::kRefine) {
+    if (version == 3) payload.insert(payload.end() - 3 * 8, 3 * 8, 0);
+    payload.insert(payload.begin() + kAfterSlack, 1 + 8, 0);
+    payload.insert(payload.begin() + kAfterThreshold, 4, 0);
+  } else if (type == store::ArtifactType::kRefine && version == 3) {
     payload.insert(payload.begin() + (8 + 8 + 6 * 4), (2 + 3) * 4, 0);
     payload.insert(payload.begin(), 1, 0);
   }
   util::BinaryWriter w;
-  for (std::size_t i = 0; i < 8; ++i) w.u8(v5[i]);  // magic
-  w.u32(3);
+  for (std::size_t i = 0; i < 8; ++i) w.u8(v6[i]);  // magic
+  w.u32(version);
   w.u32(static_cast<std::uint32_t>(type));
   w.u64(payload.size());
   for (const std::uint8_t b : payload) w.u8(b);
@@ -577,58 +588,64 @@ std::vector<std::uint8_t> as_v3_record(const std::vector<std::uint8_t>& v5) {
 }
 
 TEST(ArtifactStore, V3RecordsAreVersionMismatchesThatRecomputeBitIdentically) {
-  const fs::path dir = store_dir("v3_records");
-  const Pipeline pipe(0.3, 100);
-  const RoutingProblem p = pipe.problem();
-  FlowResult cold;
-  {
-    FlowSession session(p, SessionOptions{
-                               .store = std::make_shared<store::ArtifactStore>(dir)});
-    cold = session.run(FlowKind::kGsino);
-  }
-
-  // Downgrade every record on disk (skipping the store's lock file).
-  std::size_t rewritten = 0;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    std::vector<std::uint8_t> bytes;
+  for (const std::uint32_t version : {3u, 5u}) {
+    SCOPED_TRACE(version);
+    const fs::path dir = store_dir("old_records");
+    const Pipeline pipe(0.3, 100);
+    const RoutingProblem p = pipe.problem();
+    FlowResult cold;
     {
-      std::ifstream in(entry.path(), std::ios::binary);
-      bytes.assign(std::istreambuf_iterator<char>(in),
-                   std::istreambuf_iterator<char>());
+      FlowSession session(
+          p, SessionOptions{
+                 .store = std::make_shared<store::ArtifactStore>(dir)});
+      cold = session.run(FlowKind::kGsino);
     }
-    if (bytes.size() < 8 || std::memcmp(bytes.data(), "RLCRART", 8) != 0) {
-      continue;
+
+    // Downgrade every record on disk (skipping the store's lock file).
+    std::size_t rewritten = 0;
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      std::vector<std::uint8_t> bytes;
+      {
+        std::ifstream in(entry.path(), std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+      }
+      if (bytes.size() < 8 || std::memcmp(bytes.data(), "RLCRART", 8) != 0) {
+        continue;
+      }
+      const std::vector<std::uint8_t> old = as_old_record(bytes, version);
+      std::ofstream out(entry.path(), std::ios::binary | std::ios::trunc);
+      out.write(reinterpret_cast<const char*>(old.data()),
+                static_cast<std::streamsize>(old.size()));
+      ++rewritten;
     }
-    const std::vector<std::uint8_t> v3 = as_v3_record(bytes);
-    std::ofstream out(entry.path(), std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(v3.data()),
-              static_cast<std::streamsize>(v3.size()));
-    ++rewritten;
+    ASSERT_EQ(rewritten, 4u);  // routing, budget, region solve, refine
+
+    auto store = std::make_shared<store::ArtifactStore>(dir);
+    FlowSession session(p, SessionOptions{.store = store});
+    const FlowResult warm = session.run(FlowKind::kGsino);
+
+    // Every stage misses, recomputes, and republishes.
+    EXPECT_EQ(store->stats().hits, 0u);
+    EXPECT_EQ(store->stats().rejected, 4u);
+    EXPECT_EQ(session.counters().route_executed, 1u);
+    EXPECT_EQ(session.counters().route_loaded, 0u);
+    EXPECT_EQ(session.counters().refine_executed, 1u);
+    EXPECT_EQ(session.counters().refine_loaded, 0u);
+    EXPECT_EQ(router::route_hash(warm.routing()),
+              router::route_hash(cold.routing()));
+    EXPECT_EQ(state_fingerprint(warm), state_fingerprint(cold));
+
+    // The recompute republished current-format records: a third session
+    // replays every stage from disk.
+    FlowSession replay(
+        p, SessionOptions{
+               .store = std::make_shared<store::ArtifactStore>(dir)});
+    EXPECT_EQ(state_fingerprint(replay.run(FlowKind::kGsino)),
+              state_fingerprint(cold));
+    EXPECT_EQ(replay.counters().route_loaded, 1u);
+    EXPECT_EQ(replay.counters().refine_loaded, 1u);
   }
-  ASSERT_EQ(rewritten, 4u);  // routing, budget, region solve, refine
-
-  auto store = std::make_shared<store::ArtifactStore>(dir);
-  FlowSession session(p, SessionOptions{.store = store});
-  const FlowResult warm = session.run(FlowKind::kGsino);
-
-  // Every stage misses, recomputes, and republishes.
-  EXPECT_EQ(store->stats().hits, 0u);
-  EXPECT_EQ(store->stats().rejected, 4u);
-  EXPECT_EQ(session.counters().route_executed, 1u);
-  EXPECT_EQ(session.counters().route_loaded, 0u);
-  EXPECT_EQ(session.counters().refine_executed, 1u);
-  EXPECT_EQ(session.counters().refine_loaded, 0u);
-  EXPECT_EQ(router::route_hash(warm.routing()), router::route_hash(cold.routing()));
-  EXPECT_EQ(state_fingerprint(warm), state_fingerprint(cold));
-
-  // The recompute republished current-format records: a third session
-  // replays every stage from disk.
-  FlowSession replay(p, SessionOptions{
-                            .store = std::make_shared<store::ArtifactStore>(dir)});
-  EXPECT_EQ(state_fingerprint(replay.run(FlowKind::kGsino)),
-            state_fingerprint(cold));
-  EXPECT_EQ(replay.counters().route_loaded, 1u);
-  EXPECT_EQ(replay.counters().refine_loaded, 1u);
 }
 
 // ------------------------------------------------- bounded session caches

@@ -185,6 +185,62 @@ TEST(DeltaDifferential, ChainMatchesFromScratchAtOneAndEightThreads) {
   }
 }
 
+// Every flow's patched stages match a from-scratch session, with and
+// without Phase II annealing: the net-order mode (ID+NO), the routed-length
+// budget (iSINO, keyed on the patched routing) and the annealed region
+// solves all go through the delta engine. Patched budgets and solves are
+// cache hits afterwards, so neither stage executes again. The dense
+// sensitivity and tight bound leave some regions greedy-infeasible, so the
+// annealer really runs (the two arms' initial GSINO states differ).
+TEST(DeltaDifferential, EveryFlowAndAnnealMatchFromScratch) {
+  Pipeline pipe;
+  pipe.params.sensitivity_rate = 0.9;
+  const std::size_t kSteps = 3, kChanges = 6;
+  const gsino::FlowKind kFlows[] = {gsino::FlowKind::kIdNo,
+                                    gsino::FlowKind::kIsino,
+                                    gsino::FlowKind::kGsino};
+
+  std::uint64_t initial_gsino[2] = {0, 0};
+  for (const bool anneal : {false, true}) {
+    SCOPED_TRACE(anneal ? "anneal on" : "anneal off");
+    gsino::Scenario scenario;
+    scenario.bound_v = 0.10;
+    scenario.anneal_phase2 = anneal;
+
+    // The session keeps a pointer to its construction problem; the chain
+    // mutates a separate copy.
+    const gsino::RoutingProblem p0 = pipe.problem();
+    gsino::RoutingProblem p = p0;
+    gsino::FlowSession session(p0);
+    for (const gsino::FlowKind kind : kFlows) {
+      const StepState state = observe(session.run(kind, scenario));
+      if (kind == gsino::FlowKind::kGsino) {
+        initial_gsino[anneal] = state.fingerprint;
+      }
+    }
+    const gsino::StageCounters warm = session.counters();
+
+    for (std::size_t i = 0; i < kSteps; ++i) {
+      const NetlistDelta delta = random_delta(p, kChainSeed + i, kChanges);
+      p = apply_delta(p, delta);
+      session.apply_delta(delta);
+      gsino::FlowSession scratch(p);
+      for (const gsino::FlowKind kind : kFlows) {
+        const StepState got = observe(session.run(kind, scenario));
+        const StepState want = observe(scratch.run(kind, scenario));
+        EXPECT_EQ(got.route_hash, want.route_hash)
+            << gsino::flow_name(kind) << " step " << i;
+        EXPECT_EQ(got.fingerprint, want.fingerprint)
+            << gsino::flow_name(kind) << " step " << i;
+      }
+    }
+    EXPECT_EQ(session.counters().solve_executed, warm.solve_executed);
+    EXPECT_EQ(session.counters().budget_executed, warm.budget_executed);
+    EXPECT_EQ(session.counters().delta_applies, kSteps);
+  }
+  EXPECT_NE(initial_gsino[0], initial_gsino[1]);
+}
+
 // The two delta application arms agree: mutating the netlist and building
 // a fresh problem yields the same fingerprint as the slot-preserving
 // problem transform — including appended slots, emptied slots, and the

@@ -394,6 +394,39 @@ TEST(ArtifactStore, RegionSolveRecordsRoundTripThroughTheStore) {
   EXPECT_EQ(store.get_region_solve(skey_anneal, p, phase1, budget), nullptr);
 }
 
+// The stage keys are pinned literally: a drift in key derivation would
+// silently turn every existing store into misses, with every output still
+// correct. The routed-length budget keys on the routing it budgets from;
+// the Manhattan rules do not.
+TEST(ArtifactStore, StageKeysArePinned) {
+  const Pipeline pipe(0.5);
+  const RoutingProblem p = pipe.problem();
+  const FlowSession session(p);
+  const std::uint64_t plain =
+      store::routing_key(p, session.router_profile(FlowKind::kIsino));
+  const std::uint64_t gsino =
+      store::routing_key(p, session.router_profile(FlowKind::kGsino));
+  EXPECT_EQ(plain, 0xb433295c47815724u);
+  EXPECT_EQ(gsino, 0x82fd3edf88380f12u);
+
+  const std::uint64_t manhattan =
+      store::budget_key(p, BudgetRule::kManhattan, 0.15, 1.0, 0);
+  const std::uint64_t routed =
+      store::budget_key(p, BudgetRule::kRoutedLength, 0.15, 1.0, plain);
+  const std::uint64_t margin =
+      store::budget_key(p, BudgetRule::kManhattanMargin, 0.15, 0.9, 0);
+  EXPECT_EQ(manhattan, 0x7ad77cfa0dbbef90u);
+  EXPECT_EQ(routed, 0x990224dc6ac25382u);
+  EXPECT_EQ(margin, 0xa5b44f2c321ea663u);
+
+  const std::uint64_t solve =
+      store::solve_key(p, FlowKind::kGsino, false, gsino, margin);
+  EXPECT_EQ(solve, 0x8294c411928fd761u);
+  EXPECT_EQ(store::solve_key(p, FlowKind::kIsino, true, plain, routed),
+            0x0ce0d6fb3d89d8d0u);
+  EXPECT_EQ(store::refine_key(p, solve), 0x1c51df0caf8cfa4du);
+}
+
 TEST(ArtifactStore, DifferentSeedDoesNotHitTheStore) {
   const fs::path dir = store_dir("seed_miss");
   {

@@ -149,14 +149,7 @@ BENCHMARK(BM_SensitivityQuery);
 void BM_IdRouterTiny(benchmark::State& state) {
   const auto spec = netlist::tiny_spec(static_cast<std::size_t>(state.range(0)), 3);
   const auto design = netlist::generate(spec);
-  grid::RegionGridSpec gs;
-  gs.cols = spec.grid_cols;
-  gs.rows = spec.grid_rows;
-  gs.region_w_um = spec.chip_w_um / spec.grid_cols;
-  gs.region_h_um = spec.chip_h_um / spec.grid_rows;
-  gs.h_capacity = spec.h_capacity;
-  gs.v_capacity = spec.v_capacity;
-  const grid::RegionGrid grid_obj(gs);
+  const grid::RegionGrid grid_obj(spec.grid_spec());
   std::vector<router::RouterNet> nets;
   for (std::size_t n = 0; n < design.net_count(); ++n) {
     router::RouterNet rn;

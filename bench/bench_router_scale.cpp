@@ -181,10 +181,9 @@ void BM_SinoBatch(benchmark::State& state) {
     items[i].anneal_seed = sino::stream_seed(2026, i);
     items[i].anneal_iterations = 1500;
   }
-  sino::SinoBatchOptions opt;
-  opt.threads = static_cast<int>(state.range(1));
+  const int threads = static_cast<int>(state.range(1));
   for (auto _ : state) {
-    const auto solved = sino::solve_batch(items, keff, opt);
+    const auto solved = sino::solve_batch(items, keff, threads);
     benchmark::DoNotOptimize(solved);
   }
   state.counters["instances_per_s"] = benchmark::Counter(

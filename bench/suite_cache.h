@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/experiment.h"
+#include "util/stopwatch.h"
 
 namespace rlcr::bench {
 
@@ -97,15 +98,16 @@ inline std::vector<gsino::CircuitRun> suite_runs() {
       "[suite]  generator shrinks grid and chip together, preserving the\n"
       "[suite]  density regime and hence the paper's shapes)\n\n",
       scale);
-  gsino::ExperimentOptions opt;
-  opt.scale = scale;
-  opt.progress = [](const std::string& circuit, double rate, const std::string&,
-                    double seconds) {
-    std::printf("[suite] %s rate=%.0f%% done in %.1f s\n", circuit.c_str(),
-                rate * 100.0, seconds);
-    std::fflush(stdout);
-  };
-  runs = gsino::ExperimentRunner(opt).run();
+  for (const netlist::SyntheticSpec& spec : netlist::ibm_suite(scale)) {
+    for (const double rate : {0.30, 0.50}) {
+      const util::Stopwatch watch;
+      runs.push_back(
+          gsino::ExperimentRunner::run_one(spec, rate, gsino::GsinoParams{}));
+      std::printf("[suite] %s rate=%.0f%% done in %.1f s\n", spec.name.c_str(),
+                  rate * 100.0, watch.seconds());
+      std::fflush(stdout);
+    }
+  }
   save_runs(path, runs);
   return runs;
 }

@@ -485,12 +485,7 @@ int main(int argc, char** argv) {
     }
     const netlist::SyntheticSpec& spec = suite[static_cast<std::size_t>(idx)];
     design = netlist::generate(spec);
-    gspec.cols = spec.grid_cols;
-    gspec.rows = spec.grid_rows;
-    gspec.region_w_um = spec.chip_w_um / spec.grid_cols;
-    gspec.region_h_um = spec.chip_h_um / spec.grid_rows;
-    gspec.h_capacity = spec.h_capacity;
-    gspec.v_capacity = spec.v_capacity;
+    gspec = spec.grid_spec();
   }
   std::printf("design: %zu nets on %d x %d regions, caps %d/%d, rate %.0f%%\n\n",
               design.net_count(), gspec.cols, gspec.rows, gspec.h_capacity,

@@ -6,7 +6,6 @@
 #include "core/session.h"
 #include "netlist/ispd98_synth.h"
 #include "store/artifact_store.h"
-#include "util/stopwatch.h"
 
 namespace rlcr::gsino {
 
@@ -24,15 +23,9 @@ CircuitRun ExperimentRunner::run_one(const netlist::SyntheticSpec& spec,
                                      bool run_isino, bool run_gsino,
                                      StageObserver observer,
                                      std::shared_ptr<store::ArtifactStore> store) {
-  grid::RegionGridSpec g;
-  g.cols = spec.grid_cols;
-  g.rows = spec.grid_rows;
-  g.region_w_um = spec.chip_w_um / spec.grid_cols;
-  g.region_h_um = spec.chip_h_um / spec.grid_rows;
-  g.h_capacity = spec.h_capacity;
-  g.v_capacity = spec.v_capacity;
-  return run_one(spec.name, netlist::generate(spec), g, rate, params,
-                 run_isino, run_gsino, std::move(observer), std::move(store));
+  return run_one(spec.name, netlist::generate(spec), spec.grid_spec(), rate,
+                 params, run_isino, run_gsino, std::move(observer),
+                 std::move(store));
 }
 
 CircuitRun ExperimentRunner::run_one(const std::string& name,
@@ -82,15 +75,10 @@ std::vector<CircuitRun> ExperimentRunner::run() const {
       // published sizes).
       const netlist::Ispd98Instance inst = netlist::make_ispd98_instance(cls);
       for (double rate : options_.rates) {
-        util::Stopwatch watch;
-        CircuitRun run =
-            run_one(cls.name, inst.design, inst.gspec, rate, options_.params,
-                    options_.run_isino, options_.run_gsino, options_.observer,
-                    options_.store);
-        if (options_.progress) {
-          options_.progress(cls.name, rate, "all-flows", watch.seconds());
-        }
-        out.push_back(std::move(run));
+        out.push_back(run_one(cls.name, inst.design, inst.gspec, rate,
+                              options_.params, options_.run_isino,
+                              options_.run_gsino, options_.observer,
+                              options_.store));
       }
     }
     return out;
@@ -100,16 +88,9 @@ std::vector<CircuitRun> ExperimentRunner::run() const {
     if (ci < 0 || static_cast<std::size_t>(ci) >= suite.size()) continue;
     const netlist::SyntheticSpec& spec = suite[static_cast<std::size_t>(ci)];
     for (double rate : options_.rates) {
-      util::Stopwatch watch;
-      CircuitRun run = run_one(spec, rate, options_.params, options_.run_isino,
-                               options_.run_gsino, options_.observer,
-                               options_.store);
-      // Deprecated adapter: the legacy callback fires once per cell, as it
-      // always did; everything finer-grained now arrives via `observer`.
-      if (options_.progress) {
-        options_.progress(spec.name, rate, "all-flows", watch.seconds());
-      }
-      out.push_back(std::move(run));
+      out.push_back(run_one(spec, rate, options_.params, options_.run_isino,
+                            options_.run_gsino, options_.observer,
+                            options_.store));
     }
   }
   return out;

@@ -9,7 +9,6 @@
 // bit-identical table outputs.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -51,16 +50,6 @@ struct ExperimentOptions {
   /// seed) warm-starts Phase I and budgeting from the records a previous
   /// run — possibly in another process — published.
   std::shared_ptr<store::ArtifactStore> store;
-  /// DEPRECATED legacy progress callback (circuit, rate, flow, seconds).
-  /// Kept for source compatibility only: ExperimentRunner::run still fires
-  /// it once per cell with flow = "all-flows" (as it always did), but it
-  /// is a separate legacy path — run_one never sees it, and it is
-  /// independent of `observer`. New code should use `observer`, which
-  /// replaces this ad-hoc type-erased signature and additionally reports
-  /// per-stage timing and artifact reuse; `progress` will be removed once
-  /// callers migrate.
-  std::function<void(const std::string&, double, const std::string&, double)>
-      progress;
 };
 
 /// Honours the RLCROUTE_SCALE environment variable (a double); returns

@@ -143,14 +143,7 @@ RoutingProblem RoutingProblem::with_pin_updates(
 RoutingProblem make_problem(const netlist::Netlist& design,
                             const netlist::SyntheticSpec& spec,
                             const GsinoParams& params) {
-  grid::RegionGridSpec g;
-  g.cols = spec.grid_cols;
-  g.rows = spec.grid_rows;
-  g.region_w_um = spec.chip_w_um / spec.grid_cols;
-  g.region_h_um = spec.chip_h_um / spec.grid_rows;
-  g.h_capacity = spec.h_capacity;
-  g.v_capacity = spec.v_capacity;
-  return RoutingProblem(design, g, params);
+  return RoutingProblem(design, spec.grid_spec(), params);
 }
 
 }  // namespace rlcr::gsino

@@ -110,7 +110,7 @@ FixOutcome attempt_fix(FlowState& fs, std::size_t worst,
     double best_len = 0.0;
     bool have = false;
     for (const router::NetRegionRef& ref : refs) {
-      const std::size_t si = fs.sol_index(ref.region, ref.dir);
+      const std::size_t si = sol_index_of(ref.region, ref.dir);
       const RegionSolution& cand = fs.solutions[si];
       if (cand.empty()) continue;
       const std::ptrdiff_t m = find_member(cand, worst);

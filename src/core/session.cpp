@@ -133,7 +133,141 @@ sino::SinoBatchItem region_resolve_item(const RoutingProblem& p,
   return item;
 }
 
+/// Noise from LSK for every net; returns how many exceed `bound_v`.
+std::size_t noise_pass(const ktable::LskTable& table, double bound_v,
+                       const std::vector<double>& net_lsk,
+                       std::vector<double>& net_noise) {
+  std::size_t violating = 0;
+  for (std::size_t n = 0; n < net_lsk.size(); ++n) {
+    net_noise[n] = table.voltage(net_lsk[n]);
+    if (net_noise[n] > bound_v + 1e-9) ++violating;
+  }
+  return violating;
+}
+
 }  // namespace
+
+std::shared_ptr<const BudgetArtifact> compute_budget(
+    const RoutingProblem& p, BudgetRule rule, double bound_v, double margin,
+    const RoutingArtifact* phase1) {
+  util::Stopwatch watch;
+  auto art = std::make_shared<BudgetArtifact>();
+  art->rule = rule;
+  art->bound_v = bound_v;
+  art->margin = margin;
+
+  const CrosstalkBudgeter budgeter(p.lsk_table(), bound_v);
+  auto kth = std::make_shared<std::vector<double>>();
+  if (rule == BudgetRule::kRoutedLength) {
+    // iSINO runs SINO after routing, so its bounds use the actual routed
+    // critical-path lengths (this is what lets it meet every bound without
+    // refinement — at the cost of the unplanned shield area Table 3 shows).
+    kth->resize(p.net_count());
+    for (std::size_t n = 0; n < p.net_count(); ++n) {
+      const double routed_um =
+          std::max((*phase1->critical_path_um)[n], p.le_um()[n]);
+      (*kth)[n] = budgeter.kth_from_length(routed_um);
+    }
+  } else {
+    // ID+NO (reporting only) and GSINO (Phase I rule): Manhattan estimate,
+    // tightened by the budgeting safety margin for GSINO.
+    *kth = budgeter.uniform_kth(p);
+    if (rule == BudgetRule::kManhattanMargin) {
+      for (double& k : *kth) k *= margin;
+    }
+  }
+  art->kth = std::move(kth);
+  art->seconds = watch.seconds();
+  return art;
+}
+
+std::shared_ptr<const RegionSolveArtifact> solve_region_set(
+    const RoutingProblem& p, FlowKind kind, bool anneal,
+    std::shared_ptr<const RoutingArtifact> phase1,
+    std::shared_ptr<const BudgetArtifact> budget,
+    const std::vector<const RegionSolution*>& carried) {
+  util::Stopwatch watch;
+  const auto is_carried = [&carried](std::size_t si) {
+    return si < carried.size() && carried[si] != nullptr;
+  };
+
+  // Every (region, dir) SINO instance is independent: the instances are
+  // built with a parallel map, solved across the pool by the batch driver
+  // (sino/batch.h, each region with its own deterministic RNG stream), and
+  // the LSK/shield accumulation replays serially in the historical
+  // (region, dir) order — so the phase's output is bit-identical at any
+  // thread count, threads == 1 being the exact serial path.
+  const std::size_t regions = p.grid().region_count();
+  const std::size_t sol_count = regions * 2;
+  const std::vector<double>& kth = *budget->kth;
+  const PathIndex& paths = *phase1->paths;
+
+  constexpr std::size_t kRegionGrain = 32;  // instances per chunk (fixed)
+  auto solutions = std::make_shared<std::vector<RegionSolution>>(
+      parallel::parallel_map<RegionSolution>(
+          sol_count, kRegionGrain, p.params().threads,
+          [&](std::size_t si) -> RegionSolution {
+            if (is_carried(si)) return *carried[si];
+            return build_region_solution(p, *phase1->occupancy, sol_region(si),
+                                         sol_dir(si), kth, paths);
+          }));
+
+  std::vector<sino::SinoBatchItem> items(sol_count);
+  for (std::size_t si = 0; si < sol_count; ++si) {
+    const RegionSolution& sol = (*solutions)[si];
+    if (sol.empty() || is_carried(si)) continue;
+    sino::SinoBatchItem& item = items[si];
+    item.instance = &sol.instance;
+    if (kind == FlowKind::kIdNo) {
+      item.mode = sino::SinoSolveMode::kNetOrder;
+    } else if (anneal) {
+      item.mode = sino::SinoSolveMode::kGreedyAnneal;
+      // The historical per-region stream seed, preserved so annealed
+      // Phase II results stay identical to the pre-batch flow.
+      item.anneal_seed = p.params().seed ^ (sol.net_index.front() * 977u);
+      item.anneal_iterations = p.params().anneal_iterations;
+    } else {
+      item.mode = sino::SinoSolveMode::kGreedy;
+    }
+  }
+  std::vector<sino::SinoBatchResult> solved =
+      sino::solve_batch(items, p.keff(), p.params().threads);
+
+  auto net_lsk = std::make_shared<std::vector<double>>(p.net_count(), 0.0);
+  auto net_noise = std::make_shared<std::vector<double>>(p.net_count(), 0.0);
+  auto congestion = std::make_shared<grid::CongestionMap>(*phase1->segments);
+  for (std::size_t r = 0; r < regions; ++r) {
+    for (grid::Dir d : grid::kBothDirs) {
+      const std::size_t si = sol_index_of(r, d);
+      RegionSolution& sol = (*solutions)[si];
+      if (sol.empty()) continue;
+      if (!is_carried(si)) {
+        sol.slots = std::move(solved[si].slots);
+        sol.ki = std::move(solved[si].ki);
+      }
+      for (std::size_t i = 0; i < sol.net_index.size(); ++i) {
+        (*net_lsk)[sol.net_index[i]] += sol.path_len_mm[i] * sol.ki[i];
+      }
+      congestion->set_shields(
+          r, d,
+          static_cast<double>(sino::SinoEvaluator::shield_count(sol.slots)));
+    }
+  }
+
+  auto art = std::make_shared<RegionSolveArtifact>();
+  art->kind = kind;
+  art->annealed = anneal;
+  art->violating =
+      noise_pass(p.lsk_table(), budget->bound_v, *net_lsk, *net_noise);
+  art->phase1 = std::move(phase1);
+  art->budget = std::move(budget);
+  art->solutions = std::move(solutions);
+  art->net_lsk = std::move(net_lsk);
+  art->net_noise = std::move(net_noise);
+  art->congestion = std::move(congestion);
+  art->seconds = watch.seconds();
+  return art;
+}
 
 // ---------------------------------------------------------------- FlowState
 
@@ -177,12 +311,7 @@ double FlowState::solution_density(std::size_t sol_idx) const {
 }
 
 void FlowState::refresh_noise() {
-  const auto& table = problem->lsk_table();
-  violating = 0;
-  for (std::size_t n = 0; n < net_lsk.size(); ++n) {
-    net_noise[n] = table.voltage(net_lsk[n]);
-    if (net_noise[n] > bound_v + 1e-9) ++violating;
-  }
+  violating = noise_pass(problem->lsk_table(), bound_v, net_lsk, net_noise);
 }
 
 // -------------------------------------------------------------- FlowSession
@@ -330,11 +459,8 @@ std::shared_ptr<const BudgetArtifact> FlowSession::budget(
   // Store consult (see route()). The routed-length rule keys on the
   // routing artifact it budgets from, mirroring the in-memory cache.
   const std::uint64_t store_key =
-      options_.store
-          ? store::budget_key(p, rule, bound_v, margin,
-                              route_id ? store::routing_key(p, route_id->options)
-                                       : 0)
-          : 0;
+      options_.store ? store::budget_key(p, rule, bound_v, margin, phase1.get())
+                     : 0;
   if (options_.store) {
     if (auto art = options_.store->get_budget(store_key, p)) {
       // Same identity cross-check as route(): a mislabeled record must
@@ -351,35 +477,7 @@ std::shared_ptr<const BudgetArtifact> FlowSession::budget(
     }
   }
 
-  util::Stopwatch watch;
-  auto art = std::make_shared<BudgetArtifact>();
-  art->rule = rule;
-  art->bound_v = bound_v;
-  art->margin = margin;
-
-  const CrosstalkBudgeter budgeter(p.lsk_table(), bound_v);
-  auto kth = std::make_shared<std::vector<double>>();
-  if (rule == BudgetRule::kRoutedLength) {
-    // iSINO runs SINO after routing, so its bounds use the actual routed
-    // critical-path lengths (this is what lets it meet every bound without
-    // refinement — at the cost of the unplanned shield area Table 3 shows).
-    kth->resize(p.net_count());
-    for (std::size_t n = 0; n < p.net_count(); ++n) {
-      const double routed_um =
-          std::max((*phase1->critical_path_um)[n], p.le_um()[n]);
-      (*kth)[n] = budgeter.kth_from_length(routed_um);
-    }
-  } else {
-    // ID+NO (reporting only) and GSINO (Phase I rule): Manhattan estimate,
-    // tightened by the budgeting safety margin for GSINO.
-    *kth = budgeter.uniform_kth(p);
-    if (rule == BudgetRule::kManhattanMargin) {
-      for (double& k : *kth) k *= margin;
-    }
-  }
-  art->kth = std::move(kth);
-  art->seconds = watch.seconds();
-
+  auto art = compute_budget(p, rule, bound_v, margin, phase1.get());
   ++counters_.budget_executed;
   lru_insert(budget_cache_, BudgetEntry{rule, bound_v, margin, route_id, art},
              options_.cache_entries);
@@ -410,16 +508,8 @@ std::shared_ptr<const RegionSolveArtifact> FlowSession::solve_regions(
   // Store consult (see route()). The solve keys on the routing + budget
   // records it was derived from, mirroring the in-memory cache's pointer
   // identity with the store's content identity.
-  const BudgetRule rule = budget->rule;
   const std::uint64_t store_key =
-      options_.store
-          ? store::solve_key(
-                p, kind, anneal, store::routing_key(p, phase1->options),
-                store::budget_key(p, rule, budget->bound_v, budget->margin,
-                                  rule == BudgetRule::kRoutedLength
-                                      ? store::routing_key(p, phase1->options)
-                                      : 0))
-          : 0;
+      options_.store ? store::solve_key(p, kind, anneal, *phase1, *budget) : 0;
   if (options_.store) {
     if (auto art = options_.store->get_region_solve(store_key, p, phase1,
                                                     budget)) {
@@ -436,88 +526,7 @@ std::shared_ptr<const RegionSolveArtifact> FlowSession::solve_regions(
     }
   }
 
-  util::Stopwatch watch;
-  auto art = std::make_shared<RegionSolveArtifact>();
-  art->kind = kind;
-  art->annealed = anneal;
-  art->phase1 = phase1;
-  art->budget = budget;
-
-  // Every (region, dir) SINO instance is independent: the instances are
-  // built with a parallel map, solved across the pool by the batch driver
-  // (sino/batch.h, each region with its own deterministic RNG stream), and
-  // the LSK/shield accumulation replays serially in the historical
-  // (region, dir) order — so the phase's output is bit-identical at any
-  // thread count, threads == 1 being the exact serial path.
-  const std::size_t regions = p.grid().region_count();
-  const std::size_t sol_count = regions * 2;
-  auto net_lsk = std::make_shared<std::vector<double>>(p.net_count(), 0.0);
-  auto net_noise = std::make_shared<std::vector<double>>(p.net_count(), 0.0);
-  const std::vector<double>& kth = *budget->kth;
-  const PathIndex& paths = *phase1->paths;
-
-  constexpr std::size_t kRegionGrain = 32;  // instances per chunk (fixed)
-  auto solutions = std::make_shared<std::vector<RegionSolution>>(
-      parallel::parallel_map<RegionSolution>(
-          sol_count, kRegionGrain, p.params().threads, [&](std::size_t si) {
-            return build_region_solution(p, *phase1->occupancy, sol_region(si),
-                                         sol_dir(si), kth, paths);
-          }));
-
-  std::vector<sino::SinoBatchItem> items(sol_count);
-  for (std::size_t si = 0; si < sol_count; ++si) {
-    const RegionSolution& sol = (*solutions)[si];
-    if (sol.empty()) continue;
-    sino::SinoBatchItem& item = items[si];
-    item.instance = &sol.instance;
-    if (kind == FlowKind::kIdNo) {
-      item.mode = sino::SinoSolveMode::kNetOrder;
-    } else if (anneal) {
-      item.mode = sino::SinoSolveMode::kGreedyAnneal;
-      // The historical per-region stream seed, preserved so annealed
-      // Phase II results stay identical to the pre-batch flow.
-      item.anneal_seed = p.params().seed ^ (sol.net_index.front() * 977u);
-      item.anneal_iterations = p.params().anneal_iterations;
-    } else {
-      item.mode = sino::SinoSolveMode::kGreedy;
-    }
-  }
-  sino::SinoBatchOptions bopt;
-  bopt.threads = p.params().threads;
-  std::vector<sino::SinoBatchResult> solved =
-      sino::solve_batch(items, p.keff(), bopt);
-
-  auto congestion = std::make_shared<grid::CongestionMap>(*phase1->segments);
-  for (std::size_t r = 0; r < regions; ++r) {
-    for (grid::Dir d : grid::kBothDirs) {
-      const std::size_t si = art->sol_index(r, d);
-      RegionSolution& sol = (*solutions)[si];
-      if (sol.empty()) continue;
-      sol.slots = std::move(solved[si].slots);
-      sol.ki = std::move(solved[si].ki);
-      for (std::size_t i = 0; i < sol.net_index.size(); ++i) {
-        (*net_lsk)[sol.net_index[i]] += sol.path_len_mm[i] * sol.ki[i];
-      }
-      congestion->set_shields(
-          r, d,
-          static_cast<double>(sino::SinoEvaluator::shield_count(sol.slots)));
-    }
-  }
-
-  // Noise + violation count under this budget's bound.
-  const auto& table = p.lsk_table();
-  art->violating = 0;
-  for (std::size_t n = 0; n < net_lsk->size(); ++n) {
-    (*net_noise)[n] = table.voltage((*net_lsk)[n]);
-    if ((*net_noise)[n] > budget->bound_v + 1e-9) ++art->violating;
-  }
-
-  art->solutions = std::move(solutions);
-  art->net_lsk = std::move(net_lsk);
-  art->net_noise = std::move(net_noise);
-  art->congestion = std::move(congestion);
-  art->seconds = watch.seconds();
-
+  auto art = solve_region_set(p, kind, anneal, phase1, budget);
   ++counters_.solve_executed;
   lru_insert(solve_cache_, SolveEntry{kind, anneal, phase1.get(), budget.get(), art},
              options_.cache_entries);
@@ -577,17 +586,14 @@ std::shared_ptr<const RefineArtifact> FlowSession::refine(
   // Store consult (see route()). The refine record keys on the solve
   // record it refines (no Phase III option changes output), with the
   // solve key rebuilt from the artifact's own provenance fields.
-  std::uint64_t store_key = 0;
+  const std::uint64_t store_key =
+      options_.store
+          ? store::refine_key(p, store::solve_key(p, solve->kind,
+                                                  solve->annealed,
+                                                  *solve->phase1,
+                                                  *solve->budget))
+          : 0;
   if (options_.store) {
-    const std::uint64_t routing_k =
-        store::routing_key(p, solve->phase1->options);
-    const BudgetRule rule = solve->budget->rule;
-    const std::uint64_t budget_k = store::budget_key(
-        p, rule, solve->budget->bound_v, solve->budget->margin,
-        rule == BudgetRule::kRoutedLength ? routing_k : 0);
-    store_key = store::refine_key(
-        p, store::solve_key(p, solve->kind, solve->annealed, routing_k,
-                            budget_k));
     if (auto art = options_.store->get_refine(store_key, p, solve)) {
       ++counters_.refine_loaded;
       lru_insert(refine_cache_, RefineEntry{solve.get(), art},

@@ -14,8 +14,8 @@
 //
 //   - RoutingArtifact depends only on the router profile (IdRouterOptions
 //     minus `threads`, which never changes output) and the problem's nets.
-//     Changing `crosstalk_bound_v`, `budget_margin`, or any Phase II/III
-//     knob does NOT invalidate it — that is what makes what-if re-solves
+//     Changing `crosstalk_bound_v`, `budget_margin`, or Phase II
+//     annealing does NOT invalidate it — that is what makes what-if re-solves
 //     cheap. Changing router options or the seed produces a different
 //     profile and therefore a different artifact (and everything
 //     downstream of it).
@@ -23,8 +23,9 @@
 //     iSINO rule, which budgets from routed critical-path lengths — on the
 //     routing artifact it was derived from.
 //   - RegionSolveArtifact depends on its routing + budget artifacts and
-//     the Phase II knobs (solve mode, annealing).
-//   - RefineArtifact depends on its solve artifact and the Phase III knobs.
+//     the Phase II choices (solve mode, annealing).
+//   - RefineArtifact depends on its solve artifact alone: no Phase III
+//     option changes output.
 //
 // All artifacts are held behind shared_ptr<const>: they are safe to share
 // across flows, sessions, and threads, and a FlowResult is nothing but a
@@ -126,8 +127,7 @@ struct StageEvent {
 };
 
 /// Progress/observer callback: one type-erased signature for every
-/// consumer (sessions, the experiment harness, CLIs). Replaces the ad-hoc
-/// ExperimentOptions::progress signature.
+/// consumer (sessions, the experiment harness, CLIs).
 ///
 /// DEPRECATION NOTE: for timing/profiling, prefer the span tracer
 /// (obs/trace.h) — it covers sub-stage phases the observer never sees
@@ -171,20 +171,6 @@ class PathIndex {
  private:
   std::vector<CriticalPath> paths_;
 };
-
-/// Build the SINO instance of one (region, dir) from an occupancy's
-/// segment list: member nets in segment order with their S_i / Kth, wire
-/// and critical-path lengths, and the pairwise sensitivity edges. This is
-/// the one construction path Phase II uses for every region
-/// (FlowSession::solve_regions), exposed so the incremental delta engine
-/// (src/scenario) rebuilds exactly the dirty regions through it — a
-/// rebuilt region is bit-identical to the same region in a from-scratch
-/// solve because both run this function on identical inputs.
-RegionSolution build_region_solution(const RoutingProblem& problem,
-                                     const router::Occupancy& occ,
-                                     std::size_t region, grid::Dir dir,
-                                     const std::vector<double>& kth,
-                                     const PathIndex& paths);
 
 /// Phase I output: the routed tree of every net plus the derived,
 /// flow-independent views (occupancy, segment congestion, critical paths).
@@ -250,11 +236,45 @@ struct RegionSolveArtifact {
   std::shared_ptr<const grid::CongestionMap> congestion;  ///< with shields
   std::size_t violating = 0;
   double seconds = 0.0;
-
-  std::size_t sol_index(std::size_t region, grid::Dir d) const {
-    return sol_index_of(region, d);
-  }
 };
+
+// ----------------------------------------------------------- stage compute
+//
+// The one compute path of the budget and Phase II stages. FlowSession
+// calls these on a cache and store miss; the incremental delta engine
+// (src/scenario) calls them to patch cached artifacts, so a patched
+// artifact and a fresh one come out of the same code.
+
+/// Build the SINO instance of one (region, dir) from an occupancy's
+/// segment list: member nets in segment order with their S_i / Kth, wire
+/// and critical-path lengths, and the pairwise sensitivity edges. The one
+/// construction path solve_region_set uses for every region it solves.
+RegionSolution build_region_solution(const RoutingProblem& problem,
+                                     const router::Occupancy& occ,
+                                     std::size_t region, grid::Dir dir,
+                                     const std::vector<double>& kth,
+                                     const PathIndex& paths);
+
+/// Per-net Kth bounds (Section 3.1) under `rule`. `phase1` supplies the
+/// routed critical-path lengths of kRoutedLength and is unused otherwise;
+/// `margin` applies under kManhattanMargin only. Stamps `seconds`.
+std::shared_ptr<const BudgetArtifact> compute_budget(
+    const RoutingProblem& problem, BudgetRule rule, double bound_v,
+    double margin, const RoutingArtifact* phase1);
+
+/// Phase II over every (region, dir): build each instance, solve it
+/// (net order for ID+NO, greedy for the SINO flows, annealing the
+/// greedy-infeasible ones when `anneal`), then accumulate LSK and shields
+/// in (region, dir) order and count violations under the budget's bound.
+/// A non-null `carried[si]` is an already solved solution that is copied
+/// instead of built and solved; since the accumulation still replays over
+/// every region, the result is bit-identical to a full solve whenever
+/// each carried solution is. Stamps `seconds`.
+std::shared_ptr<const RegionSolveArtifact> solve_region_set(
+    const RoutingProblem& problem, FlowKind kind, bool anneal,
+    std::shared_ptr<const RoutingArtifact> phase1,
+    std::shared_ptr<const BudgetArtifact> budget,
+    const std::vector<const RegionSolution*>& carried = {});
 
 struct RefineStats {
   int pass1_nets_fixed = 0;
@@ -326,10 +346,6 @@ struct FlowResult {
   std::size_t violating = 0;   ///< nets with noise > bound
   std::size_t unfixable = 0;   ///< GSINO: nets Phase III gave up on
   FlowTiming timing;
-
-  std::size_t sol_index(std::size_t region, grid::Dir d) const {
-    return sol_index_of(region, d);
-  }
 };
 
 /// FNV-1a over the flow's final per-net state (LSK/noise bit patterns,
@@ -364,9 +380,6 @@ struct FlowState {
   StageObserver observer;
 
   const router::Occupancy& occupancy() const { return *phase1->occupancy; }
-  std::size_t sol_index(std::size_t region, grid::Dir d) const {
-    return sol_index_of(region, d);
-  }
 
   /// Re-solve one region under the instance's current Kth values (greedy,
   /// optionally annealing when infeasible), updating slots/ki, the
@@ -421,7 +434,7 @@ struct Scenario {
 struct SessionOptions {
   StageObserver observer;
   /// Optional persistent artifact store (store/artifact_store.h). When
-  /// set, route(), budget(), and solve_regions() consult it on an
+  /// set, every stage (route, budget, solve_regions, refine) consults it on an
   /// in-memory cache miss before computing — a fresh process warm-starts
   /// from artifacts a previous session published — and publish freshly
   /// computed artifacts back. Loaded artifacts are bit-identical to computed ones (the
@@ -502,8 +515,7 @@ class FlowSession {
   FlowResult run(FlowKind kind) { return run(kind, Scenario{}); }
 
   /// What-if re-solve: same pipeline with scenario overrides. Changing
-  /// bound_v / budget_margin / Phase II/III knobs reuses the routing
-  /// artifact.
+  /// bound_v / budget_margin / anneal_phase2 reuses the routing artifact.
   FlowResult run(FlowKind kind, const Scenario& scenario);
 
   /// Mutable Phase III working state over the (cached) solve artifact of
@@ -590,9 +602,9 @@ class FlowSession {
   // caller (or a downstream cache entry) still references — the raw-pointer
   // keys in SolveEntry/RefineEntry stay unambiguous because each entry's
   // artifact pins its own inputs alive (no address reuse while the entry
-  // lives). Evicted routing/budget work stays reachable through the
-  // persistent store when one is attached; evicted solve/refine artifacts
-  // recompute.
+  // lives). Every evicted stage artifact stays reachable through the
+  // persistent store when one is attached: each stage consults it on a
+  // cache miss before computing.
   std::vector<RouteEntry> route_cache_;
   std::vector<BudgetEntry> budget_cache_;
   std::vector<SolveEntry> solve_cache_;

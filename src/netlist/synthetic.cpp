@@ -25,6 +25,17 @@ std::size_t draw_degree(util::Xoshiro256& rng) {
 
 }  // namespace
 
+grid::RegionGridSpec SyntheticSpec::grid_spec() const {
+  grid::RegionGridSpec g;
+  g.cols = grid_cols;
+  g.rows = grid_rows;
+  g.region_w_um = chip_w_um / grid_cols;
+  g.region_h_um = chip_h_um / grid_rows;
+  g.h_capacity = h_capacity;
+  g.v_capacity = v_capacity;
+  return g;
+}
+
 Netlist generate(const SyntheticSpec& spec) {
   Netlist nl(spec.name, spec.chip_w_um, spec.chip_h_um);
   util::Xoshiro256 rng(util::SplitMix64::mix2(spec.seed, 0x5EED));

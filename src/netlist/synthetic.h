@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "grid/region_grid.h"
 #include "netlist/netlist.h"
 
 namespace rlcr::netlist {
@@ -43,6 +44,9 @@ struct SyntheticSpec {
   /// Uniformly scales the net count (for fast tests: scale = 0.05 gives a
   /// few hundred nets with the same statistical structure).
   double scale = 1.0;
+
+  /// The routing fabric for this spec (region dims = chip / grid).
+  grid::RegionGridSpec grid_spec() const;
 };
 
 /// Generate a placed netlist from a spec. Deterministic in (spec, seed).

@@ -22,17 +22,17 @@
 //   for bit.
 //
 //   budget — per-net Kth is a pure per-net function (O(nets) table
-//   lookups); it recomputes through the stage's own code path.
+//   lookups); it recomputes through the stage's own compute_budget.
 //
 //   solve — a (region, dir) SINO solution is a pure function of the
 //   region's segment list, its members' Kth / critical-path lengths / S_i,
 //   and the pairwise sensitivity draws, all of which slot preservation
-//   keeps index-stable. Regions whose inputs are bitwise unchanged reuse
-//   their old solution verbatim; dirty regions rebuild through
-//   build_region_solution and re-solve with the historical per-region
-//   modes and annealing seeds. The LSK/shield/noise accumulation then
-//   replays over every region in the historical (region, dir) order, so
-//   the floating-point sums match a from-scratch solve exactly.
+//   keeps index-stable. Regions whose inputs are bitwise unchanged carry
+//   their old solution over verbatim; the rest go through the stage's own
+//   solve_region_set, which builds and solves them exactly as a full
+//   solve does and replays the LSK/shield/noise accumulation over every
+//   region in (region, dir) order, so the floating-point sums match a
+//   from-scratch solve exactly.
 //
 //   refine — Phase III orders its work by global worst-violator, which a
 //   regional patch cannot reproduce; refine artifacts are invalidated and
@@ -44,13 +44,10 @@
 #include <unordered_map>
 #include <utility>
 
-#include "core/budget.h"
 #include "core/session.h"
 #include "geom/rect.h"
 #include "router/id_router.h"
 #include "router/occupancy.h"
-#include "sino/batch.h"
-#include "sino/evaluator.h"
 #include "store/artifact_store.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -309,36 +306,8 @@ RoutePatch patch_routing(const gsino::RoutingProblem& oldp,
   return out;
 }
 
-/// Budget through the stage's own compute path (see
-/// FlowSession::budget): O(nets) table lookups, trivially bit-identical.
-std::shared_ptr<gsino::BudgetArtifact> recompute_budget(
-    const gsino::RoutingProblem& p, gsino::BudgetRule rule, double bound_v,
-    double margin, const gsino::RoutingArtifact* phase1) {
-  auto art = std::make_shared<gsino::BudgetArtifact>();
-  art->rule = rule;
-  art->bound_v = bound_v;
-  art->margin = margin;
-  const gsino::CrosstalkBudgeter budgeter(p.lsk_table(), bound_v);
-  auto kth = std::make_shared<std::vector<double>>();
-  if (rule == gsino::BudgetRule::kRoutedLength) {
-    kth->resize(p.net_count());
-    for (std::size_t n = 0; n < p.net_count(); ++n) {
-      const double routed_um =
-          std::max((*phase1->critical_path_um)[n], p.le_um()[n]);
-      (*kth)[n] = budgeter.kth_from_length(routed_um);
-    }
-  } else {
-    *kth = budgeter.uniform_kth(p);
-    if (rule == gsino::BudgetRule::kManhattanMargin) {
-      for (double& k : *kth) k *= margin;
-    }
-  }
-  art->kth = std::move(kth);
-  return art;
-}
-
 struct SolvePatch {
-  std::shared_ptr<gsino::RegionSolveArtifact> artifact;
+  std::shared_ptr<const gsino::RegionSolveArtifact> artifact;
   std::size_t solved = 0;  ///< dirty non-empty (region, dir) recomputed
   std::size_t reused = 0;  ///< clean non-empty (region, dir) carried over
 };
@@ -355,12 +324,6 @@ SolvePatch patch_solve(
     const std::shared_ptr<const gsino::RoutingArtifact>& phase1,
     const std::shared_ptr<const gsino::BudgetArtifact>& budget) {
   SolvePatch out;
-  auto art = std::make_shared<gsino::RegionSolveArtifact>();
-  art->kind = oldart.kind;
-  art->annealed = oldart.annealed;
-  art->phase1 = phase1;
-  art->budget = budget;
-
   const router::Occupancy& old_occ = *oldart.phase1->occupancy;
   const router::Occupancy& new_occ = *phase1->occupancy;
   const gsino::PathIndex& old_paths = *oldart.phase1->paths;
@@ -373,14 +336,10 @@ SolvePatch patch_solve(
   // every member's Kth and critical-path length. Member S_i and the
   // pairwise sensitivity draws are index-stable under slot preservation,
   // so an unchanged member list implies unchanged values for both. Clean
-  // regions reuse their solved solution verbatim (the solvers are pure
-  // per instance, with per-region seeds keyed on the member list); dirty
-  // regions rebuild and re-solve below.
-  const std::size_t regions = p.grid().region_count();
-  const std::size_t sol_count = regions * 2;
-  auto solutions =
-      std::make_shared<std::vector<gsino::RegionSolution>>(sol_count);
-  std::vector<std::size_t> dirty;
+  // regions carry their solved solution over (the solvers are pure per
+  // instance, with per-region seeds keyed on the member list).
+  const std::size_t sol_count = p.grid().region_count() * 2;
+  std::vector<const gsino::RegionSolution*> carried(sol_count, nullptr);
   for (std::size_t si = 0; si < sol_count; ++si) {
     const std::size_t r = gsino::sol_region(si);
     const grid::Dir d = gsino::sol_dir(si);
@@ -395,78 +354,12 @@ SolvePatch patch_solve(
               same_bits(old_paths.length_um(n, r, d),
                         new_paths.length_um(n, r, d));
     }
-    if (clean) {
-      (*solutions)[si] = (*oldart.solutions)[si];
-      if (!news.empty()) ++out.reused;
-    } else {
-      (*solutions)[si] =
-          gsino::build_region_solution(p, new_occ, r, d, new_kth, new_paths);
-      dirty.push_back(si);
-      if (!news.empty()) ++out.solved;
-    }
+    if (clean) carried[si] = &(*oldart.solutions)[si];
+    if (!news.empty()) ++(clean ? out.reused : out.solved);
   }
 
-  // Solve the dirty instances exactly as solve_regions does: same modes,
-  // same historical per-region annealing seeds, through the same batch
-  // driver (each solve is a pure function of its instance).
-  std::vector<sino::SinoBatchItem> items(dirty.size());
-  for (std::size_t k = 0; k < dirty.size(); ++k) {
-    const gsino::RegionSolution& sol = (*solutions)[dirty[k]];
-    if (sol.empty()) continue;
-    sino::SinoBatchItem& item = items[k];
-    item.instance = &sol.instance;
-    if (art->kind == gsino::FlowKind::kIdNo) {
-      item.mode = sino::SinoSolveMode::kNetOrder;
-    } else if (art->annealed) {
-      item.mode = sino::SinoSolveMode::kGreedyAnneal;
-      item.anneal_seed = p.params().seed ^ (sol.net_index.front() * 977u);
-      item.anneal_iterations = p.params().anneal_iterations;
-    } else {
-      item.mode = sino::SinoSolveMode::kGreedy;
-    }
-  }
-  sino::SinoBatchOptions bopt;
-  bopt.threads = p.params().threads;
-  std::vector<sino::SinoBatchResult> solved =
-      sino::solve_batch(items, p.keff(), bopt);
-  for (std::size_t k = 0; k < dirty.size(); ++k) {
-    gsino::RegionSolution& sol = (*solutions)[dirty[k]];
-    if (sol.empty()) continue;
-    sol.slots = std::move(solved[k].slots);
-    sol.ki = std::move(solved[k].ki);
-  }
-
-  // Replay the LSK/shield accumulation and the noise pass over every
-  // region in the historical (region, then dir) order: identical values
-  // in identical order means identical floating-point sums.
-  auto net_lsk = std::make_shared<std::vector<double>>(p.net_count(), 0.0);
-  auto net_noise = std::make_shared<std::vector<double>>(p.net_count(), 0.0);
-  auto congestion = std::make_shared<grid::CongestionMap>(*phase1->segments);
-  for (std::size_t r = 0; r < regions; ++r) {
-    for (grid::Dir d : grid::kBothDirs) {
-      const std::size_t si = gsino::sol_index_of(r, d);
-      const gsino::RegionSolution& sol = (*solutions)[si];
-      if (sol.empty()) continue;
-      for (std::size_t i = 0; i < sol.net_index.size(); ++i) {
-        (*net_lsk)[sol.net_index[i]] += sol.path_len_mm[i] * sol.ki[i];
-      }
-      congestion->set_shields(
-          r, d,
-          static_cast<double>(sino::SinoEvaluator::shield_count(sol.slots)));
-    }
-  }
-  const auto& table = p.lsk_table();
-  art->violating = 0;
-  for (std::size_t n = 0; n < net_lsk->size(); ++n) {
-    (*net_noise)[n] = table.voltage((*net_lsk)[n]);
-    if ((*net_noise)[n] > budget->bound_v + 1e-9) ++art->violating;
-  }
-
-  art->solutions = std::move(solutions);
-  art->net_lsk = std::move(net_lsk);
-  art->net_noise = std::move(net_noise);
-  art->congestion = std::move(congestion);
-  out.artifact = std::move(art);
+  out.artifact = gsino::solve_region_set(p, oldart.kind, oldart.annealed,
+                                         phase1, budget, carried);
   return out;
 }
 
@@ -538,15 +431,13 @@ DeltaReport DeltaEngine::apply(gsino::FlowSession& s,
       }
       new_phase1 = f->second;
     }
-    util::Stopwatch stage_watch;
-    auto art = recompute_budget(*newp, e.rule, e.bound_v, e.margin,
-                                new_phase1.get());
-    art->seconds = stage_watch.seconds();
+    auto art = gsino::compute_budget(*newp, e.rule, e.bound_v, e.margin,
+                                     new_phase1.get());
     if (s.options_.store) {
-      const std::uint64_t rk =
-          new_phase1 ? store::routing_key(*newp, new_phase1->options) : 0;
       s.options_.store->put_budget(
-          store::budget_key(*newp, e.rule, e.bound_v, e.margin, rk), *art);
+          store::budget_key(*newp, e.rule, e.bound_v, e.margin,
+                            new_phase1.get()),
+          *art);
     }
     budgets.emplace(e.artifact.get(), art);
     e.phase1 = std::move(new_phase1);
@@ -564,22 +455,12 @@ DeltaReport DeltaEngine::apply(gsino::FlowSession& s,
       it = s.solve_cache_.erase(it);
       continue;
     }
-    util::Stopwatch stage_watch;
     SolvePatch sp = patch_solve(*newp, *e.artifact, fr->second, fb->second);
-    sp.artifact->seconds = stage_watch.seconds();
     report.regions_solved += sp.solved;
     report.regions_reused += sp.reused;
     if (s.options_.store) {
-      const std::uint64_t routing_k =
-          store::routing_key(*newp, sp.artifact->phase1->options);
-      const gsino::BudgetRule rule = sp.artifact->budget->rule;
-      const std::uint64_t budget_k = store::budget_key(
-          *newp, rule, sp.artifact->budget->bound_v,
-          sp.artifact->budget->margin,
-          rule == gsino::BudgetRule::kRoutedLength ? routing_k : 0);
       s.options_.store->put_region_solve(
-          store::solve_key(*newp, sp.artifact->kind, sp.artifact->annealed,
-                           routing_k, budget_k),
+          store::solve_key(*newp, e.kind, e.anneal, *fr->second, *fb->second),
           *sp.artifact);
     }
     e.phase1 = fr->second.get();

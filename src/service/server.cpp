@@ -96,20 +96,12 @@ std::unique_ptr<gsino::RoutingProblem> assemble_problem(
 
   netlist::Netlist design;
   grid::RegionGridSpec gspec;
-  const auto gspec_from = [&gspec](const netlist::SyntheticSpec& spec) {
-    gspec.cols = spec.grid_cols;
-    gspec.rows = spec.grid_rows;
-    gspec.region_w_um = spec.chip_w_um / spec.grid_cols;
-    gspec.region_h_um = spec.chip_h_um / spec.grid_rows;
-    gspec.h_capacity = spec.h_capacity;
-    gspec.v_capacity = spec.v_capacity;
-  };
   switch (q.source) {
     case QuerySource::kTiny: {
       const netlist::SyntheticSpec spec =
           netlist::tiny_spec(static_cast<std::size_t>(q.tiny_nets), q.seed);
       design = netlist::generate(spec);
-      gspec_from(spec);
+      gspec = spec.grid_spec();
       break;
     }
     case QuerySource::kSynthetic: {
@@ -120,7 +112,7 @@ std::unique_ptr<gsino::RoutingProblem> assemble_problem(
       }
       if (spec == nullptr) return fail("unknown circuit '" + q.circuit + "'");
       design = netlist::generate(*spec);
-      gspec_from(*spec);
+      gspec = spec->grid_spec();
       break;
     }
     case QuerySource::kIspd98: {

@@ -37,9 +37,12 @@ SinoBatchResult solve_region(const SinoBatchItem& item,
 
 std::vector<SinoBatchResult> solve_batch(const std::vector<SinoBatchItem>& items,
                                          const ktable::KeffModel& keff,
-                                         const SinoBatchOptions& options) {
+                                         int threads) {
+  // Items per chunk: fixed, never a function of the thread count (the
+  // determinism contract of src/parallel).
+  constexpr std::size_t kGrain = 8;
   return parallel::parallel_map<SinoBatchResult>(
-      items.size(), options.grain, options.threads, [&](std::size_t i) {
+      items.size(), kGrain, threads, [&](std::size_t i) {
         const SinoBatchItem& item = items[i];
         if (item.instance == nullptr || item.instance->net_count() == 0) {
           return SinoBatchResult{};

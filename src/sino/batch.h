@@ -46,16 +46,6 @@ struct SinoBatchResult {
   bool annealed = false;  ///< annealing ran (mode kGreedyAnneal, greedy infeasible)
 };
 
-struct SinoBatchOptions {
-  /// Pool participants. 0 = auto (RLCR_THREADS env var, else hardware
-  /// concurrency); 1 = exact serial path. Results are identical at any
-  /// value — solves are independent and results are slot-indexed.
-  int threads = 0;
-  /// Items per chunk; a function of nothing but the call site, never of the
-  /// thread count (the determinism contract of src/parallel).
-  std::size_t grain = 8;
-};
-
 /// An independent per-item RNG stream seed: SplitMix64-mixed so neighbouring
 /// item indices land in uncorrelated parts of the stream space.
 inline std::uint64_t stream_seed(std::uint64_t base, std::uint64_t item) {
@@ -70,8 +60,11 @@ SinoBatchResult solve_region(const SinoBatchItem& item,
                              const ktable::KeffModel& keff);
 
 /// Solve every item across the pool. Results are parallel to `items`.
+/// `threads` counts pool participants: 0 = auto (RLCR_THREADS env var, else
+/// hardware concurrency), 1 = the exact serial path. Results are identical
+/// at any value — solves are independent and results are slot-indexed.
 std::vector<SinoBatchResult> solve_batch(const std::vector<SinoBatchItem>& items,
                                          const ktable::KeffModel& keff,
-                                         const SinoBatchOptions& options = {});
+                                         int threads = 0);
 
 }  // namespace rlcr::sino

@@ -413,27 +413,31 @@ std::uint64_t routing_key(const gsino::RoutingProblem& problem,
 
 std::uint64_t budget_key(const gsino::RoutingProblem& problem,
                          gsino::BudgetRule rule, double bound_v, double margin,
-                         std::uint64_t routing) {
+                         const gsino::RoutingArtifact* phase1) {
   util::Fnv1a64 h;
   h.str("budget/v1");
   h.u64(problem.fingerprint());
   h.u8(static_cast<std::uint8_t>(rule));
   h.f64(bound_v).f64(margin);
-  h.u64(routing);
+  h.u64(rule == gsino::BudgetRule::kRoutedLength
+            ? routing_key(problem, phase1->options)
+            : 0);
   return h.value();
 }
 
 std::uint64_t solve_key(const gsino::RoutingProblem& problem,
                         gsino::FlowKind kind, bool annealed,
-                        std::uint64_t routing, std::uint64_t budget) {
+                        const gsino::RoutingArtifact& phase1,
+                        const gsino::BudgetArtifact& budget) {
   util::Fnv1a64 h;
   h.str("solve/v1");
   h.u64(problem.fingerprint());
   h.u8(static_cast<std::uint8_t>(kind));
   h.boolean(annealed);
   h.i32(problem.params().anneal_iterations);  // anneal stream length
-  h.u64(routing);
-  h.u64(budget);
+  h.u64(routing_key(problem, phase1.options));
+  h.u64(budget_key(problem, budget.rule, budget.bound_v, budget.margin,
+                   &phase1));
   return h.value();
 }
 

@@ -151,17 +151,20 @@ using StorePtr = std::shared_ptr<ArtifactStore>;
 std::uint64_t routing_key(const gsino::RoutingProblem& problem,
                           const router::IdRouterOptions& options);
 
-/// Key of a budget artifact. `routing` is the routing_key() of the
-/// artifact budgeted from for the routed-length (iSINO) rule, 0 for the
-/// routing-independent Manhattan rules — mirroring the session cache.
+/// Key of a budget artifact. The routed-length (iSINO) rule keys on the
+/// routing_key() of `phase1`, the artifact it budgets from; the Manhattan
+/// rules are routing-independent and ignore it (it may be null) —
+/// mirroring the session cache.
 std::uint64_t budget_key(const gsino::RoutingProblem& problem,
                          gsino::BudgetRule rule, double bound_v, double margin,
-                         std::uint64_t routing);
+                         const gsino::RoutingArtifact* phase1);
 
-/// Key of a Phase II region-solve artifact over its input identities.
+/// Key of a Phase II region-solve artifact over the keys of the routing
+/// and budget artifacts it solves.
 std::uint64_t solve_key(const gsino::RoutingProblem& problem,
                         gsino::FlowKind kind, bool annealed,
-                        std::uint64_t routing, std::uint64_t budget);
+                        const gsino::RoutingArtifact& phase1,
+                        const gsino::BudgetArtifact& budget);
 
 /// Key of a Phase III refine artifact over the solve_key() it refines (no
 /// Phase III option changes output).

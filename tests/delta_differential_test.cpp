@@ -241,6 +241,39 @@ TEST(DeltaDifferential, EveryFlowAndAnnealMatchFromScratch) {
   EXPECT_NE(initial_gsino[0], initial_gsino[1]);
 }
 
+// Patched artifacts publish under the mutated problem's own store keys: a
+// fresh session on the mutated problem, sharing the store, loads every
+// stage the delta patched (both routing profiles, the three budget rules,
+// the three solves) instead of computing it, and matches the patched
+// session.
+TEST(DeltaDifferential, PublishedArtifactsWarmStartAFreshSession) {
+  const Pipeline pipe;
+  const gsino::FlowKind kFlows[] = {gsino::FlowKind::kIdNo,
+                                    gsino::FlowKind::kIsino,
+                                    gsino::FlowKind::kGsino};
+  const gsino::RoutingProblem p0 = pipe.problem();
+  gsino::SessionOptions opts;
+  opts.store = make_store("publish");
+  gsino::FlowSession session(p0, opts);
+  for (const gsino::FlowKind kind : kFlows) session.run(kind);
+  const NetlistDelta delta = random_delta(p0, 9, 6);
+  session.apply_delta(delta);
+
+  const gsino::RoutingProblem p1 = apply_delta(p0, delta);
+  gsino::FlowSession warm(p1, opts);
+  for (const gsino::FlowKind kind : kFlows) {
+    const StepState got = observe(warm.run(kind));
+    EXPECT_TRUE(got == observe(session.run(kind))) << gsino::flow_name(kind);
+  }
+  const gsino::StageCounters& c = warm.counters();
+  EXPECT_EQ(c.route_executed, 0u);
+  EXPECT_EQ(c.budget_executed, 0u);
+  EXPECT_EQ(c.solve_executed, 0u);
+  EXPECT_EQ(c.route_loaded, 2u);
+  EXPECT_EQ(c.budget_loaded, 3u);
+  EXPECT_EQ(c.solve_loaded, 3u);
+}
+
 // The two delta application arms agree: mutating the netlist and building
 // a fresh problem yields the same fingerprint as the slot-preserving
 // problem transform — including appended slots, emptied slots, and the

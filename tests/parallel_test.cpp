@@ -327,9 +327,7 @@ TEST(ParallelDeterminism, SinoBatchBitIdenticalAcrossThreadCounts) {
   }
 
   auto solve_at = [&](int threads) {
-    sino::SinoBatchOptions opt;
-    opt.threads = threads;
-    return sino::solve_batch(items, keff, opt);
+    return sino::solve_batch(items, keff, threads);
   };
   const auto serial = solve_at(1);
   ASSERT_EQ(serial.size(), items.size());

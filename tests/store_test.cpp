@@ -373,11 +373,8 @@ TEST(ArtifactStore, RegionSolveRecordsRoundTripThroughTheStore) {
   const auto solve =
       session.solve_regions(FlowKind::kGsino, phase1, budget, false);
 
-  const std::uint64_t rkey = store::routing_key(p, phase1->options);
-  const std::uint64_t bkey =
-      store::budget_key(p, budget->rule, 0.15, 1.0, 0);
   const std::uint64_t skey =
-      store::solve_key(p, FlowKind::kGsino, false, rkey, bkey);
+      store::solve_key(p, FlowKind::kGsino, false, *phase1, *budget);
   EXPECT_EQ(store.get_region_solve(skey, p, phase1, budget), nullptr);
   store.put_region_solve(skey, *solve);
 
@@ -389,7 +386,7 @@ TEST(ArtifactStore, RegionSolveRecordsRoundTripThroughTheStore) {
   EXPECT_EQ(loaded->phase1.get(), phase1.get());
   // A different anneal setting derives a different key — no false hit.
   const std::uint64_t skey_anneal =
-      store::solve_key(p, FlowKind::kGsino, true, rkey, bkey);
+      store::solve_key(p, FlowKind::kGsino, true, *phase1, *budget);
   EXPECT_NE(skey_anneal, skey);
   EXPECT_EQ(store.get_region_solve(skey_anneal, p, phase1, budget), nullptr);
 }
@@ -397,27 +394,34 @@ TEST(ArtifactStore, RegionSolveRecordsRoundTripThroughTheStore) {
 // The stage keys are pinned literally: a drift in key derivation would
 // silently turn every existing store into misses, with every output still
 // correct. The routed-length budget keys on the routing it budgets from;
-// the Manhattan rules do not.
+// the Manhattan rules do not. Keys read only artifact identities, so the
+// artifacts here are never computed.
 TEST(ArtifactStore, StageKeysArePinned) {
   const Pipeline pipe(0.5);
   const RoutingProblem p = pipe.problem();
   const FlowSession session(p);
-  const std::uint64_t plain =
-      store::routing_key(p, session.router_profile(FlowKind::kIsino));
-  const std::uint64_t gsino =
-      store::routing_key(p, session.router_profile(FlowKind::kGsino));
-  EXPECT_EQ(plain, 0xb433295c47815724u);
-  EXPECT_EQ(gsino, 0x82fd3edf88380f12u);
+  RoutingArtifact plain, gsino;
+  plain.options = session.router_profile(FlowKind::kIsino);
+  gsino.options = session.router_profile(FlowKind::kGsino);
+  EXPECT_EQ(store::routing_key(p, plain.options), 0xb433295c47815724u);
+  EXPECT_EQ(store::routing_key(p, gsino.options), 0x82fd3edf88380f12u);
 
-  const std::uint64_t manhattan =
-      store::budget_key(p, BudgetRule::kManhattan, 0.15, 1.0, 0);
-  const std::uint64_t routed =
-      store::budget_key(p, BudgetRule::kRoutedLength, 0.15, 1.0, plain);
-  const std::uint64_t margin =
-      store::budget_key(p, BudgetRule::kManhattanMargin, 0.15, 0.9, 0);
-  EXPECT_EQ(manhattan, 0x7ad77cfa0dbbef90u);
-  EXPECT_EQ(routed, 0x990224dc6ac25382u);
-  EXPECT_EQ(margin, 0xa5b44f2c321ea663u);
+  const auto budget = [](BudgetRule rule, double margin) {
+    BudgetArtifact b;
+    b.rule = rule;
+    b.bound_v = 0.15;
+    b.margin = margin;
+    return b;
+  };
+  const BudgetArtifact manhattan = budget(BudgetRule::kManhattan, 1.0);
+  const BudgetArtifact routed = budget(BudgetRule::kRoutedLength, 1.0);
+  const BudgetArtifact margin = budget(BudgetRule::kManhattanMargin, 0.9);
+  EXPECT_EQ(store::budget_key(p, manhattan.rule, 0.15, 1.0, nullptr),
+            0x7ad77cfa0dbbef90u);
+  EXPECT_EQ(store::budget_key(p, routed.rule, 0.15, 1.0, &plain),
+            0x990224dc6ac25382u);
+  EXPECT_EQ(store::budget_key(p, margin.rule, 0.15, 0.9, &gsino),
+            0xa5b44f2c321ea663u);
 
   const std::uint64_t solve =
       store::solve_key(p, FlowKind::kGsino, false, gsino, margin);

@@ -7,7 +7,7 @@
 //                   --benchmark_out_format=json
 //
 // Each cell records the flow runs it produced, the work incrementality
-// avoided (stage cache hits, spliced routes, reused region solves), and
+// avoided (stage cache hits, reused region solves), and
 // the result of its built-in differential check (`fingerprint_match` —
 // the campaign's final state recomputed from scratch must match bit for
 // bit). tools/check_scenarios.py gates CI on matrix completeness,

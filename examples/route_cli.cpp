@@ -547,17 +547,17 @@ int main(int argc, char** argv) {
       const scenario::DeltaReport rep = session.apply_delta(chain.back());
       fr = session.run(FlowKind::kGsino);
       std::printf(
-          "delta %d: %zu change(s) | routes %zu spliced / %zu rerouted | "
+          "delta %d: %zu change(s) | routes %zu rerouted | "
           "regions %zu reused / %zu re-solved | %.2fs\n",
-          step + 1, rep.changed_nets, rep.nets_reused, rep.nets_rerouted,
+          step + 1, rep.changed_nets, rep.nets_rerouted,
           rep.regions_reused, rep.regions_solved, rep.seconds);
       report(fr, session.problem(), opt.fingerprint);
     }
     const StageCounters& c = session.counters();
     std::printf(
-        "delta counters: %zu applies | nets %zu rerouted / %zu reused | "
+        "delta counters: %zu applies | nets %zu rerouted | "
         "regions %zu re-solved / %zu reused\n",
-        c.delta_applies, c.delta_nets_rerouted, c.delta_nets_reused,
+        c.delta_applies, c.delta_nets_rerouted,
         c.delta_regions_solved, c.delta_regions_reused);
     RoutingProblem scratch = problem;
     for (const scenario::NetlistDelta& delta : chain) {

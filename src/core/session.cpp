@@ -373,6 +373,18 @@ std::shared_ptr<RoutingArtifact> derive_routing_artifact(
   return art;
 }
 
+std::shared_ptr<const RoutingArtifact> compute_route(
+    const RoutingProblem& p, const router::IdRouterOptions& options) {
+  util::Stopwatch watch;
+  const router::IdRouter router(p.grid(), p.nss(), options);
+  auto routing = std::make_shared<router::RoutingResult>(
+      router.route(p.router_nets()));
+  auto art =
+      derive_routing_artifact(p, options, p.params().seed, std::move(routing));
+  art->seconds = watch.seconds();
+  return art;
+}
+
 std::shared_ptr<const RoutingArtifact> FlowSession::route(
     const router::IdRouterOptions& options, FlowKind kind) {
   // Stage spans cover the whole request — a cache/store hit shows up as a
@@ -414,14 +426,7 @@ std::shared_ptr<const RoutingArtifact> FlowSession::route(
     }
   }
 
-  util::Stopwatch watch;
-  const router::IdRouter router(p.grid(), p.nss(), options);
-  auto routing = std::make_shared<router::RoutingResult>(
-      router.route(p.router_nets()));
-  auto art =
-      derive_routing_artifact(p, options, p.params().seed, std::move(routing));
-  art->seconds = watch.seconds();
-
+  auto art = compute_route(p, options);
   ++counters_.route_executed;
   lru_insert(route_cache_, RouteEntry{options, art}, options_.cache_entries);
   if (options_.store) options_.store->put_routing(store_key, *art);

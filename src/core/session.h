@@ -240,10 +240,16 @@ struct RegionSolveArtifact {
 
 // ----------------------------------------------------------- stage compute
 //
-// The one compute path of the budget and Phase II stages. FlowSession
-// calls these on a cache and store miss; the incremental delta engine
-// (src/scenario) calls them to patch cached artifacts, so a patched
+// The one compute path of the Phase I, budget and Phase II stages.
+// FlowSession calls these on a cache and store miss; the incremental delta
+// engine (src/scenario) calls them to patch cached artifacts, so a patched
 // artifact and a fresh one come out of the same code.
+
+/// Phase I: route every net of `problem` under the router profile
+/// `options`, then derive the artifact's views through
+/// derive_routing_artifact. Stamps `seconds`.
+std::shared_ptr<const RoutingArtifact> compute_route(
+    const RoutingProblem& problem, const router::IdRouterOptions& options);
 
 /// Build the SINO instance of one (region, dir) from an occupancy's
 /// segment list: member nets in segment order with their S_i / Kth, wire
@@ -290,7 +296,7 @@ struct RefineStats {
 /// identity.
 struct RefineOptions {
   /// Unused: kept only because the perfbench harness still sets it; due
-  /// for removal in the next benchmark change (ROADMAP item 7).
+  /// for removal in the next benchmark change (ROADMAP item 9).
   int threads = 0;
 };
 
@@ -409,15 +415,14 @@ struct StageCounters {
   std::size_t solve_requests = 0, solve_executed = 0, solve_loaded = 0;
   std::size_t refine_requests = 0, refine_executed = 0, refine_loaded = 0;
   /// Incremental-delta economics (FlowSession::apply_delta, src/scenario):
-  /// how many pool nets the delta sub-runs actually re-routed vs spliced
-  /// unchanged from the previous routing artifact, and how many
-  /// (region, dir) Phase II solves were recomputed vs carried over —
-  /// summed across every cached artifact each apply_delta() patched. The
-  /// reused counts are the compute avoided by incrementality; the patched
-  /// results are bit-identical to from-scratch runs, so the split is pure
-  /// economics, never behavior.
+  /// how many nets the delta routed (every net of the mutated problem, once
+  /// per cached router profile), and how many (region, dir) Phase II solves
+  /// were recomputed vs carried over — summed across every cached artifact
+  /// each apply_delta() patched. The reused regions are the compute avoided
+  /// by incrementality; the patched results are bit-identical to
+  /// from-scratch runs, so the split is pure economics, never behavior.
   std::size_t delta_applies = 0;
-  std::size_t delta_nets_rerouted = 0, delta_nets_reused = 0;
+  std::size_t delta_nets_rerouted = 0;
   std::size_t delta_regions_solved = 0, delta_regions_reused = 0;
 };
 
@@ -528,19 +533,17 @@ class FlowSession {
 
   /// Apply a slot-preserving netlist delta (add / remove / re-pin a set of
   /// nets) to this session in place: the session's problem becomes the
-  /// mutated problem, every cached routing artifact is patched by
-  /// re-routing only the nets whose routes can change (the delta's nets
-  /// plus the bbox-connected closure of pool nets around them — everything
-  /// else is spliced from the old artifact), cached budget and Phase II
-  /// solve artifacts are patched downstream (solves recompute only dirty
-  /// (region, dir) instances), and refine artifacts are invalidated
-  /// (Phase III orders work by global worst-violator, which has no
-  /// regional patch). Every patched artifact is bit-identical to what a
-  /// from-scratch session over the mutated problem computes — the contract
-  /// tests/delta_differential_test.cpp pins — and is published to the
-  /// persistent store under the mutated problem's own keys, so delta
-  /// chains warm-start across processes. Implemented in
-  /// src/scenario/delta.cpp.
+  /// mutated problem, every cached routing profile routes the mutated
+  /// problem through compute_route, cached budget and Phase II solve
+  /// artifacts are patched downstream (solves carry clean (region, dir)
+  /// solutions over and recompute only the dirty ones), and refine
+  /// artifacts are invalidated (Phase III orders work by global
+  /// worst-violator, which has no regional patch). Every patched artifact
+  /// is bit-identical to what a from-scratch session over the mutated
+  /// problem computes — the contract tests/delta_differential_test.cpp
+  /// pins — and is published to the persistent store under the mutated
+  /// problem's own keys, so delta chains warm-start across processes.
+  /// Implemented in src/scenario/delta.cpp.
   scenario::DeltaReport apply_delta(const scenario::NetlistDelta& delta);
 
  private:

@@ -62,7 +62,7 @@ bool MetricsSnapshot::write_json(const std::filesystem::path& path) const {
 // ------------------------------------------------------- struct adapters
 
 void append_metrics(MetricsSnapshot& out, const gsino::StageCounters& c) {
-  static_assert(sizeof(gsino::StageCounters) == 17 * sizeof(std::size_t),
+  static_assert(sizeof(gsino::StageCounters) == 16 * sizeof(std::size_t),
                 "StageCounters changed: update this adapter and the "
                 "completeness test in tests/obs_test.cpp");
   const auto n = [](std::size_t v) { return static_cast<double>(v); };
@@ -80,7 +80,6 @@ void append_metrics(MetricsSnapshot& out, const gsino::StageCounters& c) {
   out.set_counter("session.refine_loaded", n(c.refine_loaded));
   out.set_counter("session.delta_applies", n(c.delta_applies));
   out.set_counter("session.delta_nets_rerouted", n(c.delta_nets_rerouted));
-  out.set_counter("session.delta_nets_reused", n(c.delta_nets_reused));
   out.set_counter("session.delta_regions_solved", n(c.delta_regions_solved));
   out.set_counter("session.delta_regions_reused", n(c.delta_regions_reused));
 }

@@ -76,7 +76,7 @@
 #include "router/route_types.h"
 #include "sino/nss.h"
 // Not used here: kept because perfbench reaches steiner::TreeBuilder only
-// through this header (via core/session.h); due in ROADMAP item 7.
+// through this header (via core/session.h); due in ROADMAP item 9.
 #include "steiner/tree_builder.h"
 
 namespace rlcr::router {

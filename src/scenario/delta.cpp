@@ -6,20 +6,9 @@
 //
 // Why each patched artifact is bit-identical to a from-scratch run:
 //
-//   routing — the router's information flow is regional: a pool net reads
-//   and writes only (region, dir) statistics inside its own pin bounding
-//   box, pre-routed nets write fixed presence derived from their own pins
-//   alone, and the deletion heap's (key, id) tie-break makes each
-//   bbox-connected component's deletion sequence invariant under the
-//   presence of other components. So re-routing the changed nets plus the
-//   bbox-connected closure of pool nets around them (seeded by the
-//   changed nets' old and new bboxes), with every pre-routed net kept and
-//   every unaffected pool net emptied to a no-op, reproduces the affected
-//   nets' routes exactly; unaffected pool nets splice their old routes.
-//   The artifact then rebuilds through derive_routing_artifact — the same
-//   derivation path a fresh route() uses — on routes identical to a full
-//   run's, so occupancy, segment congestion, and critical paths match bit
-//   for bit.
+//   routing — every cached router profile routes the whole mutated
+//   problem through the stage's own compute_route, so the artifact is the
+//   one a fresh route() computes.
 //
 //   budget — per-net Kth is a pure per-net function (O(nets) table
 //   lookups); it recomputes through the stage's own compute_budget.
@@ -41,12 +30,12 @@
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
 #include "core/session.h"
-#include "geom/rect.h"
-#include "router/id_router.h"
 #include "router/occupancy.h"
 #include "store/artifact_store.h"
 #include "util/rng.h"
@@ -55,6 +44,20 @@
 namespace rlcr::scenario {
 
 namespace {
+
+/// Both arms reject a kRemove / kRepin slot outside the pre-delta net
+/// range before mutating anything. Unchecked, the netlist arm would index
+/// past its nets and the problem arm would quietly append (with_pin_updates
+/// treats any slot at or beyond the count as kAppend).
+void check_slots(const NetlistDelta& delta, std::size_t count) {
+  for (const NetChange& c : delta.changes) {
+    if (c.kind != NetChange::Kind::kAdd && c.net >= count) {
+      throw std::out_of_range("netlist delta: slot " + std::to_string(c.net) +
+                              " is outside the " + std::to_string(count) +
+                              " nets");
+    }
+  }
+}
 
 std::vector<gsino::PinUpdate> to_updates(const NetlistDelta& delta) {
   std::vector<gsino::PinUpdate> ups;
@@ -72,6 +75,7 @@ std::vector<gsino::PinUpdate> to_updates(const NetlistDelta& delta) {
 }  // namespace
 
 void apply_delta(netlist::Netlist& design, const NetlistDelta& delta) {
+  check_slots(delta, design.net_count());
   for (const NetChange& c : delta.changes) {
     switch (c.kind) {
       case NetChange::Kind::kAdd: {
@@ -100,6 +104,7 @@ void apply_delta(netlist::Netlist& design, const NetlistDelta& delta) {
 
 gsino::RoutingProblem apply_delta(const gsino::RoutingProblem& problem,
                                   const NetlistDelta& delta) {
+  check_slots(delta, problem.net_count());
   return problem.with_pin_updates(to_updates(delta));
 }
 
@@ -112,10 +117,10 @@ NetlistDelta random_delta(const gsino::RoutingProblem& problem,
   const std::size_t count = problem.net_count();
 
   // Clustered, ECO-like pin sets: a window center uniform in the outline,
-  // pins uniform inside the (clamped) window. Chip-spanning nets would
-  // make every delta's bbox closure percolate across the whole pool —
-  // real ECOs are local, and locality is what gives incrementality its
-  // compute-avoided headroom.
+  // pins uniform inside the (clamped) window. Real ECOs are local, and a
+  // local change leaves most (region, dir) cells clean — the Phase II
+  // solutions the delta engine carries over. The perfbench ECO chain is
+  // drawn from here, so the draw order is part of its corpus.
   auto random_pins = [&rng, w, h](std::size_t n_pins) {
     const double half_w = 0.15 * w, half_h = 0.15 * h;
     const double cx = rng.uniform(0.0, w), cy = rng.uniform(0.0, h);
@@ -160,151 +165,6 @@ NetlistDelta random_delta(const gsino::RoutingProblem& problem,
 // ---------------------------------------------------------------- engine
 
 namespace {
-
-/// Path-compressed union-find over {pool nets} ∪ {the seed node}.
-struct UnionFind {
-  std::vector<std::size_t> parent;
-  explicit UnionFind(std::size_t n) : parent(n) {
-    for (std::size_t i = 0; i < n; ++i) parent[i] = i;
-  }
-  std::size_t find(std::size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  }
-  void unite(std::size_t a, std::size_t b) { parent[find(a)] = find(b); }
-};
-
-/// The router's pass-A classification, replicated exactly: trivial nets
-/// route nothing, huge-bbox nets are pre-routed on their RSMT, the rest
-/// go through the deletion loop ("pool").
-struct NetClass {
-  geom::Rect bbox;
-  bool trivial = false;
-  bool pool = false;
-};
-
-NetClass classify(const router::RouterNet& net, std::size_t huge_threshold) {
-  NetClass c;
-  for (const geom::Point& p : net.pins) c.bbox.expand(p);
-  if (net.pins.size() < 2 || c.bbox.cell_count() <= 1) {
-    c.trivial = true;
-    return c;
-  }
-  if (static_cast<std::size_t>(c.bbox.cell_count()) > huge_threshold) {
-    return c;  // pre-routed
-  }
-  c.pool = true;
-  return c;
-}
-
-constexpr std::size_t kUnowned = static_cast<std::size_t>(-1);
-
-/// Union `node` with every prior claimant of the rect's cells. Two rects
-/// intersect iff they share at least one cell, so this yields exactly the
-/// rect-intersection connectivity the closure needs.
-void claim_rect(UnionFind& uf, std::vector<std::size_t>& owner,
-                const grid::RegionGrid& g, const geom::Rect& r,
-                std::size_t node) {
-  if (r.empty()) return;
-  for (std::int32_t y = r.lo.y; y <= r.hi.y; ++y) {
-    for (std::int32_t x = r.lo.x; x <= r.hi.x; ++x) {
-      std::size_t& o = owner[g.index(geom::Point{x, y})];
-      if (o == kUnowned) {
-        o = node;
-      } else {
-        uf.unite(node, o);
-      }
-    }
-  }
-}
-
-struct RoutePatch {
-  std::shared_ptr<gsino::RoutingArtifact> artifact;
-  std::size_t rerouted = 0;  ///< pool nets the sub-run re-routed
-  std::size_t reused = 0;    ///< pool nets spliced from the old artifact
-};
-
-RoutePatch patch_routing(const gsino::RoutingProblem& oldp,
-                         const gsino::RoutingProblem& newp,
-                         const gsino::RoutingArtifact& oldart,
-                         const std::vector<std::size_t>& changed) {
-  const router::IdRouterOptions& opt = oldart.options;
-  const grid::RegionGrid& g = newp.grid();
-  const std::vector<router::RouterNet>& nets = newp.router_nets();
-  const std::size_t count = nets.size();
-
-  std::vector<NetClass> cls(count);
-  for (std::size_t n = 0; n < count; ++n) {
-    cls[n] = classify(nets[n], opt.huge_net_bbox_threshold);
-  }
-
-  // Affected closure: pool nets bbox-connected (transitively) to any
-  // changed net's old or new bbox. Old bboxes matter because a net that
-  // interacted with a changed net's *previous* shape can re-route even
-  // when the new shape moved away; unchanged pre-routed/trivial nets are
-  // not connectivity carriers — their contribution to the region
-  // statistics is independent of every pool route.
-  UnionFind uf(count + 1);
-  const std::size_t kSeedNode = count;
-  std::vector<std::size_t> owner(g.region_count(), kUnowned);
-  for (const std::size_t c : changed) {
-    if (c < count) claim_rect(uf, owner, g, cls[c].bbox, kSeedNode);
-    if (c < oldp.net_count()) {
-      const NetClass oc =
-          classify(oldp.router_nets()[c], opt.huge_net_bbox_threshold);
-      claim_rect(uf, owner, g, oc.bbox, kSeedNode);
-    }
-  }
-  for (std::size_t n = 0; n < count; ++n) {
-    if (cls[n].pool) claim_rect(uf, owner, g, cls[n].bbox, n);
-  }
-
-  // Sub-run nets: every pre-routed net stays (cheap, deterministic, and
-  // its fixed presence is read by affected pool nets); unaffected pool
-  // nets empty to trivial no-ops so the deletion loop only ever sees the
-  // affected components — whose projected sequence the tie-break contract
-  // keeps identical to the full run's.
-  RoutePatch out;
-  std::vector<router::RouterNet> subnets = nets;
-  std::vector<char> affected(count, 0);
-  const std::size_t seed_root = uf.find(kSeedNode);
-  for (std::size_t n = 0; n < count; ++n) {
-    if (!cls[n].pool) continue;
-    if (uf.find(n) == seed_root) {
-      affected[n] = 1;
-      ++out.rerouted;
-    } else {
-      subnets[n].pins.clear();
-      ++out.reused;
-    }
-  }
-
-  const router::IdRouter router(g, newp.nss(), opt);
-  router::RoutingResult sub = router.route(subnets);
-
-  // Splice, then recompute the wirelength sum in net order — the same
-  // accumulation order as a full run's collect phase.
-  auto routing = std::make_shared<router::RoutingResult>();
-  routing->routes.resize(count);
-  routing->stats = sub.stats;  // the work actually performed; never hashed
-  double total = 0.0;
-  for (std::size_t n = 0; n < count; ++n) {
-    if (cls[n].pool && !affected[n]) {
-      routing->routes[n] = oldart.routing->routes[n];
-    } else {
-      routing->routes[n] = std::move(sub.routes[n]);
-    }
-    total += routing->routes[n].wirelength_um(g);
-  }
-  routing->total_wirelength_um = total;
-
-  out.artifact = gsino::derive_routing_artifact(newp, opt, newp.params().seed,
-                                                std::move(routing));
-  return out;
-}
 
 struct SolvePatch {
   std::shared_ptr<const gsino::RegionSolveArtifact> artifact;
@@ -378,22 +238,12 @@ DeltaReport DeltaEngine::apply(gsino::FlowSession& s,
   DeltaReport report;
   report.changed_nets = delta.changes.size();
 
-  const gsino::RoutingProblem& oldp = *s.problem_;
-  auto newp =
-      std::make_shared<const gsino::RoutingProblem>(apply_delta(oldp, delta));
+  auto newp = std::make_shared<const gsino::RoutingProblem>(
+      apply_delta(*s.problem_, delta));
   report.problem = newp;
 
-  // Changed slots in the new slot space (kAdd slots number in change
-  // order, matching with_pin_updates' append order).
-  std::vector<std::size_t> changed;
-  changed.reserve(delta.changes.size());
-  std::size_t next_append = oldp.net_count();
-  for (const NetChange& c : delta.changes) {
-    changed.push_back(c.kind == NetChange::Kind::kAdd ? next_append++ : c.net);
-  }
-
-  // Patch every cached routing artifact (one per router profile), keeping
-  // an old->new map so downstream entries re-key onto the patched inputs.
+  // Route the mutated problem once per cached router profile, keeping an
+  // old->new map so downstream entries re-key onto the new artifacts.
   // Every old artifact whose address is used as a map key stays alive
   // until its last lookup: budget entries pin their phase1, solve entries'
   // artifacts pin both their inputs.
@@ -401,18 +251,15 @@ DeltaReport DeltaEngine::apply(gsino::FlowSession& s,
                      std::shared_ptr<const gsino::RoutingArtifact>>
       routes;
   for (auto& e : s.route_cache_) {
-    util::Stopwatch stage_watch;
-    RoutePatch rp = patch_routing(oldp, *newp, *e.artifact, changed);
-    rp.artifact->seconds = stage_watch.seconds();
-    report.nets_rerouted += rp.rerouted;
-    report.nets_reused += rp.reused;
+    auto art = gsino::compute_route(*newp, e.options);
+    report.nets_rerouted += newp->net_count();
     ++report.routes_patched;
     if (s.options_.store) {
       s.options_.store->put_routing(store::routing_key(*newp, e.options),
-                                    *rp.artifact);
+                                    *art);
     }
-    routes.emplace(e.artifact.get(), rp.artifact);
-    e.artifact = std::move(rp.artifact);
+    routes.emplace(e.artifact.get(), art);
+    e.artifact = std::move(art);
   }
 
   // Budgets recompute through the stage path (cheap); entries whose
@@ -475,7 +322,6 @@ DeltaReport DeltaEngine::apply(gsino::FlowSession& s,
 
   s.counters_.delta_applies += 1;
   s.counters_.delta_nets_rerouted += report.nets_rerouted;
-  s.counters_.delta_nets_reused += report.nets_reused;
   s.counters_.delta_regions_solved += report.regions_solved;
   s.counters_.delta_regions_reused += report.regions_reused;
 

@@ -1,5 +1,6 @@
-// Incremental netlist deltas: mutate a handful of nets and re-route only
-// what can change, instead of recomputing Phase I.
+// Incremental netlist deltas: mutate a handful of nets in a live session,
+// route the mutated problem, and carry every clean Phase II region over
+// instead of re-solving it.
 //
 // A NetlistDelta is a batch of slot-preserving net mutations — add,
 // remove, re-pin — applied two ways that must agree bit for bit:
@@ -15,13 +16,17 @@
 // FlowSession::apply_delta(delta) (declared in core/session.h, defined in
 // delta.cpp through the DeltaEngine friend) is the incremental arm: it
 // swaps the session onto the mutated problem and patches every cached
-// artifact — re-routing only the delta's nets plus the bbox-connected
-// closure of pool nets around them, rebuilding only dirty Phase II
-// regions — so that each patched artifact is bit-identical to what a
-// from-scratch session computes. Slot preservation is what makes that
-// possible: removal empties a slot instead of shifting indices, so
-// per-net sensitivities, pairwise-sensitivity draws, and the annealing
-// stream seeds of every untouched net keep their values.
+// artifact — routing the mutated problem through the route stage's own
+// compute, then rebuilding only the dirty Phase II regions — so that each
+// patched artifact is bit-identical to what a from-scratch session
+// computes. Slot preservation is what makes region carry-over possible:
+// removal empties a slot instead of shifting indices, so per-net
+// sensitivities, pairwise-sensitivity draws, and the annealing stream
+// seeds of every untouched net keep their values.
+//
+// Both apply_delta overloads throw std::out_of_range, before mutating
+// anything, when a kRemove or kRepin names a slot outside the pre-delta
+// net range; FlowSession::apply_delta then leaves the session untouched.
 //
 // tests/delta_differential_test.cpp pins the contract: over seeded random
 // delta chains, at threads {1, 8}, with and without the persistent store,
@@ -58,23 +63,28 @@ struct NetlistDelta {
 
 /// Mutate a design in place: kRemove clears the slot's pins (the slot
 /// stays — see the file comment), kRepin replaces them, kAdd appends.
+/// Throws std::out_of_range on a slot outside the design's nets.
 void apply_delta(netlist::Netlist& design, const NetlistDelta& delta);
 
 /// The slot-preserving problem mutation both the incremental engine and
-/// the from-scratch differential arm share.
+/// the from-scratch differential arm share. Throws std::out_of_range on a
+/// slot outside the problem's nets.
 gsino::RoutingProblem apply_delta(const gsino::RoutingProblem& problem,
                                   const NetlistDelta& delta);
 
-/// What one FlowSession::apply_delta() call did. The reuse counts are the
-/// compute avoided by incrementality; results are bit-identical either
+/// What one FlowSession::apply_delta() call did. The reused regions are
+/// the compute avoided by incrementality; results are bit-identical either
 /// way.
 struct DeltaReport {
   /// The mutated problem the session now serves (owned by the session).
   std::shared_ptr<const gsino::RoutingProblem> problem;
   std::size_t changed_nets = 0;    ///< slots the delta touched
   std::size_t routes_patched = 0;  ///< cached routing artifacts patched
-  std::size_t nets_rerouted = 0;   ///< pool nets the delta sub-runs re-routed
-  std::size_t nets_reused = 0;     ///< pool nets spliced from old artifacts
+  std::size_t nets_rerouted = 0;   ///< nets routed, summed over the profiles
+  /// Always 0: no route is reused. Kept only because the perfbench harness
+  /// reads it; due for removal in the next benchmark change (ROADMAP
+  /// item 9).
+  std::size_t nets_reused = 0;
   std::size_t regions_solved = 0;  ///< dirty (region, dir) solves recomputed
   std::size_t regions_reused = 0;  ///< clean (region, dir) solves carried over
   double seconds = 0.0;
@@ -82,10 +92,10 @@ struct DeltaReport {
 
 /// Seeded random delta over a problem's current net set: `changes`
 /// mutations drawn among re-pin / remove / add. Pin sets are ECO-like —
-/// 2-5 pins clustered in a random window of the chip outline, so a
-/// delta's affected closure stays local instead of percolating across
-/// the pool. Pure in (problem net count, outline, seed), so a test or
-/// bench regenerates the identical corpus from the seed.
+/// 2-5 pins clustered in a random window of the chip outline, so a delta
+/// dirties few Phase II regions. Pure in (problem net count, outline,
+/// seed), so a test or bench regenerates the identical corpus from the
+/// seed.
 NetlistDelta random_delta(const gsino::RoutingProblem& problem,
                           std::uint64_t seed, std::size_t changes);
 

@@ -156,8 +156,7 @@ void run_delta_campaign(const gsino::RoutingProblem& problem,
     ++cell.runs;
   }
   const gsino::StageCounters& c = session.counters();
-  cell.compute_avoided =
-      c.delta_nets_reused + c.delta_regions_reused + stage_hits(c);
+  cell.compute_avoided = c.delta_regions_reused + stage_hits(c);
 
   // Differential check: the whole chain applied to the problem up front,
   // then one from-scratch run — route hash and state fingerprint must

@@ -12,14 +12,14 @@
 //                  rule.
 //   kDeltaChain  — a seeded random-ECO chain driven through
 //                  FlowSession::apply_delta (src/scenario/delta.h): each
-//                  step re-routes only the affected closure and re-solves
-//                  only dirty regions.
+//                  step routes the mutated problem and re-solves only
+//                  dirty regions.
 //   kEcoSlice    — a structured ECO: a slice of existing nets re-pinned
 //                  into one window of the chip, applied as a single
 //                  delta.
 //
-// Every cell reports the work it avoided (cache hits, spliced routes,
-// reused region solves) and carries its own differential check: the
+// Every cell reports the work it avoided (cache hits, reused region
+// solves) and carries its own differential check: the
 // final state is recomputed from scratch in a fresh session and must
 // match bit for bit (`fingerprint_match`). tools/check_scenarios.py
 // gates CI on matrix completeness, compute_avoided > 0 for the kinds
@@ -59,9 +59,9 @@ struct ScenarioCell {
   /// FNV-1a over every run's state fingerprint, in campaign order — one
   /// number pinning the whole cell bit for bit.
   std::uint64_t fingerprint = 0;
-  /// Work incrementality avoided: stage cache hits (sweeps) or spliced
-  /// routes + reused region solves (deltas). Zero means the campaign
-  /// recomputed everything.
+  /// Work incrementality avoided: stage cache hits, plus reused region
+  /// solves for the delta kinds. Zero means the campaign recomputed
+  /// everything.
   std::size_t compute_avoided = 0;
   /// 1 iff the campaign's final state matched a from-scratch recompute in
   /// a fresh session (the cell-internal differential check).

@@ -22,7 +22,7 @@ class TreeCache;
 
 /// The one tree-construction path. Kept only because perfbench still names
 /// it in its TreeBuilder::length calls; to be dropped with the `length()`
-/// argument below once it stops (ROADMAP item 7).
+/// argument below once it stops (ROADMAP item 9).
 enum class TreeProfile : std::uint8_t { kFast = 0 };
 
 /// Facade bundling Steiner options with an optional shared cache. Copies of

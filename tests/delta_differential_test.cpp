@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -162,13 +163,12 @@ TEST(DeltaDifferential, ChainMatchesFromScratchAtOneAndEightThreads) {
   }
 
   // The incremental arm really was incremental: route() executed exactly
-  // once (each delta patches through its own sub-run, counted as delta
-  // work), and the Phase II patch reused clean regions on every step.
-  // Net-level reuse is a property of the design, not the engine: this
-  // fixture's pool bbox graph is one connected component (300 local nets
-  // over 144 regions percolate), so every delta re-routes the whole pool
-  // — see ClusteredDesignReusesRoutes for the block-structured case where
-  // the splice pays off.
+  // once (each delta routes the mutated problem as delta work, not as a
+  // route() request), and the Phase II patch reused clean regions on every
+  // step. Every delta routes the whole netlist: the nets a change can
+  // move are closed under transitive region sharing, and in this fixture
+  // (300 local nets over 144 regions) that closure percolates across the
+  // whole pool. What stays local is the set of dirty (region, dir) cells.
   EXPECT_EQ(counters.delta_applies, kSteps);
   EXPECT_EQ(counters.route_executed, 1u);
   EXPECT_GT(counters.delta_nets_rerouted, 0u);
@@ -330,7 +330,7 @@ TEST(DeltaDifferential, EmptyDeltaIsIdentity) {
 
   const DeltaReport report = session.apply_delta(NetlistDelta{});
   EXPECT_EQ(report.changed_nets, 0u);
-  EXPECT_EQ(report.nets_rerouted, 0u);
+  EXPECT_EQ(report.nets_rerouted, p0.net_count());
   EXPECT_EQ(report.problem->fingerprint(), p0.fingerprint());
 
   const StepState after = observe(session.run(gsino::FlowKind::kGsino));
@@ -338,12 +338,11 @@ TEST(DeltaDifferential, EmptyDeltaIsIdentity) {
 }
 
 // A block-structured design — nine 3x3-region clusters separated by an
-// empty region row/column — keeps the pool's bbox components cluster-
-// local, so a clustered ECO re-routes one component and splices every
-// other cluster's routes from the old artifact. Percolated designs (see
-// the chain test) degrade gracefully to a full re-route, still bit-
-// identical; this is the case incrementality was built for.
-TEST(DeltaDifferential, ClusteredDesignReusesRoutes) {
+// empty region row/column — with a clustered ECO confined to one cluster:
+// the other eight clusters' Phase II regions carry over, and the patched
+// routing artifact is a full route of the mutated problem, down to the
+// router's own work counters (which feed the post-delta router.* metrics).
+TEST(DeltaDifferential, ClusteredDesignReusesRegions) {
   netlist::SyntheticSpec spec = netlist::tiny_spec(0, 5);
   spec.grid_cols = 12;
   spec.grid_rows = 12;
@@ -398,21 +397,64 @@ TEST(DeltaDifferential, ClusteredDesignReusesRoutes) {
   const StepState initial = observe(session.run(gsino::FlowKind::kGsino));
   const DeltaReport report = session.apply_delta(delta);
 
-  // The other eight clusters' pool nets spliced; only cluster 0's
-  // component re-routed.
-  EXPECT_GT(report.nets_reused, 100u);
-  EXPECT_GT(report.nets_rerouted, 0u);
-  EXPECT_LT(report.nets_rerouted, 50u);
   EXPECT_GT(report.regions_reused, 0u);
 
-  const StepState inc = observe(session.run(gsino::FlowKind::kGsino));
+  const gsino::FlowResult inc_run = session.run(gsino::FlowKind::kGsino);
+  const StepState inc = observe(inc_run);
   EXPECT_FALSE(inc == initial);  // the ECO really moved the state
 
   const gsino::RoutingProblem p1 = apply_delta(p0, delta);
   gsino::FlowSession scratch(p1);
-  const StepState want = observe(scratch.run(gsino::FlowKind::kGsino));
+  const gsino::FlowResult want_run = scratch.run(gsino::FlowKind::kGsino);
+  const StepState want = observe(want_run);
   EXPECT_EQ(inc.route_hash, want.route_hash);
   EXPECT_EQ(inc.fingerprint, want.fingerprint);
+
+  const router::RoutingStats& got_stats = inc_run.routing().stats;
+  const router::RoutingStats& want_stats = want_run.routing().stats;
+  EXPECT_EQ(got_stats.edges_initial, want_stats.edges_initial);
+  EXPECT_EQ(got_stats.edges_deleted, want_stats.edges_deleted);
+  EXPECT_EQ(got_stats.edges_locked, want_stats.edges_locked);
+  EXPECT_EQ(got_stats.reinserts, want_stats.reinserts);
+  EXPECT_EQ(got_stats.prerouted_nets, want_stats.prerouted_nets);
+}
+
+// A kRemove or kRepin naming a slot past the net count is rejected by both
+// arms before either mutates anything — even a valid change earlier in the
+// same delta stays unapplied — and the session keeps serving its problem.
+TEST(DeltaDifferential, OutOfRangeSlotIsRejectedByBothArms) {
+  const Pipeline pipe(200);
+  const gsino::RoutingProblem p0 = pipe.problem();
+  gsino::FlowSession session(p0);
+  const StepState before = observe(session.run(gsino::FlowKind::kGsino));
+  const gsino::StageCounters warm = session.counters();
+
+  for (const NetChange::Kind kind :
+       {NetChange::Kind::kRemove, NetChange::Kind::kRepin}) {
+    NetlistDelta delta;
+    delta.changes.push_back(
+        {NetChange::Kind::kRepin, 0, {{10.0, 10.0}, {90.0, 40.0}}, ""});
+    delta.changes.push_back(
+        {kind, p0.net_count(), {{20.0, 20.0}, {80.0, 60.0}}, ""});
+
+    netlist::Netlist design = pipe.design;
+    EXPECT_THROW(apply_delta(design, delta), std::out_of_range);
+    EXPECT_EQ(design.net_count(), pipe.design.net_count());
+    EXPECT_EQ(design.net(0).pins.size(), pipe.design.net(0).pins.size());
+    EXPECT_EQ(design.net(0).pins.front().pos.x,
+              pipe.design.net(0).pins.front().pos.x);
+
+    EXPECT_THROW(apply_delta(p0, delta), std::out_of_range);
+    EXPECT_THROW(session.apply_delta(delta), std::out_of_range);
+    EXPECT_EQ(session.problem().fingerprint(), p0.fingerprint());
+  }
+
+  EXPECT_TRUE(observe(session.run(gsino::FlowKind::kGsino)) == before);
+  const gsino::StageCounters after = session.counters();
+  EXPECT_EQ(after.delta_applies, 0u);
+  EXPECT_EQ(after.route_executed, warm.route_executed);
+  EXPECT_EQ(after.solve_executed, warm.solve_executed);
+  EXPECT_EQ(after.refine_executed, warm.refine_executed);
 }
 
 // ------------------------------------------------------ property sweep

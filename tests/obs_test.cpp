@@ -269,7 +269,6 @@ TEST(Metrics, EveryStatsFieldAppearsInTheRegistryExactlyOnce) {
   c.refine_loaded = v++;
   c.delta_applies = v++;
   c.delta_nets_rerouted = v++;
-  c.delta_nets_reused = v++;
   c.delta_regions_solved = v++;
   c.delta_regions_reused = v++;
 
@@ -307,23 +306,23 @@ TEST(Metrics, EveryStatsFieldAppearsInTheRegistryExactlyOnce) {
   obs::append_metrics(snap, f);
   obs::append_metrics(snap, st);
 
-  // 17 + 7 + 6 + 9 exported fields across the four structs (RoutingStats'
+  // 16 + 7 + 6 + 9 exported fields across the four structs (RoutingStats'
   // two always-zero spec_* fields are not exported).
-  EXPECT_EQ(snap.metrics().size(), 39u);
+  EXPECT_EQ(snap.metrics().size(), 38u);
 
   const std::vector<std::pair<std::string, double>> expected = {
       {"session.route_requests", 1},
       {"session.refine_loaded", 12},
       {"session.delta_applies", 13},
-      {"session.delta_regions_reused", 17},
-      {"router.edges_initial", 18},
-      {"router.rsmt_fallback_nets", 23},
+      {"session.delta_regions_reused", 16},
+      {"router.edges_initial", 17},
+      {"router.rsmt_fallback_nets", 22},
       {"router.runtime_s", 0.25},
-      {"refine.pass1_nets_fixed", 24},
-      {"refine.pass2_rejected", 29},
-      {"store.hits", 30},
-      {"store.lock_waits", 36},
-      {"store.bytes_read", 38},
+      {"refine.pass1_nets_fixed", 23},
+      {"refine.pass2_rejected", 28},
+      {"store.hits", 29},
+      {"store.lock_waits", 35},
+      {"store.bytes_read", 37},
   };
   for (const auto& [name, want] : expected) {
     EXPECT_TRUE(snap.has(name)) << name;

@@ -12,9 +12,9 @@ Checks:
   - every cell ran more than one flow (runs > 1: a campaign of one run
     has nothing to share or patch);
   - every cell records compute_avoided > 0 — the sweeps must reuse the
-    shared routing artifact and the delta kinds must splice routes /
-    reuse region solves; zero means the incrementality machinery
-    silently degraded to full recomputes;
+    shared routing artifact and the delta kinds must carry clean region
+    solves over; zero means the incrementality machinery silently
+    degraded to full recomputes;
   - every cell records fingerprint_match == 1: each campaign's final
     state, recomputed from scratch in a fresh session, matched the
     incremental result bit for bit (the differential contract of

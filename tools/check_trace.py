@@ -45,7 +45,7 @@ REQUIRED_SPANS = [
 ]
 
 REQUIRED_METRICS = [
-    # session.* — StageCounters (17)
+    # session.* — StageCounters (16)
     "session.route_requests", "session.route_executed",
     "session.route_loaded", "session.budget_requests",
     "session.budget_executed", "session.budget_loaded",
@@ -53,8 +53,7 @@ REQUIRED_METRICS = [
     "session.solve_loaded", "session.refine_requests",
     "session.refine_executed", "session.refine_loaded",
     "session.delta_applies", "session.delta_nets_rerouted",
-    "session.delta_nets_reused", "session.delta_regions_solved",
-    "session.delta_regions_reused",
+    "session.delta_regions_solved", "session.delta_regions_reused",
     # router.* — RoutingStats (7 exported)
     "router.edges_initial", "router.edges_deleted", "router.edges_locked",
     "router.reinserts", "router.prerouted_nets", "router.rsmt_fallback_nets",

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "obs/trace.h"
@@ -234,7 +235,7 @@ void LocalRefiner::reduce_congestion(FlowState& fs, RefineStats& stats) const {
       const double dens = fs.solution_density(si);
       if (eligible(si, dens)) entries.push_back({dens, heap_id(si)});
     }
-    heap.build(entries);
+    heap.build(std::move(entries));
   }
 
   for (int outer = 0; outer < params.lr_max_outer_pass2 && !heap.empty();

@@ -27,10 +27,10 @@ constexpr std::uint8_t kStateMask = 0x3;
 constexpr std::uint8_t kCertifiedBit = 0x4;  ///< never-deletable certificate
 constexpr std::uint8_t kOnCertBit = 0x8;     ///< on the positive cert paths
 
-/// How many deletable() BFS runs a net absorbs before its no-BFS
-/// certificates (frozen flag, bridge pass, pin paths) are refreshed. Purely
-/// a work-scheduling knob: certificates are sound, so the refresh cadence
-/// cannot change routing output, only how many BFS calls are skipped.
+/// How many deletable() BFS runs a net absorbs before its certified pin
+/// paths are refreshed from a fresh BFS. Purely a work-scheduling knob:
+/// certificates are sound, so the refresh cadence cannot change routing
+/// output, only how many BFS calls are skipped.
 constexpr int kCertifyInterval = 4;
 
 /// Everything the deletion loop's hot paths need about a candidate edge,
@@ -81,7 +81,6 @@ struct NetWork {
   /// shared region records by the ordered combiner.
   std::vector<std::uint64_t> present_keys;
   int bfs_since_certify = 0;
-  int locks_since_tarjan = 1;  ///< run the first bridge pass unconditionally
   /// Positive certificate: local edge ids forming one certified
   /// source->pin path family, every pin within its detour limit. An edge
   /// off these paths is deletable without BFS — the paths survive its
@@ -133,22 +132,33 @@ struct NetWork {
   }
 };
 
-/// Reusable BFS / cert-path-walk scratch for deletability checks.
+/// Reusable per-net search scratch, one per worker: the deletability BFS,
+/// the certified-path walk, the seed bridge pass (iterative Tarjan DFS) and
+/// the collect pass's path extraction. Sized for the largest net graph.
 struct BfsScratch {
   std::vector<std::uint32_t> stamp;  ///< per-vertex visit stamp
   std::vector<std::int32_t> dist;    ///< BFS depth per vertex
-  std::vector<std::int32_t> parent;  ///< BFS parent edge per vertex
+  std::vector<std::int32_t> parent;  ///< BFS/DFS parent edge per vertex
   std::uint32_t epoch = 0;
   std::vector<std::int32_t> queue;
-  std::vector<std::uint32_t> edge_mark;  ///< per-edge stamp (cert-path walk)
+  std::vector<std::uint32_t> edge_mark;  ///< per-edge stamp (path walks)
   std::uint32_t mark_epoch = 0;
+  // Bridge-pass DFS state: discovery time, lowlink, pins in the subtree,
+  // adjacency cursor per vertex, and the explicit stack.
+  std::vector<std::int32_t> tin, low, pins, cursor, stack;
 
   void init(std::size_t vertices, std::size_t edges) {
+    if (!stamp.empty() || vertices == 0) return;  // sized once per route()
     stamp.assign(vertices, 0);
     dist.assign(vertices, 0);
     parent.assign(vertices, -1);
     queue.reserve(vertices);
     edge_mark.assign(edges, 0);
+    tin.assign(vertices, 0);
+    low.assign(vertices, 0);
+    pins.assign(vertices, 0);
+    cursor.assign(vertices, 0);
+    stack.reserve(vertices);
   }
 };
 
@@ -645,12 +655,6 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
     }
   };
 
-  // Per-net flags mirror into flat arrays so the pop loop's fast paths
-  // never touch the big NetWork records (EdgeHot itself was filled by the
-  // parallel build above).
-  std::vector<std::uint8_t> net_frozen(works.size(), 0);
-  std::vector<std::uint8_t> net_cert_valid(works.size(), 0);
-
   // The Eq. (2) combine off already-fresh caches: pure and read-only, so
   // the parallel initial-key pass can share it race-free; current_weight
   // adds the lazy refresh the serial deletion loop needs.
@@ -678,30 +682,14 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
     for (std::size_t r = 0; r < region_count; ++r) refresh_region(rec[d][r], d);
   }
 
-  util::IndexedMaxHeap heap(total_edges);
-  {
-    std::vector<util::IndexedMaxHeap::Entry> heap_init(total_edges);
-    constexpr std::size_t kWeightGrain = 4096;  // edges per chunk (fixed)
-    parallel::parallel_for(
-        total_edges, kWeightGrain, threads,
-        [&](std::size_t begin, std::size_t end, int) {
-          for (std::size_t gid = begin; gid < end; ++gid) {
-            heap_init[gid] = util::IndexedMaxHeap::Entry{
-                weight_from_cache(ehot[gid]), static_cast<std::int32_t>(gid)};
-          }
-        });
-    heap.build(heap_init);
-  }
-
-  // --------------------------------------------------- shared BFS scratch
+  // ------------------------------------------------ per-worker scratch
   std::size_t max_vertices = 0, max_edges = 0;
   for (const NetWork& wk : works) {
     if (wk.prerouted) continue;
     max_vertices = std::max(max_vertices, wk.vertex_count());
     max_edges = std::max(max_edges, wk.edge_count);
   }
-  BfsScratch scratch;
-  scratch.init(max_vertices, max_edges);
+  std::vector<BfsScratch> scratch(static_cast<std::size_t>(threads));
 
   /// Early-exit bounded BFS from the source over active edges, optionally
   /// skipping one edge. Returns the deletability verdict directly: true as
@@ -710,8 +698,8 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
   /// exceeds the largest pin limit (no pin can be certified any more), or
   /// when the frontier dries up. Identical verdicts to a full-graph BFS —
   /// it just refuses to flood the rest of the bounding box.
-  auto deletable_bfs = [&](const NetWork& wk, std::int32_t skip_edge) {
-    BfsScratch& sc = scratch;
+  auto deletable_bfs = [&](const NetWork& wk, std::int32_t skip_edge,
+                           BfsScratch& sc) {
     ++sc.epoch;
     sc.queue.clear();
     std::size_t uncertified = wk.pin_locals.size();
@@ -751,22 +739,21 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
   /// every pin (still in scratch) as the net's positive certificate: clear
   /// the old family's bits, walk the new family (path joins dedup through
   /// the scratch's stamped edge marks), set its bits.
-  auto adopt_cert_paths = [&](NetWork& wk, std::size_t n) {
+  auto adopt_cert_paths = [&](NetWork& wk, BfsScratch& sc) {
     for (const std::int32_t ei : wk.cert_edges) {
       ehot[wk.gid_base + static_cast<std::size_t>(ei)].meta &=
           static_cast<std::uint8_t>(~kOnCertBit);
     }
     wk.cert_edges.clear();
-    ++scratch.mark_epoch;
+    ++sc.mark_epoch;
     for (const std::int32_t pl : wk.pin_locals) {
       std::int32_t v = pl;
       while (v != wk.src_local) {
-        const std::int32_t ei = scratch.parent[static_cast<std::size_t>(v)];
-        if (scratch.edge_mark[static_cast<std::size_t>(ei)] ==
-            scratch.mark_epoch) {
+        const std::int32_t ei = sc.parent[static_cast<std::size_t>(v)];
+        if (sc.edge_mark[static_cast<std::size_t>(ei)] == sc.mark_epoch) {
           break;  // joined a path already collected by this walk
         }
-        scratch.edge_mark[static_cast<std::size_t>(ei)] = scratch.mark_epoch;
+        sc.edge_mark[static_cast<std::size_t>(ei)] = sc.mark_epoch;
         wk.cert_edges.push_back(ei);
         const LocalEdge& e = wk.edges[static_cast<std::size_t>(ei)];
         v = (e.u == v) ? e.v : e.u;
@@ -775,98 +762,54 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
     for (const std::int32_t ei : wk.cert_edges) {
       ehot[wk.gid_base + static_cast<std::size_t>(ei)].meta |= kOnCertBit;
     }
-    net_cert_valid[n] = 1;
   };
 
-  // Iterative-DFS scratch for the bridge pass.
-  std::vector<std::int32_t> dfs_tin(max_vertices, 0), dfs_low(max_vertices, 0),
-      dfs_pins(max_vertices, 0), dfs_parent(max_vertices, -1),
-      dfs_cursor(max_vertices, 0);
-  std::vector<std::int32_t> dfs_stack;
-  dfs_stack.reserve(max_vertices);
-
-  /// Certificate refresh: one no-skip BFS to detect a frozen net (some pin
-  /// already unreachable or over-limit — then nothing is ever deletable
-  /// again) and to adopt fresh positive pin paths, then one DFS (Tarjan
-  /// lowlink) marking every bridge with a pin strictly behind it as
-  /// never-deletable. All three certificates are monotone under edge
-  /// removal, so they stay valid as deletion proceeds.
-  auto certify = [&](NetWork& wk, std::size_t n) {
-    wk.bfs_since_certify = 0;
-    if (!deletable_bfs(wk, -1)) {
-      // Frozen: some pin is already unreachable or over-limit with no edge
-      // skipped, so every remaining deletability verdict of this net is
-      // false regardless of how its graph shrinks further. Lock the whole
-      // remainder now — locking has no effect on shared statistics or on
-      // other nets — and erase the entries so the pop loop never touches
-      // them again.
-      net_frozen[n] = 1;
-      net_cert_valid[n] = 0;
-      for (std::size_t ei = 0; ei < wk.edge_count; ++ei) {
-        LocalEdge& e = wk.edges[ei];
-        if (e.state != kActive) continue;
-        e.state = kLocked;
-        std::uint8_t& meta = ehot[wk.gid_base + ei].meta;
-        meta = static_cast<std::uint8_t>((meta & ~kStateMask) | kLocked);
-        ++result.stats.edges_locked;
-        // Remove the heap entry in place: a mid-heap erase sifts only a
-        // level or two, where draining it later through the top would pay
-        // the full tree depth.
-        const auto gid = static_cast<std::int32_t>(wk.gid_base + ei);
-        if (heap.contains(gid)) heap.erase(gid);
-      }
-      return;
-    }
-    adopt_cert_paths(wk, n);
-    // The bridge pass only pays off where locks happen (bridges are what
-    // refuses deletion); skip it while the net is still deleting freely.
-    if (wk.locks_since_tarjan == 0) return;
-    wk.locks_since_tarjan = 0;
-    ++scratch.epoch;
+  /// Bridge pass: one iterative DFS (Tarjan lowlink) marking every bridge
+  /// with a pin strictly behind it as never-deletable.
+  auto mark_bridges = [&](const NetWork& wk, BfsScratch& sc) {
+    ++sc.epoch;
     std::int32_t timer = 0;
-    dfs_stack.clear();
-    const std::int32_t src = wk.src_local;
-    scratch.stamp[static_cast<std::size_t>(src)] = scratch.epoch;
-    dfs_tin[static_cast<std::size_t>(src)] = timer++;
-    dfs_low[static_cast<std::size_t>(src)] = dfs_tin[static_cast<std::size_t>(src)];
-    dfs_pins[static_cast<std::size_t>(src)] =
-        wk.pin_index[static_cast<std::size_t>(src)] >= 0 ? 1 : 0;
-    dfs_parent[static_cast<std::size_t>(src)] = -1;
-    dfs_cursor[static_cast<std::size_t>(src)] =
-        wk.adj_offset[static_cast<std::size_t>(src)];
-    dfs_stack.push_back(src);
-    while (!dfs_stack.empty()) {
-      const std::int32_t v = dfs_stack.back();
+    sc.stack.clear();
+    const auto src = static_cast<std::size_t>(wk.src_local);
+    sc.stamp[src] = sc.epoch;
+    sc.tin[src] = timer++;
+    sc.low[src] = sc.tin[src];
+    sc.pins[src] = wk.pin_index[src] >= 0 ? 1 : 0;
+    sc.parent[src] = -1;
+    sc.cursor[src] = wk.adj_offset[src];
+    sc.stack.push_back(wk.src_local);
+    while (!sc.stack.empty()) {
+      const std::int32_t v = sc.stack.back();
       const auto uv = static_cast<std::size_t>(v);
-      if (dfs_cursor[uv] < wk.adj_offset[uv + 1]) {
+      if (sc.cursor[uv] < wk.adj_offset[uv + 1]) {
         const std::int32_t ei =
-            wk.adj_edges[static_cast<std::size_t>(dfs_cursor[uv]++)];
-        if (ei == dfs_parent[uv]) continue;
+            wk.adj_edges[static_cast<std::size_t>(sc.cursor[uv]++)];
+        if (ei == sc.parent[uv]) continue;
         const LocalEdge& e = wk.edges[static_cast<std::size_t>(ei)];
         if (e.state != kActive) continue;
         const std::int32_t other = (e.u == v) ? e.v : e.u;
         const auto uo = static_cast<std::size_t>(other);
-        if (scratch.stamp[uo] == scratch.epoch) {
-          dfs_low[uv] = std::min(dfs_low[uv], dfs_tin[uo]);
+        if (sc.stamp[uo] == sc.epoch) {
+          sc.low[uv] = std::min(sc.low[uv], sc.tin[uo]);
         } else {
-          scratch.stamp[uo] = scratch.epoch;
-          dfs_tin[uo] = timer++;
-          dfs_low[uo] = dfs_tin[uo];
-          dfs_pins[uo] = wk.pin_index[uo] >= 0 ? 1 : 0;
-          dfs_parent[uo] = ei;
-          dfs_cursor[uo] = wk.adj_offset[uo];
-          dfs_stack.push_back(other);
+          sc.stamp[uo] = sc.epoch;
+          sc.tin[uo] = timer++;
+          sc.low[uo] = sc.tin[uo];
+          sc.pins[uo] = wk.pin_index[uo] >= 0 ? 1 : 0;
+          sc.parent[uo] = ei;
+          sc.cursor[uo] = wk.adj_offset[uo];
+          sc.stack.push_back(other);
         }
       } else {
-        dfs_stack.pop_back();
-        const std::int32_t pei = dfs_parent[uv];
+        sc.stack.pop_back();
+        const std::int32_t pei = sc.parent[uv];
         if (pei >= 0) {
           const LocalEdge& e = wk.edges[static_cast<std::size_t>(pei)];
           const std::int32_t parent = (e.u == v) ? e.v : e.u;
           const auto up = static_cast<std::size_t>(parent);
-          dfs_low[up] = std::min(dfs_low[up], dfs_low[uv]);
-          dfs_pins[up] += dfs_pins[uv];
-          if (dfs_low[uv] > dfs_tin[up] && dfs_pins[uv] > 0) {
+          sc.low[up] = std::min(sc.low[up], sc.low[uv]);
+          sc.pins[up] += sc.pins[uv];
+          if (sc.low[uv] > sc.tin[up] && sc.pins[uv] > 0) {
             ehot[wk.gid_base + static_cast<std::size_t>(pei)].meta |=
                 kCertifiedBit;
           }
@@ -875,11 +818,85 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
     }
   };
 
-  // Seed every net's certificates once: degenerate (1-wide) bounding boxes
-  // are all bridges and never pay a single deletability BFS, and the
-  // initial pin paths let off-path edges delete without one either.
-  for (std::size_t n = 0; n < works.size(); ++n) {
-    if (!works[n].prerouted) certify(works[n], n);
+  // The heap exists, still empty, from here on so freeze() can test
+  // membership: seed certification runs before the heap is built.
+  util::IndexedMaxHeap heap(total_edges);
+
+  /// Freeze a net whose pins fail certification: lock every active edge,
+  /// erase the heap entries, return how many edges locked. The BFS walks
+  /// active edges only, so once any edge of a net locks — an edge without
+  /// which some pin fails — every later verdict of that net is "lock" as
+  /// well; locking the remainder at once decides exactly those verdicts
+  /// without paying their pops, re-keys and BFS runs. Locking touches no
+  /// shared statistic, so no other net's weights move.
+  auto freeze = [&](NetWork& wk) {
+    std::size_t locked = 0;
+    for (std::size_t ei = 0; ei < wk.edge_count; ++ei) {
+      LocalEdge& e = wk.edges[ei];
+      if (e.state != kActive) continue;
+      e.state = kLocked;
+      std::uint8_t& meta = ehot[wk.gid_base + ei].meta;
+      meta = static_cast<std::uint8_t>((meta & ~kStateMask) | kLocked);
+      ++locked;
+      // A mid-heap erase sifts only a level or two, where draining the
+      // entry later through the top would pay the full tree depth.
+      const auto gid = static_cast<std::int32_t>(wk.gid_base + ei);
+      if (heap.contains(gid)) heap.erase(gid);
+    }
+    return locked;
+  };
+
+  // Seed every net's certificates once, in chunks of nets on the pool
+  // (certificates are per net, so the outcome is thread-count-free): a net
+  // whose pins already fail with no edge skipped freezes; every other net
+  // adopts its initial pin paths, so off-path edges delete without a BFS,
+  // and runs the bridge pass, so degenerate (1-wide) bounding boxes never
+  // pay a single deletability BFS. Bridges are marked here only: a net
+  // freezes at its first lock, so its graph never shrinks by a lock while
+  // it still has heap entries.
+  constexpr std::size_t kNetGrain = 64;  // nets per chunk (fixed)
+  parallel::ordered_reduce<std::size_t>(
+      works.size(), kNetGrain, threads,
+      [&](std::size_t begin, std::size_t end, int worker) {
+        BfsScratch& sc = scratch[static_cast<std::size_t>(worker)];
+        sc.init(max_vertices, max_edges);
+        std::size_t locked = 0;
+        for (std::size_t n = begin; n < end; ++n) {
+          NetWork& wk = works[n];
+          if (wk.prerouted) continue;
+          if (!deletable_bfs(wk, -1, sc)) {
+            locked += freeze(wk);
+            continue;
+          }
+          adopt_cert_paths(wk, sc);
+          mark_bridges(wk, sc);
+        }
+        return locked;
+      },
+      [&](std::size_t, std::size_t&& locked) {
+        result.stats.edges_locked += locked;
+      });
+
+  {
+    std::vector<util::IndexedMaxHeap::Entry> heap_init(total_edges);
+    constexpr std::size_t kWeightGrain = 4096;  // edges per chunk (fixed)
+    parallel::parallel_for(
+        total_edges, kWeightGrain, threads,
+        [&](std::size_t begin, std::size_t end, int) {
+          for (std::size_t gid = begin; gid < end; ++gid) {
+            heap_init[gid] = util::IndexedMaxHeap::Entry{
+                weight_from_cache(ehot[gid]), static_cast<std::int32_t>(gid)};
+          }
+        });
+    // Nets frozen at seed enter the deletion loop without entries. The pop
+    // order is a function of the (key, id) set alone, not of the layout.
+    if (result.stats.edges_locked > 0) {
+      std::erase_if(heap_init, [&](const util::IndexedMaxHeap::Entry& en) {
+        return (ehot[static_cast<std::size_t>(en.id)].meta & kStateMask) !=
+               kActive;
+      });
+    }
+    heap.build(std::move(heap_init));
   }
 
   // ------------------------------------------------------------- deletion
@@ -893,8 +910,14 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
   // recomputation, and without the old `max_reinserts_per_edge` safety cap
   // (termination is structural: a re-key needs a strict weight drop, which
   // needs an intervening deletion, and deletions are finite).
+  //
+  // Every net with heap entries has never locked an edge, so its certified
+  // pin paths are always current: each deletion of an on-path edge adopts
+  // the paths of the BFS that approved it.
   phase_span.emplace("router.deletion", "router");
   phase_span->arg("candidates", static_cast<double>(heap.size()));
+  BfsScratch& sc = scratch.front();
+  sc.init(max_vertices, max_edges);
   while (!heap.empty()) {
     const auto [gid, stored] = heap.top();
     const auto ugid = static_cast<std::size_t>(gid);
@@ -908,53 +931,41 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
     }
     heap.pop();
 
-    const std::size_t n = static_cast<std::size_t>(gid_net[ugid]);
-    // Certificate verdict: 0 = lock (negative certificate, no BFS),
-    // 1 = delete (positive certificate: the certified pin paths survive
-    // this edge's removal), -1 = no certificate applies.
+    NetWork& wk = works[static_cast<std::size_t>(gid_net[ugid])];
+    // Certificate verdict: 0 = lock (negative certificate: a bridge with a
+    // pin behind it), 1 = delete (positive certificate: the certified pin
+    // paths survive this edge's removal), -1 = no certificate applies.
     auto cert_verdict = [&]() -> int {
-      if (net_frozen[n] || (h.meta & kCertifiedBit)) {
-        // Locking removes this edge from the active pool; a positive
-        // certificate whose paths ran through it is no longer sound.
-        if (h.meta & kOnCertBit) net_cert_valid[n] = 0;
-        return 0;
-      }
-      if (net_cert_valid[n] && !(h.meta & kOnCertBit)) return 1;
+      if (h.meta & kCertifiedBit) return 0;
+      if (!(h.meta & kOnCertBit)) return 1;
       return -1;
     };
     int verdict = cert_verdict();
     if (verdict < 0) {
-      NetWork& wk = works[n];
       if (wk.bfs_since_certify >= kCertifyInterval) {
-        certify(wk, n);
+        // Refresh the pin paths; the no-skip BFS cannot fail, since the
+        // current paths are still active and certify every pin.
+        wk.bfs_since_certify = 0;
+        deletable_bfs(wk, -1, sc);
+        adopt_cert_paths(wk, sc);
         verdict = cert_verdict();  // the refresh may have decided it
       }
       if (verdict < 0) {
         ++wk.bfs_since_certify;
         const bool bfs_ok =
-            deletable_bfs(wk, static_cast<std::int32_t>(ugid - wk.gid_base));
-        if (bfs_ok) adopt_cert_paths(wk, n);  // excludes this edge
-        if (!bfs_ok && (h.meta & kOnCertBit)) {
-          net_cert_valid[n] = 0;  // locking breaks the certified paths
-        }
+            deletable_bfs(wk, static_cast<std::int32_t>(ugid - wk.gid_base), sc);
+        if (bfs_ok) adopt_cert_paths(wk, sc);  // excludes this edge
         verdict = bfs_ok ? 1 : 0;
       }
     }
-    const bool ok = verdict == 1;
-
-    NetWork& wk = works[n];
-    LocalEdge& e = wk.edges[ugid - wk.gid_base];
-    if (!ok) {
-      if (e.state == kActive) {  // may already be bulk-locked by a freeze
-        e.state = kLocked;  // a pin-bridge (or guard-essential edge) stays
-        h.meta = static_cast<std::uint8_t>((h.meta & ~kStateMask) | kLocked);
-        ++result.stats.edges_locked;
-        ++wk.locks_since_tarjan;
-      }
+    if (verdict == 0) {
+      // A pin-bridge (or guard-essential edge) stays, and the net freezes.
+      result.stats.edges_locked += freeze(wk);
       continue;
     }
 
     // Delete the edge and update presence statistics incrementally.
+    LocalEdge& e = wk.edges[ugid - wk.gid_base];
     e.state = kDeleted;
     h.meta = static_cast<std::uint8_t>((h.meta & ~kStateMask) | kDeleted);
     ++result.stats.edges_deleted;
@@ -1007,75 +1018,72 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
   // refused to delete; extract the BFS shortest-path tree from the source
   // and keep only the edges on some source->pin path. This preserves the
   // guard's path-length certificates while dropping redundant edges.
-  std::vector<std::int32_t> parent_edge(max_vertices, -1);
-  std::vector<std::uint32_t> edge_seen(max_edges, 0);
-  std::uint32_t seen_epoch = 0;
-  std::vector<std::int32_t> kept;
-  for (std::size_t n = 0; n < works.size(); ++n) {
-    NetWork& wk = works[n];
-    NetRoute& route = result.routes[n];
-    if (wk.prerouted) {
-      route.edges = std::move(wk.fixed_edges);
-      result.total_wirelength_um += route.wirelength_um(*grid_);
-      continue;
-    }
-
+  // Nets extract independently on the pool; the wire-length total is then
+  // summed in net order, so it is bit-identical at any thread count.
+  auto collect_route = [&](const NetWork& wk, NetRoute& route,
+                           BfsScratch& cs) {
     // BFS with parent pointers over non-deleted edges.
-    ++scratch.epoch;
-    scratch.queue.clear();
-    scratch.queue.push_back(wk.src_local);
-    scratch.stamp[static_cast<std::size_t>(wk.src_local)] =
-        scratch.epoch;
-    parent_edge[static_cast<std::size_t>(wk.src_local)] = -1;
-    for (std::size_t head = 0; head < scratch.queue.size(); ++head) {
-      const std::int32_t v = scratch.queue[head];
+    ++cs.epoch;
+    cs.queue.clear();
+    cs.queue.push_back(wk.src_local);
+    cs.stamp[static_cast<std::size_t>(wk.src_local)] = cs.epoch;
+    cs.parent[static_cast<std::size_t>(wk.src_local)] = -1;
+    for (std::size_t head = 0; head < cs.queue.size(); ++head) {
+      const std::int32_t v = cs.queue[head];
       for (std::int32_t i = wk.adj_offset[static_cast<std::size_t>(v)];
            i < wk.adj_offset[static_cast<std::size_t>(v) + 1]; ++i) {
         const std::int32_t ei = wk.adj_edges[static_cast<std::size_t>(i)];
         const LocalEdge& e = wk.edges[static_cast<std::size_t>(ei)];
         if (e.state == kDeleted) continue;
         const std::int32_t other = (e.u == v) ? e.v : e.u;
-        if (scratch.stamp[static_cast<std::size_t>(other)] ==
-            scratch.epoch) {
-          continue;
-        }
-        scratch.stamp[static_cast<std::size_t>(other)] =
-            scratch.epoch;
-        parent_edge[static_cast<std::size_t>(other)] = ei;
-        scratch.queue.push_back(other);
+        if (cs.stamp[static_cast<std::size_t>(other)] == cs.epoch) continue;
+        cs.stamp[static_cast<std::size_t>(other)] = cs.epoch;
+        cs.parent[static_cast<std::size_t>(other)] = ei;
+        cs.queue.push_back(other);
       }
     }
 
     // Union of source->pin parent paths (stamped edge set, no hashing).
-    ++seen_epoch;
-    kept.clear();
+    ++cs.mark_epoch;
     for (const std::int32_t pl : wk.pin_locals) {
       std::int32_t v = pl;
       while (v != wk.src_local &&
-             scratch.stamp[static_cast<std::size_t>(v)] ==
-                 scratch.epoch) {
-        const std::int32_t ei = parent_edge[static_cast<std::size_t>(v)];
-        if (ei < 0 || edge_seen[static_cast<std::size_t>(ei)] == seen_epoch) {
+             cs.stamp[static_cast<std::size_t>(v)] == cs.epoch) {
+        const std::int32_t ei = cs.parent[static_cast<std::size_t>(v)];
+        if (ei < 0 || cs.edge_mark[static_cast<std::size_t>(ei)] ==
+                          cs.mark_epoch) {
           break;  // joined an existing path
         }
-        edge_seen[static_cast<std::size_t>(ei)] = seen_epoch;
-        kept.push_back(ei);
+        cs.edge_mark[static_cast<std::size_t>(ei)] = cs.mark_epoch;
         const LocalEdge& e = wk.edges[static_cast<std::size_t>(ei)];
+        route.edges.push_back(make_edge(wk.global(e.u), wk.global(e.v)));
         v = (e.u == v) ? e.v : e.u;
       }
-    }
-    route.edges.reserve(kept.size());
-    for (const std::int32_t ei : kept) {
-      const LocalEdge& e = wk.edges[static_cast<std::size_t>(ei)];
-      route.edges.push_back(make_edge(wk.global(e.u), wk.global(e.v)));
     }
     std::sort(route.edges.begin(), route.edges.end(),
               [](const GridEdge& x, const GridEdge& y) {
                 if (x.a != y.a) return x.a < y.a;
                 return x.b < y.b;
               });
-    result.total_wirelength_um += route.wirelength_um(*grid_);
-  }
+  };
+  std::vector<double> net_wl(works.size());
+  parallel::parallel_for(
+      works.size(), kNetGrain, threads,
+      [&](std::size_t begin, std::size_t end, int worker) {
+        BfsScratch& cs = scratch[static_cast<std::size_t>(worker)];
+        cs.init(max_vertices, max_edges);
+        for (std::size_t n = begin; n < end; ++n) {
+          NetWork& wk = works[n];
+          NetRoute& route = result.routes[n];
+          if (wk.prerouted) {
+            route.edges = std::move(wk.fixed_edges);
+          } else {
+            collect_route(wk, route, cs);
+          }
+          net_wl[n] = route.wirelength_um(*grid_);
+        }
+      });
+  for (const double wl : net_wl) result.total_wirelength_um += wl;
   phase_span.reset();
   result.stats.runtime_s = watch.seconds();
   return result;

@@ -41,15 +41,20 @@
 //     over hoisted raw pointers with the per-net products formed once and
 //     a non-byte stale flag, so no store in it can alias its operands;
 //     its += sequence is the per-region one, so sums are bit-identical;
-//   - deletability checks are early-exit bounded BFS (stop once every pin
-//     is certified within its detour limit, or as soon as certification is
-//     impossible), and most pops skip BFS entirely via three monotone
-//     certificates: an edge off the last certified source->pin path family
-//     is deletable (the paths survive its removal); a bridge with a pin
-//     behind it is never deletable; and a net whose pins already fail with
-//     no edge skipped is frozen — its whole remainder bulk-locks at once.
-//     Edge removal can only shrink the graph, so certificates stay valid
-//     until a pop touches them;
+//   - deletability checks are early-exit bounded BFS over active edges
+//     (stop once every pin is certified within its detour limit, or as
+//     soon as certification is impossible), and most pops skip BFS
+//     entirely via two monotone certificates: an edge off the last
+//     certified source->pin path family is deletable (the paths survive
+//     its removal), and a bridge with a pin behind it is never deletable.
+//     The bridge pass runs once per net, at seed. A lock is always of an
+//     edge without which some pin fails, and the BFS does not cross locked
+//     edges, so the first lock of a net freezes it: every later verdict of
+//     that net is "lock", and its whole active remainder bulk-locks at
+//     once, with its heap entries erased. A net whose pins already fail at
+//     seed, with no edge skipped, freezes before the heap is built. Edge
+//     removal can only shrink the graph, so certificates stay valid until
+//     a pop touches them;
 //   - demand rebalancing walks maintained per-direction active-vertex
 //     lists instead of rescanning the whole bounding box, and per-net
 //     arrays are carved from shared arenas (three allocations total);
@@ -57,9 +62,12 @@
 //     chunk-parallel on the shared pool (src/parallel): workers fill
 //     disjoint arena slices, the shared RegionStats accumulation is
 //     replayed serially in net order by the ordered reducer, and the
-//     pre-route dedup uses per-worker epoch-stamped scratch. Results are
-//     bit-identical at any `threads` value (see IdRouterOptions::threads).
-//     The deletion loop itself runs serially on the calling thread.
+//     pre-route dedup uses per-worker epoch-stamped scratch. Seed
+//     certification and the final route extraction (collect) run per net
+//     on the pool with per-worker search scratch; the wire-length total is
+//     summed in net order. Results are bit-identical at any `threads`
+//     value (see IdRouterOptions::threads). Only the deletion loop runs
+//     serially on the calling thread.
 //
 // Nets whose bounding box exceeds a size threshold would contribute
 // enormous connection graphs (the classic ID scalability problem the paper
@@ -103,12 +111,13 @@ struct IdRouterOptions {
   /// can leave arbitrarily long snakes through quiet regions.
   double max_detour_factor = 1.3;
   std::int32_t detour_slack = 1;
-  /// Workers for the build phase (per-net graphs, f(WL) tables, CSR, heap
-  /// keys) on the shared pool (src/parallel). 0 = auto (RLCR_THREADS env
-  /// var, else hardware concurrency); 1 = the exact serial path. Output is
-  /// bit-identical at every value: chunking is a pure function of the net
-  /// count, and shared-stats accumulation is replayed in net order by the
-  /// ordered reducer. The deletion loop runs on the calling thread.
+  /// Workers for the per-net phases (graphs, f(WL) tables, CSR, heap keys,
+  /// seed certification, route extraction) on the shared pool
+  /// (src/parallel). 0 = auto (RLCR_THREADS env var, else hardware
+  /// concurrency); 1 = the exact serial path. Output is bit-identical at
+  /// every value: chunking is a pure function of the net count, and
+  /// shared-stats accumulation is replayed in net order by the ordered
+  /// reducer. The deletion loop runs on the calling thread.
   int threads = 0;
 
  private:

@@ -39,9 +39,7 @@ class IndexedMaxHeap {
     std::int32_t id;
   };
 
-  explicit IndexedMaxHeap(std::size_t capacity) : pos_(capacity, -1) {
-    heap_.reserve(capacity);
-  }
+  explicit IndexedMaxHeap(std::size_t capacity) : pos_(capacity, -1) {}
 
   std::size_t size() const { return heap_.size(); }
   bool empty() const { return heap_.empty(); }
@@ -56,10 +54,11 @@ class IndexedMaxHeap {
     sift_up(static_cast<std::int32_t>(heap_.size()) - 1);
   }
 
-  /// O(n) bulk construction (Floyd heapify) from unordered (id, key) pairs.
-  /// Must be called on an empty heap.
-  void build(const std::vector<Entry>& entries) {
-    heap_ = entries;
+  /// O(n) bulk construction (Floyd heapify) from unordered (id, key) pairs,
+  /// taken by value so a caller that moves them in pays no copy. Must be
+  /// called on an empty heap.
+  void build(std::vector<Entry> entries) {
+    heap_ = std::move(entries);
     for (std::size_t i = 0; i < heap_.size(); ++i) {
       pos_[static_cast<std::size_t>(heap_[i].id)] = static_cast<std::int32_t>(i);
     }

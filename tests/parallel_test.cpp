@@ -264,8 +264,10 @@ TEST(ParallelDeterminism, IdRouterBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(router::route_hash(res), golden) << "threads=" << threads;
     EXPECT_EQ(res.total_wirelength_um, serial.total_wirelength_um)
         << "threads=" << threads;
+    EXPECT_EQ(res.stats.edges_initial, serial.stats.edges_initial);
     EXPECT_EQ(res.stats.edges_deleted, serial.stats.edges_deleted);
     EXPECT_EQ(res.stats.edges_locked, serial.stats.edges_locked);
+    EXPECT_EQ(res.stats.reinserts, serial.stats.reinserts);
     EXPECT_EQ(res.stats.prerouted_nets, serial.stats.prerouted_nets);
   }
 }

@@ -21,11 +21,9 @@ double scale_from_env(double fallback) {
 CircuitRun ExperimentRunner::run_one(const netlist::SyntheticSpec& spec,
                                      double rate, const GsinoParams& params,
                                      bool run_isino, bool run_gsino,
-                                     StageObserver observer,
                                      std::shared_ptr<store::ArtifactStore> store) {
   return run_one(spec.name, netlist::generate(spec), spec.grid_spec(), rate,
-                 params, run_isino, run_gsino, std::move(observer),
-                 std::move(store));
+                 params, run_isino, run_gsino, std::move(store));
 }
 
 CircuitRun ExperimentRunner::run_one(const std::string& name,
@@ -33,7 +31,6 @@ CircuitRun ExperimentRunner::run_one(const std::string& name,
                                      const grid::RegionGridSpec& gspec,
                                      double rate, const GsinoParams& params,
                                      bool run_isino, bool run_gsino,
-                                     StageObserver observer,
                                      std::shared_ptr<store::ArtifactStore> store) {
   CircuitRun run;
   run.circuit = name;
@@ -47,7 +44,6 @@ CircuitRun ExperimentRunner::run_one(const std::string& name,
   // One session per cell: ID+NO and iSINO share the Phase I artifact; a
   // store additionally shares Phase I across cells, runs, and processes.
   SessionOptions sopt;
-  sopt.observer = std::move(observer);
   sopt.store = std::move(store);
   FlowSession session(problem, std::move(sopt));
   run.idno = summarize(session.run(FlowKind::kIdNo), problem);
@@ -77,8 +73,7 @@ std::vector<CircuitRun> ExperimentRunner::run() const {
       for (double rate : options_.rates) {
         out.push_back(run_one(cls.name, inst.design, inst.gspec, rate,
                               options_.params, options_.run_isino,
-                              options_.run_gsino, options_.observer,
-                              options_.store));
+                              options_.run_gsino, options_.store));
       }
     }
     return out;
@@ -89,8 +84,7 @@ std::vector<CircuitRun> ExperimentRunner::run() const {
     const netlist::SyntheticSpec& spec = suite[static_cast<std::size_t>(ci)];
     for (double rate : options_.rates) {
       out.push_back(run_one(spec, rate, options_.params, options_.run_isino,
-                            options_.run_gsino, options_.observer,
-                            options_.store));
+                            options_.run_gsino, options_.store));
     }
   }
   return out;

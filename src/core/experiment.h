@@ -41,10 +41,6 @@ struct ExperimentOptions {
   bool run_isino = true;
   bool run_gsino = true;
   GsinoParams params;
-  /// Stage observer, forwarded into every cell's FlowSession. Receives a
-  /// StageEvent per stage (route/budget/solve_regions/refine) with compute
-  /// seconds and the cache-reuse flag.
-  StageObserver observer;
   /// Optional persistent artifact store, forwarded into every cell's
   /// FlowSession: a re-run of the suite (same circuits, rates, params,
   /// seed) warm-starts Phase I and budgeting from the records a previous
@@ -67,11 +63,10 @@ class ExperimentRunner {
 
   /// Single circuit x rate, returning the table-ready summaries; used by
   /// tests and the quickstart example. The three flows run through one
-  /// FlowSession (shared routing artifact); `observer` receives its stage
-  /// events.
+  /// FlowSession (shared routing artifact).
   static CircuitRun run_one(const netlist::SyntheticSpec& spec, double rate,
                             const GsinoParams& params, bool run_isino = true,
-                            bool run_gsino = true, StageObserver observer = {},
+                            bool run_gsino = true,
                             std::shared_ptr<store::ArtifactStore> store = {});
 
   /// Same cell over an already-materialized design and routing fabric —
@@ -81,7 +76,7 @@ class ExperimentRunner {
                             const netlist::Netlist& design,
                             const grid::RegionGridSpec& gspec, double rate,
                             const GsinoParams& params, bool run_isino = true,
-                            bool run_gsino = true, StageObserver observer = {},
+                            bool run_gsino = true,
                             std::shared_ptr<store::ArtifactStore> store = {});
 
  private:

@@ -27,20 +27,6 @@ const char* flow_name(FlowKind kind) {
   return "?";
 }
 
-const char* stage_name(Stage stage) {
-  switch (stage) {
-    case Stage::kRoute:
-      return "route";
-    case Stage::kBudget:
-      return "budget";
-    case Stage::kSolveRegions:
-      return "solve_regions";
-    case Stage::kRefine:
-      return "refine";
-  }
-  return "?";
-}
-
 BudgetRule budget_rule(FlowKind kind) {
   switch (kind) {
     case FlowKind::kIdNo:
@@ -93,24 +79,61 @@ RegionSolution build_region_solution(const RoutingProblem& problem,
 
 namespace {
 
-// LRU bookkeeping over the per-stage cache vectors: recency order with the
-// back most recent. A hit rotates its entry to the back; an insert beyond
-// the entry budget evicts from the front (budget 0 = unbounded).
+/// The stage counters and trace span of one cached stage.
+struct StageTally {
+  const char* span;
+  std::size_t& requests;
+  std::size_t& loaded;
+  std::size_t& executed;
+};
 
-template <typename Entry>
-void lru_touch(std::vector<Entry>& cache, std::size_t i) {
-  std::rotate(cache.begin() + static_cast<std::ptrdiff_t>(i),
-              cache.begin() + static_cast<std::ptrdiff_t>(i) + 1, cache.end());
-}
+/// The one cache path of the four session stages. `entry` arrives with
+/// the stage's store key (and any per-stage extras) and no artifact. In
+/// order: count the request; look the key up in memory, else load it from
+/// the store; accept a hit of either kind only through the stage's
+/// provenance check, so a record filed under the wrong key (store files
+/// shuffled by hand, a key collision) is a miss rather than a foreign
+/// artifact; on a miss, compute, count, insert and publish. The cache is
+/// an LRU list (back = most recent): a hit rotates to the back, an insert
+/// beyond `cache_entries` (0 = unbounded) evicts from the front. The span
+/// covers the whole request: a hit is a short span, a compute the stage.
+template <typename Entry, typename Load, typename Accept, typename Compute,
+          typename Publish>
+decltype(Entry::artifact) cached_stage(const SessionOptions& opt,
+                                       std::vector<Entry>& cache,
+                                       StageTally tally, Entry entry,
+                                       const Load& load, const Accept& accept,
+                                       const Compute& compute,
+                                       const Publish& publish) {
+  obs::ScopedSpan span(tally.span, "session", opt.trace);
+  ++tally.requests;
+  const auto hit =
+      std::find_if(cache.begin(), cache.end(),
+                   [&](const Entry& e) { return e.key == entry.key; });
+  if (hit != cache.end()) {
+    if (accept(*hit->artifact)) {
+      std::rotate(hit, hit + 1, cache.end());
+      return cache.back().artifact;
+    }
+    cache.erase(hit);
+  }
 
-template <typename Entry>
-void lru_insert(std::vector<Entry>& cache, Entry entry, std::size_t budget) {
-  if (budget > 0 && cache.size() >= budget) {
-    cache.erase(cache.begin(),
-                cache.begin() + static_cast<std::ptrdiff_t>(
-                                    cache.size() - budget + 1));
+  if (opt.store) entry.artifact = load(*opt.store);
+  const bool loaded = entry.artifact != nullptr && accept(*entry.artifact);
+  if (loaded) {
+    ++tally.loaded;
+  } else {
+    entry.artifact = compute();
+    ++tally.executed;
+  }
+  const auto art = entry.artifact;
+  if (opt.cache_entries > 0 && cache.size() >= opt.cache_entries) {
+    cache.erase(cache.begin(), cache.end() - static_cast<std::ptrdiff_t>(
+                                                 opt.cache_entries - 1));
   }
   cache.push_back(std::move(entry));
+  if (!loaded && opt.store) publish(*opt.store, *art);
+  return art;
 }
 
 /// The per-region annealing stream seed of Phase III re-solves.
@@ -275,7 +298,6 @@ void FlowState::resolve_region(std::size_t sol_idx, bool allow_anneal) {
   RegionSolution& sol = solutions[sol_idx];
   if (sol.empty()) return;
   const RoutingProblem& p = *problem;
-  util::Stopwatch watch;
   sino::SinoBatchResult solved = sino::solve_region(
       region_resolve_item(p, sol, sol_idx, allow_anneal), p.keff());
 
@@ -301,9 +323,7 @@ void FlowState::resolve_region(std::size_t sol_idx, bool allow_anneal) {
       sol_region(sol_idx), sol_dir(sol_idx),
       static_cast<double>(sino::SinoEvaluator::shield_count(sol.slots)));
 
-  if (observer) {
-    observer(StageEvent{Stage::kRefine, kind, sol_idx, watch.seconds(), false});
-  }
+  if (on_resolve) on_resolve(sol_idx);
 }
 
 double FlowState::solution_density(std::size_t sol_idx) const {
@@ -319,13 +339,6 @@ void FlowState::refresh_noise() {
 FlowSession::FlowSession(const RoutingProblem& problem, SessionOptions options)
     : problem_(&problem), options_(std::move(options)) {}
 
-void FlowSession::emit(Stage stage, FlowKind flow, double seconds,
-                       bool reused) const {
-  if (options_.observer) {
-    options_.observer(StageEvent{stage, flow, kNoRegion, seconds, reused});
-  }
-}
-
 router::IdRouterOptions FlowSession::router_profile(FlowKind kind) const {
   router::IdRouterOptions ropt = problem_->params().router;
   // The paper's fairness rule: only GSINO reserves shield area in Eq. (2).
@@ -340,7 +353,7 @@ router::IdRouterOptions FlowSession::router_profile(FlowKind kind) const {
 }
 
 std::shared_ptr<const RoutingArtifact> FlowSession::route(FlowKind kind) {
-  return route(router_profile(kind), kind);
+  return route(router_profile(kind));
 }
 
 std::shared_ptr<RoutingArtifact> derive_routing_artifact(
@@ -386,158 +399,79 @@ std::shared_ptr<const RoutingArtifact> compute_route(
 }
 
 std::shared_ptr<const RoutingArtifact> FlowSession::route(
-    const router::IdRouterOptions& options, FlowKind kind) {
-  // Stage spans cover the whole request — a cache/store hit shows up as a
-  // short span, a compute as the full stage — gated per session by
-  // SessionOptions::trace on top of the global trace switch.
-  obs::ScopedSpan span("session.route", "session", options_.trace);
-  ++counters_.route_requests;
-  for (std::size_t i = 0; i < route_cache_.size(); ++i) {
-    if (route_cache_[i].options.same_routing_profile(options)) {
-      lru_touch(route_cache_, i);
-      const auto art = route_cache_.back().artifact;
-      emit(Stage::kRoute, kind, art->seconds, /*reused=*/true);
-      return art;
-    }
-  }
-
+    const router::IdRouterOptions& options) {
   const RoutingProblem& p = *problem_;
-
-  // Consult the persistent store before computing: a hit is a warm start
-  // from another session (possibly another process) that published the
-  // same profile. Loaded artifacts are bit-identical to computed ones, so
-  // they enter the in-memory cache like any other.
-  const std::uint64_t store_key =
-      options_.store ? store::routing_key(p, options) : 0;
-  if (options_.store) {
-    if (auto art = options_.store->get_routing(store_key, p)) {
-      // Defense in depth beyond the checksum + route-hash oracle: the
-      // record carries its own identity, so a record filed under the
-      // wrong key (an operator shuffling store files; a key collision)
-      // is treated as a miss rather than driving the flow with a foreign
-      // profile's routes.
-      if (art->options.same_routing_profile(options)) {
-        ++counters_.route_loaded;
-        lru_insert(route_cache_, RouteEntry{options, art},
-                   options_.cache_entries);
-        emit(Stage::kRoute, kind, art->seconds, /*reused=*/true);
-        return art;
-      }
-    }
-  }
-
-  auto art = compute_route(p, options);
-  ++counters_.route_executed;
-  lru_insert(route_cache_, RouteEntry{options, art}, options_.cache_entries);
-  if (options_.store) options_.store->put_routing(store_key, *art);
-  emit(Stage::kRoute, kind, art->seconds, /*reused=*/false);
-  return art;
+  const std::uint64_t key = store::routing_key(p, options);
+  return cached_stage(
+      options_, route_cache_,
+      {"session.route", counters_.route_requests, counters_.route_loaded,
+       counters_.route_executed},
+      {key, nullptr},
+      [&](store::ArtifactStore& st) { return st.get_routing(key, p); },
+      [&](const RoutingArtifact& a) {
+        return a.options.same_routing_profile(options);
+      },
+      [&] { return compute_route(p, options); },
+      [key](store::ArtifactStore& st, const RoutingArtifact& a) {
+        st.put_routing(key, a);
+      });
 }
 
 std::shared_ptr<const BudgetArtifact> FlowSession::budget(
     FlowKind kind, const std::shared_ptr<const RoutingArtifact>& phase1,
     double bound_v, double margin) {
-  obs::ScopedSpan span("session.budget", "session", options_.trace);
-  ++counters_.budget_requests;
+  const RoutingProblem& p = *problem_;
   const BudgetRule rule = budget_rule(kind);
-  // Only the margin rule applies the margin: normalize it out of the cache
-  // identity for the other rules, so a margin-only what-if on ID+NO/iSINO
-  // reuses the (bit-identical) budget instead of re-running Phase II.
+  // Only the margin rule applies the margin: normalize it out of the key
+  // for the other rules, so a margin-only what-if on ID+NO/iSINO reuses
+  // the (bit-identical) budget instead of re-running Phase II.
   if (rule != BudgetRule::kManhattanMargin) margin = 1.0;
+  const std::uint64_t key =
+      store::budget_key(p, rule, bound_v, margin, phase1.get());
   // Only the iSINO rule reads the routing; the Manhattan rules are
   // routing-independent and shared across profiles.
-  const std::shared_ptr<const RoutingArtifact> route_id =
-      rule == BudgetRule::kRoutedLength ? phase1 : nullptr;
-  for (std::size_t i = 0; i < budget_cache_.size(); ++i) {
-    const BudgetEntry& e = budget_cache_[i];
-    if (e.rule == rule && e.bound_v == bound_v && e.margin == margin &&
-        e.phase1 == route_id) {
-      lru_touch(budget_cache_, i);
-      const auto art = budget_cache_.back().artifact;
-      emit(Stage::kBudget, kind, art->seconds, /*reused=*/true);
-      return art;
-    }
-  }
-
-  const RoutingProblem& p = *problem_;
-
-  // Store consult (see route()). The routed-length rule keys on the
-  // routing artifact it budgets from, mirroring the in-memory cache.
-  const std::uint64_t store_key =
-      options_.store ? store::budget_key(p, rule, bound_v, margin, phase1.get())
-                     : 0;
-  if (options_.store) {
-    if (auto art = options_.store->get_budget(store_key, p)) {
-      // Same identity cross-check as route(): a mislabeled record must
-      // not install foreign Kth bounds under this (rule, bound, margin).
-      if (art->rule == rule && art->bound_v == bound_v &&
-          art->margin == margin) {
-        ++counters_.budget_loaded;
-        lru_insert(budget_cache_,
-                   BudgetEntry{rule, bound_v, margin, route_id, art},
-                   options_.cache_entries);
-        emit(Stage::kBudget, kind, art->seconds, /*reused=*/true);
-        return art;
-      }
-    }
-  }
-
-  auto art = compute_budget(p, rule, bound_v, margin, phase1.get());
-  ++counters_.budget_executed;
-  lru_insert(budget_cache_, BudgetEntry{rule, bound_v, margin, route_id, art},
-             options_.cache_entries);
-  if (options_.store) options_.store->put_budget(store_key, *art);
-  emit(Stage::kBudget, kind, art->seconds, /*reused=*/false);
-  return art;
+  BudgetEntry entry{{key, nullptr},
+                    rule == BudgetRule::kRoutedLength ? phase1 : nullptr};
+  return cached_stage(
+      options_, budget_cache_,
+      {"session.budget", counters_.budget_requests, counters_.budget_loaded,
+       counters_.budget_executed},
+      std::move(entry),
+      [&](store::ArtifactStore& st) { return st.get_budget(key, p); },
+      [&](const BudgetArtifact& a) {
+        return a.rule == rule && a.bound_v == bound_v && a.margin == margin;
+      },
+      [&] { return compute_budget(p, rule, bound_v, margin, phase1.get()); },
+      [key](store::ArtifactStore& st, const BudgetArtifact& a) {
+        st.put_budget(key, a);
+      });
 }
 
 std::shared_ptr<const RegionSolveArtifact> FlowSession::solve_regions(
     FlowKind kind, const std::shared_ptr<const RoutingArtifact>& phase1,
     const std::shared_ptr<const BudgetArtifact>& budget, bool anneal_phase2) {
-  obs::ScopedSpan span("session.solve_regions", "session", options_.trace);
-  ++counters_.solve_requests;
-  const bool anneal = anneal_phase2 && kind != FlowKind::kIdNo;
-  for (std::size_t i = 0; i < solve_cache_.size(); ++i) {
-    const SolveEntry& e = solve_cache_[i];
-    if (e.kind == kind && e.anneal == anneal && e.phase1 == phase1.get() &&
-        e.budget == budget.get()) {
-      lru_touch(solve_cache_, i);
-      const auto art = solve_cache_.back().artifact;
-      emit(Stage::kSolveRegions, kind, art->seconds, /*reused=*/true);
-      return art;
-    }
-  }
-
   const RoutingProblem& p = *problem_;
-
-  // Store consult (see route()). The solve keys on the routing + budget
-  // records it was derived from, mirroring the in-memory cache's pointer
-  // identity with the store's content identity.
-  const std::uint64_t store_key =
-      options_.store ? store::solve_key(p, kind, anneal, *phase1, *budget) : 0;
-  if (options_.store) {
-    if (auto art = options_.store->get_region_solve(store_key, p, phase1,
-                                                    budget)) {
-      // Same identity cross-check as route(): a mislabeled record must not
-      // install another flow's region solutions under this (kind, anneal).
-      if (art->kind == kind && art->annealed == anneal) {
-        ++counters_.solve_loaded;
-        lru_insert(solve_cache_,
-                   SolveEntry{kind, anneal, phase1.get(), budget.get(), art},
-                   options_.cache_entries);
-        emit(Stage::kSolveRegions, kind, art->seconds, /*reused=*/true);
-        return art;
-      }
-    }
-  }
-
-  auto art = solve_region_set(p, kind, anneal, phase1, budget);
-  ++counters_.solve_executed;
-  lru_insert(solve_cache_, SolveEntry{kind, anneal, phase1.get(), budget.get(), art},
-             options_.cache_entries);
-  if (options_.store) options_.store->put_region_solve(store_key, *art);
-  emit(Stage::kSolveRegions, kind, art->seconds, /*reused=*/false);
-  return art;
+  const bool anneal = anneal_phase2 && kind != FlowKind::kIdNo;
+  const std::uint64_t key =
+      store::solve_key(p, kind, anneal, *phase1, *budget);
+  return cached_stage(
+      options_, solve_cache_,
+      {"session.solve_regions", counters_.solve_requests,
+       counters_.solve_loaded, counters_.solve_executed},
+      {key, nullptr},
+      [&](store::ArtifactStore& st) {
+        return st.get_region_solve(key, p, phase1, budget);
+      },
+      // The key names a routed-length budget by `phase1`'s profile, so a
+      // budget derived from another routing shares it: match Kth too.
+      [&](const RegionSolveArtifact& a) {
+        return a.kind == kind && a.annealed == anneal &&
+               (a.budget == budget || *a.budget->kth == *budget->kth);
+      },
+      [&] { return solve_region_set(p, kind, anneal, phase1, budget); },
+      [key](store::ArtifactStore& st, const RegionSolveArtifact& a) {
+        st.put_region_solve(key, a);
+      });
 }
 
 FlowState FlowSession::state(const RegionSolveArtifact& solve) const {
@@ -552,7 +486,6 @@ FlowState FlowSession::state(const RegionSolveArtifact& solve) const {
   st.net_noise = *solve.net_noise;
   st.congestion = std::make_unique<grid::CongestionMap>(*solve.congestion);
   st.violating = solve.violating;
-  st.observer = options_.observer;
   return st;
 }
 
@@ -574,66 +507,46 @@ FlowState FlowSession::state(FlowKind kind, const Scenario& scenario) {
 std::shared_ptr<const RefineArtifact> FlowSession::refine(
     const std::shared_ptr<const RegionSolveArtifact>& solve,
     const RefineOptions& options) {
-  obs::ScopedSpan span("session.refine", "session", options_.trace);
-  ++counters_.refine_requests;
-  for (std::size_t i = 0; i < refine_cache_.size(); ++i) {
-    const RefineEntry& e = refine_cache_[i];
-    if (e.solve == solve.get()) {
-      lru_touch(refine_cache_, i);
-      const auto art = refine_cache_.back().artifact;
-      emit(Stage::kRefine, solve->kind, art->seconds, /*reused=*/true);
-      return art;
-    }
-  }
-
   const RoutingProblem& p = *problem_;
+  // No Phase III option changes output: the key is the solve's alone.
+  const std::uint64_t key = store::refine_key(
+      p, store::solve_key(p, solve->kind, solve->annealed, *solve->phase1,
+                          *solve->budget));
+  return cached_stage(
+      options_, refine_cache_,
+      {"session.refine", counters_.refine_requests, counters_.refine_loaded,
+       counters_.refine_executed},
+      {key, nullptr},
+      [&](store::ArtifactStore& st) { return st.get_refine(key, p, solve); },
+      // Same key, other budget: see solve_regions().
+      [&](const RefineArtifact& a) {
+        return a.base == solve ||
+               *a.base->budget->kth == *solve->budget->kth;
+      },
+      [&] {
+        util::Stopwatch watch;
+        FlowState st = state(*solve);
+        const RefineStats stats = LocalRefiner(p).refine(st, options);
 
-  // Store consult (see route()). The refine record keys on the solve
-  // record it refines (no Phase III option changes output), with the
-  // solve key rebuilt from the artifact's own provenance fields.
-  const std::uint64_t store_key =
-      options_.store
-          ? store::refine_key(p, store::solve_key(p, solve->kind,
-                                                  solve->annealed,
-                                                  *solve->phase1,
-                                                  *solve->budget))
-          : 0;
-  if (options_.store) {
-    if (auto art = options_.store->get_refine(store_key, p, solve)) {
-      ++counters_.refine_loaded;
-      lru_insert(refine_cache_, RefineEntry{solve.get(), art},
-                 options_.cache_entries);
-      emit(Stage::kRefine, solve->kind, art->seconds, /*reused=*/true);
-      return art;
-    }
-  }
-
-  util::Stopwatch watch;
-  FlowState st = state(*solve);
-  const LocalRefiner refiner(*problem_);
-  const RefineStats stats = refiner.refine(st, options);
-
-  auto art = std::make_shared<RefineArtifact>();
-  art->base = solve;
-  art->solutions = std::make_shared<const std::vector<RegionSolution>>(
-      std::move(st.solutions));
-  art->net_lsk =
-      std::make_shared<const std::vector<double>>(std::move(st.net_lsk));
-  art->net_noise =
-      std::make_shared<const std::vector<double>>(std::move(st.net_noise));
-  art->congestion = std::shared_ptr<const grid::CongestionMap>(
-      std::move(st.congestion));
-  art->violating = st.violating;
-  art->unfixable = st.unfixable;
-  art->stats = stats;
-  art->seconds = watch.seconds();
-
-  ++counters_.refine_executed;
-  lru_insert(refine_cache_, RefineEntry{solve.get(), art},
-             options_.cache_entries);
-  if (options_.store) options_.store->put_refine(store_key, *art);
-  emit(Stage::kRefine, solve->kind, art->seconds, /*reused=*/false);
-  return art;
+        auto art = std::make_shared<RefineArtifact>();
+        art->base = solve;
+        art->solutions = std::make_shared<const std::vector<RegionSolution>>(
+            std::move(st.solutions));
+        art->net_lsk =
+            std::make_shared<const std::vector<double>>(std::move(st.net_lsk));
+        art->net_noise = std::make_shared<const std::vector<double>>(
+            std::move(st.net_noise));
+        art->congestion = std::shared_ptr<const grid::CongestionMap>(
+            std::move(st.congestion));
+        art->violating = st.violating;
+        art->unfixable = st.unfixable;
+        art->stats = stats;
+        art->seconds = watch.seconds();
+        return art;
+      },
+      [key](store::ArtifactStore& st, const RefineArtifact& a) {
+        st.put_refine(key, a);
+      });
 }
 
 obs::MetricsSnapshot FlowSession::metrics() const {

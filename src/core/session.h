@@ -104,41 +104,6 @@ struct FlowTiming {
   double refine_s = 0.0;
 };
 
-// --------------------------------------------------------------- observer
-
-/// Pipeline stages, in dependency order.
-enum class Stage { kRoute, kBudget, kSolveRegions, kRefine };
-
-const char* stage_name(Stage stage);
-
-constexpr std::size_t kNoRegion = static_cast<std::size_t>(-1);
-
-/// One stage-progress event. Region-scoped events (individual Phase III
-/// re-solves) carry the (region, dir) solution index in `region`; whole-
-/// stage events use kNoRegion. `reused` marks artifacts served from the
-/// session cache — their `seconds` is the original compute time, not the
-/// (near-zero) lookup time.
-struct StageEvent {
-  Stage stage = Stage::kRoute;
-  FlowKind flow = FlowKind::kIdNo;
-  std::size_t region = kNoRegion;
-  double seconds = 0.0;
-  bool reused = false;
-};
-
-/// Progress/observer callback: one type-erased signature for every
-/// consumer (sessions, the experiment harness, CLIs).
-///
-/// DEPRECATION NOTE: for timing/profiling, prefer the span tracer
-/// (obs/trace.h) — it covers sub-stage phases the observer never sees
-/// (router build/deletion, refine passes, per-region re-solves,
-/// store I/O, pool occupancy) and exports Perfetto-loadable traces; the
-/// counters behind it unify into obs::MetricsSnapshot
-/// (FlowSession::metrics()). StageObserver stays supported as a
-/// *progress* hook (live UIs reacting to stage completion), which is the
-/// one job the record-and-export tracer does not do.
-using StageObserver = std::function<void(const StageEvent&)>;
-
 // --------------------------------------------------------------- artifacts
 
 /// Index of per-(net, region, dir) critical-path lengths (um). Immutable
@@ -382,8 +347,9 @@ struct FlowState {
   std::size_t violating = 0;
   std::size_t unfixable = 0;
 
-  /// Optional progress sink for per-region re-solve events.
-  StageObserver observer;
+  /// Optional per-region hook: resolve_region calls it with the solution
+  /// index it just re-solved (the pick order Phase III tests compare).
+  std::function<void(std::size_t)> on_resolve;
 
   const router::Occupancy& occupancy() const { return *phase1->occupancy; }
 
@@ -437,16 +403,15 @@ struct Scenario {
 };
 
 struct SessionOptions {
-  StageObserver observer;
   /// Optional persistent artifact store (store/artifact_store.h). When
-  /// set, every stage (route, budget, solve_regions, refine) consults it on an
-  /// in-memory cache miss before computing — a fresh process warm-starts
-  /// from artifacts a previous session published — and publish freshly
-  /// computed artifacts back. Loaded artifacts are bit-identical to computed ones (the
-  /// store's load path re-derives views through derive_routing_artifact
-  /// and verifies the embedded route hash), so downstream stages cannot
-  /// tell the difference. Safe to share one store across concurrent
-  /// sessions and processes.
+  /// set, every stage (route, budget, solve_regions, refine) looks up the
+  /// same key in it on an in-memory miss before computing — a fresh
+  /// process warm-starts from artifacts a previous session published —
+  /// and publishes freshly computed artifacts back. Loaded artifacts are
+  /// bit-identical to computed ones (the store's load path re-derives
+  /// views through derive_routing_artifact and verifies the embedded route
+  /// hash), so downstream stages cannot tell the difference. Safe to share
+  /// one store across concurrent sessions and processes.
   std::shared_ptr<store::ArtifactStore> store;
   /// Per-stage in-memory artifact cache budget (entries, LRU eviction;
   /// 0 = unbounded). The default is generous — experiment-sized runs
@@ -487,29 +452,31 @@ class FlowSession {
 
   // ---- stages ----------------------------------------------------------
 
-  /// Phase I for a flow's router profile; cached per profile.
+  /// Phase I for a flow's router profile; cached under
+  /// store::routing_key (problem + profile).
   std::shared_ptr<const RoutingArtifact> route(FlowKind kind);
   /// Phase I for an explicit profile (the `threads` field is ignored for
-  /// cache identity — it never changes output). `kind` only labels the
-  /// observer events this call emits.
+  /// cache identity — it never changes output).
   std::shared_ptr<const RoutingArtifact> route(
-      const router::IdRouterOptions& options, FlowKind kind);
+      const router::IdRouterOptions& options);
 
-  /// Budgeting; cached per (rule, bound, margin, routing artifact). The
-  /// margin is normalized to 1.0 for rules that never apply it, so a
-  /// margin-only what-if on ID+NO/iSINO is a cache hit.
+  /// Budgeting; cached under store::budget_key (rule, bound, margin, and
+  /// the routing profile for the routed-length rule). The margin is
+  /// normalized to 1.0 for rules that never apply it, so a margin-only
+  /// what-if on ID+NO/iSINO is a cache hit.
   std::shared_ptr<const BudgetArtifact> budget(
       FlowKind kind, const std::shared_ptr<const RoutingArtifact>& phase1,
       double bound_v, double margin);
 
-  /// Phase II; cached per (kind, anneal, routing, budget).
+  /// Phase II; cached under store::solve_key (kind, anneal, and the keys
+  /// of the routing and budget inputs).
   std::shared_ptr<const RegionSolveArtifact> solve_regions(
       FlowKind kind, const std::shared_ptr<const RoutingArtifact>& phase1,
       const std::shared_ptr<const BudgetArtifact>& budget, bool anneal_phase2);
 
-  /// Phase III; cached per solve artifact — refinement is deterministic
-  /// and no RefineOptions field changes output, so a repeat request is a
-  /// cache hit.
+  /// Phase III; cached under store::refine_key of the solve's key —
+  /// refinement is deterministic and no RefineOptions field changes
+  /// output, so a repeat request is a cache hit.
   std::shared_ptr<const RefineArtifact> refine(
       const std::shared_ptr<const RegionSolveArtifact>& solve,
       const RefineOptions& options = {});
@@ -548,7 +515,6 @@ class FlowSession {
 
  private:
   friend class scenario::DeltaEngine;
-  void emit(Stage stage, FlowKind flow, double seconds, bool reused) const;
   /// route -> budget -> solve_regions under scenario overrides (the shared
   /// front of run() and state()).
   std::shared_ptr<const RegionSolveArtifact> solve_for(
@@ -572,46 +538,31 @@ class FlowSession {
   SessionOptions options_;
   StageCounters counters_;
 
-  struct RouteEntry {
-    router::IdRouterOptions options;
-    std::shared_ptr<const RoutingArtifact> artifact;
+  // In-memory stage caches. Every entry is filed under the key its stage
+  // computes for the persistent store (store::routing_key, budget_key,
+  // solve_key, refine_key), so memory and disk share one content identity:
+  // an artifact recomputed after eviction, or loaded from the store, finds
+  // its downstream entries. Each cache is an LRU list in recency order
+  // (back = most recent): a hit rotates its entry to the back, an insert
+  // beyond SessionOptions::cache_entries evicts the front. Entries hold
+  // their artifacts via shared_ptr, so eviction never invalidates an
+  // artifact a caller still references, and every evicted artifact stays
+  // reachable through the store when one is attached.
+  template <typename Artifact>
+  struct CacheEntry {
+    std::uint64_t key = 0;
+    std::shared_ptr<const Artifact> artifact;
   };
-  struct BudgetEntry {
-    BudgetRule rule;
-    double bound_v, margin;
-    /// Cache identity for the kRoutedLength rule (null otherwise). Held
-    /// as a shared_ptr so the artifact stays alive while the entry keys
-    /// on it — a raw pointer could be reused by a new artifact at the
-    /// same address and produce a stale false hit.
+  /// A routed-length budget also keeps the routing artifact it was derived
+  /// from (null under the Manhattan rules): the delta engine re-keys the
+  /// entry through that artifact's router profile.
+  struct BudgetEntry : CacheEntry<BudgetArtifact> {
     std::shared_ptr<const RoutingArtifact> phase1;
-    std::shared_ptr<const BudgetArtifact> artifact;
   };
-  struct SolveEntry {
-    FlowKind kind;
-    bool anneal;
-    const RoutingArtifact* phase1;
-    const BudgetArtifact* budget;
-    std::shared_ptr<const RegionSolveArtifact> artifact;
-  };
-  struct RefineEntry {
-    /// Kept alive by artifact->base, so pointer identity is stable.
-    const RegionSolveArtifact* solve;
-    std::shared_ptr<const RefineArtifact> artifact;
-  };
-  // Each cache is an LRU list in recency order (back = most recent): a hit
-  // rotates the entry to the back, an insert beyond the entry budget
-  // (SessionOptions::cache_entries) evicts the front. Entries hold their
-  // artifacts via shared_ptr, so eviction never invalidates an artifact a
-  // caller (or a downstream cache entry) still references — the raw-pointer
-  // keys in SolveEntry/RefineEntry stay unambiguous because each entry's
-  // artifact pins its own inputs alive (no address reuse while the entry
-  // lives). Every evicted stage artifact stays reachable through the
-  // persistent store when one is attached: each stage consults it on a
-  // cache miss before computing.
-  std::vector<RouteEntry> route_cache_;
+  std::vector<CacheEntry<RoutingArtifact>> route_cache_;
   std::vector<BudgetEntry> budget_cache_;
-  std::vector<SolveEntry> solve_cache_;
-  std::vector<RefineEntry> refine_cache_;
+  std::vector<CacheEntry<RegionSolveArtifact>> solve_cache_;
+  std::vector<CacheEntry<RefineArtifact>> refine_cache_;
 };
 
 }  // namespace rlcr::gsino

@@ -10,6 +10,7 @@
 #include "obs/trace.h"
 #include "parallel/parallel_for.h"
 #include "rsmt/steiner.h"
+#include "steiner/tree_builder.h"
 #include "steiner/tree_cache.h"
 #include "util/indexed_heap.h"
 #include "util/stopwatch.h"

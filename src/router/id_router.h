@@ -83,8 +83,10 @@
 #include "grid/region_grid.h"
 #include "router/route_types.h"
 #include "sino/nss.h"
-// Not used here: kept because perfbench reaches steiner::TreeBuilder only
-// through this header (via core/session.h); due in ROADMAP item 9.
+// Not used here (id_router.cpp includes it itself): perfbench/src/flow.h
+// aliases `rlcr::steiner` before including any steiner header, and sees
+// that namespace only through core/session.h -> this header. Due in
+// ROADMAP item 9.
 #include "steiner/tree_builder.h"
 
 namespace rlcr::router {

@@ -32,7 +32,6 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "core/session.h"
@@ -242,77 +241,68 @@ DeltaReport DeltaEngine::apply(gsino::FlowSession& s,
       apply_delta(*s.problem_, delta));
   report.problem = newp;
 
-  // Route the mutated problem once per cached router profile, keeping an
-  // old->new map so downstream entries re-key onto the new artifacts.
-  // Every old artifact whose address is used as a map key stays alive
-  // until its last lookup: budget entries pin their phase1, solve entries'
-  // artifacts pin both their inputs.
-  std::unordered_map<const gsino::RoutingArtifact*,
-                     std::shared_ptr<const gsino::RoutingArtifact>>
-      routes;
-  for (auto& e : s.route_cache_) {
-    auto art = gsino::compute_route(*newp, e.options);
-    report.nets_rerouted += newp->net_count();
-    ++report.routes_patched;
-    if (s.options_.store) {
-      s.options_.store->put_routing(store::routing_key(*newp, e.options),
-                                    *art);
+  // Every entry re-files under the mutated problem's store keys, and a
+  // downstream entry finds its new inputs by looking their keys up. An
+  // entry whose inputs are no longer cached drops and recomputes on demand.
+  const gsino::RoutingProblem& p = *newp;
+  store::ArtifactStore* const st = s.options_.store.get();
+  const auto find = [](const auto& cache, std::uint64_t key) {
+    decltype(cache.front().artifact) hit;
+    for (const auto& e : cache) {
+      if (e.key == key) hit = e.artifact;
     }
-    routes.emplace(e.artifact.get(), art);
-    e.artifact = std::move(art);
+    return hit;
+  };
+
+  // Routing: every cached router profile routes the mutated problem.
+  for (auto& e : s.route_cache_) {
+    e.key = store::routing_key(p, e.artifact->options);
+    e.artifact = gsino::compute_route(p, e.artifact->options);
+    report.nets_rerouted += p.net_count();
+    ++report.routes_patched;
+    if (st) st->put_routing(e.key, *e.artifact);
   }
 
-  // Budgets recompute through the stage path (cheap); entries whose
-  // routing input is no longer cached drop and recompute on demand.
-  std::unordered_map<const gsino::BudgetArtifact*,
-                     std::shared_ptr<const gsino::BudgetArtifact>>
-      budgets;
+  // Budgets recompute through the stage path (cheap).
   for (auto it = s.budget_cache_.begin(); it != s.budget_cache_.end();) {
-    auto& e = *it;
-    std::shared_ptr<const gsino::RoutingArtifact> new_phase1;
-    if (e.phase1) {
-      const auto f = routes.find(e.phase1.get());
-      if (f == routes.end()) {
+    const gsino::BudgetArtifact& old = *it->artifact;
+    if (it->phase1) {
+      it->phase1 =
+          find(s.route_cache_, store::routing_key(p, it->phase1->options));
+      if (!it->phase1) {
         it = s.budget_cache_.erase(it);
         continue;
       }
-      new_phase1 = f->second;
     }
-    auto art = gsino::compute_budget(*newp, e.rule, e.bound_v, e.margin,
-                                     new_phase1.get());
-    if (s.options_.store) {
-      s.options_.store->put_budget(
-          store::budget_key(*newp, e.rule, e.bound_v, e.margin,
-                            new_phase1.get()),
-          *art);
-    }
-    budgets.emplace(e.artifact.get(), art);
-    e.phase1 = std::move(new_phase1);
-    e.artifact = std::move(art);
+    it->key = store::budget_key(p, old.rule, old.bound_v, old.margin,
+                                it->phase1.get());
+    it->artifact = gsino::compute_budget(p, old.rule, old.bound_v, old.margin,
+                                         it->phase1.get());
+    if (st) st->put_budget(it->key, *it->artifact);
     ++it;
   }
 
-  // Phase II solves patch per dirty (region, dir); entries whose inputs
-  // are no longer cached drop and recompute on demand.
+  // Phase II solves patch per dirty (region, dir).
   for (auto it = s.solve_cache_.begin(); it != s.solve_cache_.end();) {
-    auto& e = *it;
-    const auto fr = routes.find(e.phase1);
-    const auto fb = budgets.find(e.budget);
-    if (fr == routes.end() || fb == budgets.end()) {
+    const gsino::RegionSolveArtifact& old = *it->artifact;
+    const gsino::BudgetArtifact& ob = *old.budget;
+    const auto phase1 =
+        find(s.route_cache_, store::routing_key(p, old.phase1->options));
+    const auto budget =
+        phase1 ? find(s.budget_cache_,
+                      store::budget_key(p, ob.rule, ob.bound_v, ob.margin,
+                                        phase1.get()))
+               : nullptr;
+    if (!budget) {
       it = s.solve_cache_.erase(it);
       continue;
     }
-    SolvePatch sp = patch_solve(*newp, *e.artifact, fr->second, fb->second);
+    SolvePatch sp = patch_solve(p, old, phase1, budget);
     report.regions_solved += sp.solved;
     report.regions_reused += sp.reused;
-    if (s.options_.store) {
-      s.options_.store->put_region_solve(
-          store::solve_key(*newp, e.kind, e.anneal, *fr->second, *fb->second),
-          *sp.artifact);
-    }
-    e.phase1 = fr->second.get();
-    e.budget = fb->second.get();
-    e.artifact = std::move(sp.artifact);
+    it->key = store::solve_key(p, old.kind, old.annealed, *phase1, *budget);
+    it->artifact = std::move(sp.artifact);
+    if (st) st->put_region_solve(it->key, *it->artifact);
     ++it;
   }
 

@@ -404,8 +404,8 @@ std::uint64_t routing_key(const gsino::RoutingProblem& problem,
   util::Fnv1a64 h;
   h.str("routing/v1");
   h.u64(problem.fingerprint());
-  // The profile identity is profile_tie() — the same field list the
-  // session's in-memory cache compares; `threads` is excluded there.
+  // The profile identity is profile_tie() — the same field list
+  // same_routing_profile compares; `threads` is excluded there.
   std::apply([&](const auto&... field) { (hash_field(h, field), ...); },
              options.profile_tie());
   return h.value();

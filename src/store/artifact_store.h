@@ -146,15 +146,14 @@ using StorePtr = std::shared_ptr<ArtifactStore>;
 
 /// Key of the routing artifact a session computes for `options` over
 /// `problem`: problem fingerprint + routing profile, `threads` excluded
-/// (it never changes output — the same exclusion FlowSession's in-memory
-/// cache applies via same_routing_profile).
+/// (it never changes output). FlowSession files its in-memory caches
+/// under these same four keys.
 std::uint64_t routing_key(const gsino::RoutingProblem& problem,
                           const router::IdRouterOptions& options);
 
 /// Key of a budget artifact. The routed-length (iSINO) rule keys on the
 /// routing_key() of `phase1`, the artifact it budgets from; the Manhattan
-/// rules are routing-independent and ignore it (it may be null) —
-/// mirroring the session cache.
+/// rules are routing-independent and ignore it (it may be null).
 std::uint64_t budget_key(const gsino::RoutingProblem& problem,
                          gsino::BudgetRule rule, double bound_v, double margin,
                          const gsino::RoutingArtifact* phase1);

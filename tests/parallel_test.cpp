@@ -533,7 +533,7 @@ TEST(ParallelDeterminism, SessionRoutingReportsZeroSpecCounters) {
 
   router::IdRouterOptions ropt = problem.params().router;
   ropt.threads = 2;
-  const auto phase1 = session.route(ropt, gsino::FlowKind::kGsino);
+  const auto phase1 = session.route(ropt);
   EXPECT_EQ(session.counters().route_executed, 1u);
   EXPECT_GT(phase1->routing->stats.edges_deleted, 0u);
   EXPECT_EQ(phase1->routing->stats.spec_attempted, 0u);

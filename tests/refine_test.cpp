@@ -244,11 +244,9 @@ struct Pass2Run {
 template <typename Pass>
 Pass2Run record_pass2(FlowState& fs, Pass&& pass) {
   Pass2Run run;
-  fs.observer = [&run](const StageEvent& e) {
-    if (e.region != kNoRegion) run.picks.push_back(e.region);
-  };
+  fs.on_resolve = [&run](std::size_t si) { run.picks.push_back(si); };
   pass(fs, run.stats);
-  fs.observer = nullptr;
+  fs.on_resolve = nullptr;
   return run;
 }
 

@@ -1,8 +1,7 @@
 // The staged, re-entrant FlowSession API: artifact caching and
 // invalidation, what-if re-solves that skip Phase I (proven by stage
-// counters and bit-identical to from-scratch runs), cross-flow routing
-// artifact sharing that reproduces the experiment goldens, and the stage
-// observer.
+// counters and bit-identical to from-scratch runs), and cross-flow routing
+// artifact sharing that reproduces the experiment goldens.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -217,13 +216,13 @@ TEST(Session, ExplicitProfileChangeInvalidatesRouting) {
   // Same profile -> cache hit (thread count is not part of the identity).
   router::IdRouterOptions same = session.router_profile(FlowKind::kIdNo);
   same.threads = 7;
-  EXPECT_EQ(session.route(same, FlowKind::kIdNo).get(), base.get());
+  EXPECT_EQ(session.route(same).get(), base.get());
   EXPECT_EQ(session.counters().route_executed, 1u);
 
   // Different weights -> different artifact.
   router::IdRouterOptions heavier = session.router_profile(FlowKind::kIdNo);
   heavier.weights.gamma = 80.0;
-  EXPECT_NE(session.route(heavier, FlowKind::kIdNo).get(), base.get());
+  EXPECT_NE(session.route(heavier).get(), base.get());
   EXPECT_EQ(session.counters().route_executed, 2u);
 }
 
@@ -233,41 +232,87 @@ TEST(Session, BudgetRulePerFlow) {
   EXPECT_EQ(budget_rule(FlowKind::kGsino), BudgetRule::kManhattanMargin);
 }
 
-TEST(Session, StageNames) {
-  EXPECT_STREQ(stage_name(Stage::kRoute), "route");
-  EXPECT_STREQ(stage_name(Stage::kBudget), "budget");
-  EXPECT_STREQ(stage_name(Stage::kSolveRegions), "solve_regions");
-  EXPECT_STREQ(stage_name(Stage::kRefine), "refine");
+// ------------------------------------------------------ content identity
+
+TEST(Session, RecomputedRoutingKeepsDownstreamHits) {
+  // Memory caches key on content (the store keys), not on addresses: a
+  // routing artifact recomputed after eviction finds the budget and
+  // Phase II entries derived from its first computation.
+  const Pipeline pipe(0.5);
+  const RoutingProblem p = pipe.problem();
+  SessionOptions bounded;
+  bounded.cache_entries = 2;
+  FlowSession session(p, std::move(bounded));
+
+  const double bound = p.params().crosstalk_bound_v;
+  const bool anneal = p.params().anneal_phase2;
+  const router::IdRouterOptions profile =
+      session.router_profile(FlowKind::kIdNo);
+  const auto r1 = session.route(profile);
+  const auto b1 = session.budget(FlowKind::kIsino, r1, bound, 1.0);
+  const auto s1 = session.solve_regions(FlowKind::kIsino, r1, b1, anneal);
+  const FlowResult first = session.run(FlowKind::kIsino);
+
+  // Two other profiles evict the first from the two-entry route cache.
+  router::IdRouterOptions other = profile;
+  other.weights.gamma = 80.0;
+  (void)session.route(other);
+  other.weights.gamma = 90.0;
+  (void)session.route(other);
+  ASSERT_EQ(session.counters().route_executed, 3u);
+
+  const StageCounters before = session.counters();
+  const auto r2 = session.route(profile);
+  EXPECT_EQ(session.counters().route_executed, before.route_executed + 1);
+  EXPECT_NE(r2.get(), r1.get());
+
+  const auto b2 = session.budget(FlowKind::kIsino, r2, bound, 1.0);
+  const auto s2 = session.solve_regions(FlowKind::kIsino, r2, b2, anneal);
+  EXPECT_EQ(session.counters().budget_executed, before.budget_executed);
+  EXPECT_EQ(session.counters().solve_executed, before.solve_executed);
+  EXPECT_EQ(b2.get(), b1.get());
+  EXPECT_EQ(s2.get(), s1.get());
+
+  const FlowResult again = session.run(FlowKind::kIsino);
+  EXPECT_EQ(session.counters().budget_executed, before.budget_executed);
+  EXPECT_EQ(session.counters().solve_executed, before.solve_executed);
+  EXPECT_EQ(router::route_hash(again.routing()),
+            router::route_hash(first.routing()));
+  EXPECT_EQ(state_fingerprint(again), state_fingerprint(first));
+  EXPECT_EQ(again.total_shields, first.total_shields);
+  ASSERT_EQ(again.net_lsk().size(), first.net_lsk().size());
+  for (std::size_t n = 0; n < again.net_lsk().size(); ++n) {
+    EXPECT_EQ(again.net_lsk()[n], first.net_lsk()[n]) << "net " << n;
+    EXPECT_EQ(again.net_noise()[n], first.net_noise()[n]) << "net " << n;
+  }
 }
 
-// --------------------------------------------------------------- observer
-
-TEST(Session, ObserverSeesStagesAndReuse) {
-  const Pipeline pipe(0.3);
+TEST(Session, SolvesOverBudgetsFromDifferentRoutingsStayApart) {
+  // The solve key names a routed-length budget by the solve's own routing
+  // profile. A budget derived from another routing shares that key, so
+  // the cache must tell the two solves (and their refines) apart.
+  const Pipeline pipe(0.5);
   const RoutingProblem p = pipe.problem();
-  std::vector<StageEvent> events;
-  SessionOptions opt;
-  opt.observer = [&](const StageEvent& ev) {
-    if (ev.region == kNoRegion) events.push_back(ev);
-  };
-  FlowSession session(p, opt);
+  FlowSession session(p);
+  const double bound = p.params().crosstalk_bound_v;
+  const auto ra = session.route(FlowKind::kIdNo);
+  const auto rb = session.route(FlowKind::kGsino);
+  const auto foreign = session.budget(FlowKind::kIsino, rb, bound, 1.0);
+  const auto own = session.budget(FlowKind::kIsino, ra, bound, 1.0);
+  ASSERT_NE(*foreign->kth, *own->kth);
 
-  (void)session.run(FlowKind::kGsino);
-  ASSERT_EQ(events.size(), 4u);  // route, budget, solve_regions, refine
-  EXPECT_EQ(events[0].stage, Stage::kRoute);
-  EXPECT_EQ(events[1].stage, Stage::kBudget);
-  EXPECT_EQ(events[2].stage, Stage::kSolveRegions);
-  EXPECT_EQ(events[3].stage, Stage::kRefine);
-  for (const StageEvent& ev : events) EXPECT_FALSE(ev.reused);
+  const auto mixed =
+      session.solve_regions(FlowKind::kIsino, ra, foreign, false);
+  const auto solved = session.solve_regions(FlowKind::kIsino, ra, own, false);
+  EXPECT_EQ(session.counters().solve_executed, 2u);
+  EXPECT_NE(solved.get(), mixed.get());
+  EXPECT_EQ(solved->budget.get(), own.get());
 
-  events.clear();
-  Scenario sc;
-  sc.bound_v = 0.20;
-  (void)session.run(FlowKind::kGsino, sc);
-  ASSERT_EQ(events.size(), 4u);
-  EXPECT_TRUE(events[0].reused);    // Phase I artifact served from cache
-  EXPECT_FALSE(events[1].reused);   // new bound -> new budget
-  EXPECT_FALSE(events[2].reused);
+  const auto refined_mixed = session.refine(mixed);
+  const auto refined = session.refine(solved);
+  EXPECT_EQ(session.counters().refine_executed, 2u);
+  EXPECT_EQ(refined->base.get(), solved.get());
+  EXPECT_NE(refined.get(), refined_mixed.get());
 }
 
 }  // namespace

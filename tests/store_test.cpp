@@ -103,14 +103,14 @@ TEST(StoreSerial, RoutingRoundTripIsBitIdentical) {
 // in profile identity, so its artifact can never be mistaken for the
 // default one. The low pre-route threshold sends nets down the huge-net
 // L path, which the fallback counter and route hash then cover too.
-TEST(StoreSerial, RoutingRoundTripCarriesTreeProfile) {
+TEST(StoreSerial, RoutingRoundTripCarriesRouterProfile) {
   const Pipeline pipe(0.5);
   const RoutingProblem p = pipe.problem();
   FlowSession session(p);
   router::IdRouterOptions opt = session.router_profile(FlowKind::kGsino);
   opt.huge_net_bbox_threshold = 40;
   opt.detour_slack = 3;
-  const auto art = session.route(opt, FlowKind::kGsino);
+  const auto art = session.route(opt);
   ASSERT_GT(art->routing->stats.prerouted_nets, 0u);
 
   const auto loaded = store::load_routing(store::save(*art), p);
@@ -555,7 +555,7 @@ TEST(ArtifactStore, CorruptRecordOnDiskIsRejectedRemovedAndRecomputed) {
   const std::uint64_t key = store::routing_key(p, p.params().router);
   {
     FlowSession session(p, SessionOptions{.store = store});
-    (void)session.route(p.params().router, FlowKind::kGsino);
+    (void)session.route(p.params().router);
   }
 
   // Flip one payload byte of the record on disk.
@@ -575,7 +575,7 @@ TEST(ArtifactStore, CorruptRecordOnDiskIsRejectedRemovedAndRecomputed) {
 
   // A session consulting the store simply recomputes and republishes.
   FlowSession session(p, SessionOptions{.store = store});
-  (void)session.route(p.params().router, FlowKind::kGsino);
+  (void)session.route(p.params().router);
   EXPECT_EQ(session.counters().route_executed, 1u);
   EXPECT_NE(store->get_routing(key, p), nullptr);
 }
@@ -738,10 +738,10 @@ TEST(Session, EvictedArtifactsAreServedBackByTheStore) {
   // the store serves it back instead of a recompute.
   EXPECT_EQ(session.counters().budget_executed, 2u);
   EXPECT_EQ(session.counters().budget_loaded, 1u);
-  // Likewise the 0.15 region solve: solve_regions() auto-published it on
-  // first compute, so the replay loads instead of re-running SINO — even
-  // though the reloaded budget is a different in-memory artifact (the
-  // store keys on content, the LRU cache on pointer identity).
+  // Likewise the 0.15 region solve: the 0.18 solve evicted it from
+  // memory, but solve_regions() auto-published it on first compute, so
+  // the replay loads it under the same content key instead of re-running
+  // SINO, although the reloaded budget is a different in-memory artifact.
   EXPECT_EQ(session.counters().solve_executed, 2u);
   EXPECT_EQ(session.counters().solve_loaded, 1u);
   // And the 0.15 refine artifact, published on first compute and evicted

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "obs/trace.h"
-#include "util/indexed_heap.h"
+#include "util/monotone_queue.h"
 
 namespace rlcr::gsino {
 
@@ -216,32 +216,34 @@ void LocalRefiner::reduce_congestion(FlowState& fs, RefineStats& stats) const {
 
   // Candidates: non-empty solutions with at least one shield and positive
   // density, keyed on density. A step changes only the picked region's
-  // shield count, so only its key moves. The heap pops the largest
-  // (key, id); storing solution si under id n-1-si sends density ties to
-  // the lowest index, so regions are visited in argmax-scan order.
+  // shield count, so only its key moves, and only down: an accepted step
+  // removes a shield, which lowers density = (segments + shields) /
+  // capacity. The pick leaves the queue, and an accepted pick that is
+  // still eligible goes back with its lower key, so the monotone queue
+  // serves it. The queue takes the largest (key, id); storing solution si
+  // under id n-1-si sends density ties to the lowest index, so regions are
+  // visited in argmax-scan order.
   const std::size_t n = fs.solutions.size();
-  const auto heap_id = [n](std::size_t si) {
+  const auto queue_id = [n](std::size_t si) {
     return static_cast<std::int32_t>(n - 1 - si);
   };
   const auto eligible = [&](std::size_t si, double dens) {
     return fs.congestion->shields(sol_region(si), sol_dir(si)) >= 1.0 &&
            dens > 0.0;
   };
-  util::IndexedMaxHeap heap(n);
-  {
-    std::vector<util::IndexedMaxHeap::Entry> entries;
+  util::MonotoneMaxQueue queue;
+  queue.build([&](auto visit) {
     for (std::size_t si = 0; si < n; ++si) {
       if (fs.solutions[si].empty()) continue;
       const double dens = fs.solution_density(si);
-      if (eligible(si, dens)) entries.push_back({dens, heap_id(si)});
+      if (eligible(si, dens)) visit({dens, queue_id(si), 0});
     }
-    heap.build(std::move(entries));
-  }
+  });
 
-  for (int outer = 0; outer < params.lr_max_outer_pass2 && !heap.empty();
+  for (int outer = 0; outer < params.lr_max_outer_pass2 && queue.settle();
        ++outer) {
-    const std::size_t pick =
-        n - 1 - static_cast<std::size_t>(heap.top().first);
+    const std::size_t pick = n - 1 - static_cast<std::size_t>(queue.top().id);
+    queue.pop();
 
     const RegionBackup backup = snapshot(fs, pick);
     loosen_kth(fs, pick, lsk_budget);
@@ -258,15 +260,10 @@ void LocalRefiner::reduce_congestion(FlowState& fs, RefineStats& stats) const {
       // acceptance removes at least one shield and the total shield count
       // is finite.
       const double dens = fs.solution_density(pick);
-      if (eligible(pick, dens)) {
-        heap.update(heap_id(pick), dens);
-      } else {
-        heap.erase(heap_id(pick));
-      }
+      if (eligible(pick, dens)) queue.push({dens, queue_id(pick), 0});
     } else {
       restore(fs, backup);
       ++stats.pass2_rejected;
-      heap.erase(heap_id(pick));
     }
   }
 }

@@ -14,13 +14,15 @@
 // and re-run SINO; accept the new solution only if it removes at least one
 // shield and causes no new violations. A rejected region is done; an
 // accepted one stays a candidate while it keeps a shield. The pick comes
-// off an indexed max-heap (util/indexed_heap.h) keyed on density, built
-// once over the candidates: a step changes only the picked region's shield
-// count, so only its key moves (update on accept, erase when it leaves the
-// candidate set). Heap ids are reversed solution indices, so density ties
-// go to the lowest index and regions are visited in exactly the order of a
-// full argmax scan per step (tests/refine_test.cpp pins this against the
-// scan).
+// off a monotone max-queue (util/monotone_queue.h) keyed on density, built
+// once over the candidates. A step changes only the picked region's shield
+// count, so only its key moves, and only down: an accepted step removes a
+// shield, and density = (segments + shields) / capacity. The pick leaves
+// the queue, and an accepted pick that is still a candidate goes back with
+// its lower density. Queue ids are reversed solution indices, so density
+// ties go to the lowest index and regions are visited in exactly the order
+// of a full argmax scan per step (tests/refine_test.cpp pins this against
+// the scan).
 //
 // Pass 1 is inherently sequential (each step's worst-violator pick reads
 // every earlier fix) and pass 2 accepts or rejects one region at a time,

@@ -12,7 +12,7 @@
 #include "rsmt/steiner.h"
 #include "steiner/tree_builder.h"
 #include "steiner/tree_cache.h"
-#include "util/indexed_heap.h"
+#include "util/monotone_queue.h"
 #include "util/stopwatch.h"
 
 namespace rlcr::router {
@@ -320,7 +320,6 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
   const std::unique_ptr<std::int32_t[]> i32_arena(
       new std::int32_t[7 * sum_v + works.size() + 2 * sum_e]);
   const std::unique_ptr<EdgeHot[]> ehot(new EdgeHot[total_edges]);
-  const std::unique_ptr<std::int32_t[]> gid_net(new std::int32_t[total_edges]);
   {
     std::size_t edge_cursor = 0, incident_cursor = 0, i32_cursor = 0;
     for (std::size_t n = 0; n < works.size(); ++n) {
@@ -423,7 +422,7 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
 
   // Full connection graph over the bounding box, filled into the net's
   // pre-carved arena slices, plus the f(WL) tables and EdgeHot records.
-  auto build_pooled = [&](const RouterNet& net, NetWork& wk, std::size_t n,
+  auto build_pooled = [&](const RouterNet& net, NetWork& wk,
                           BuildScratch& sc) {
     const auto vcount = wk.vertex_count();
     std::fill_n(wk.incident, vcount, std::array<std::uint16_t, 2>{0, 0});
@@ -539,7 +538,7 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
     // Static f(WL) per edge: shortest source->sink path forced through it,
     // normalized by the RSMT length estimate (>= 1 region unit). Source and
     // nearest-sink distances are precomputed per vertex, so the edge loop
-    // is table lookups instead of O(pins) Manhattan scans. The heap key is
+    // is table lookups instead of O(pins) Manhattan scans. The queue key is
     // NOT computed here — it needs the density caches, which exist only
     // after every net's stats are combined.
     const geom::Point src = net.pins.front();
@@ -573,7 +572,6 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
       h.ru = wk.region_idx[static_cast<std::size_t>(e.u)];
       h.rv = wk.region_idx[static_cast<std::size_t>(e.v)];
       h.meta = kActive;
-      gid_net[gid] = static_cast<std::int32_t>(n);
     }
   };
 
@@ -599,7 +597,7 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
             build_prerouted(nets[n], wk, sc);
           } else {
             part.edges_initial += wk.edge_count;
-            build_pooled(nets[n], wk, n, sc);
+            build_pooled(nets[n], wk, sc);
           }
         }
         return part;
@@ -636,7 +634,7 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
   // shield estimate). A stats change sets the stale flag; the derivation
   // reruns lazily at first read, so each change costs at most one
   // polynomial evaluation per touched region — instead of the historical
-  // four full density derivations on every heap pop.
+  // four full density derivations on every pop.
   const IdWeights& wt = options_.weights;
 
   auto refresh_region = [&](RegionRec& r, int d) {
@@ -674,7 +672,7 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
   };
 
   // Derive every (region, dir) once off the final build stats, then
-  // compute the initial heap keys in parallel from the (now read-only)
+  // compute the initial queue keys in parallel from the (now read-only)
   // records. refresh_region is a pure function of the region's stats, so
   // eager derivation yields exactly the values the historical lazy
   // first-reads produced; the keys match current_weight() double for
@@ -819,12 +817,10 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
     }
   };
 
-  // The heap exists, still empty, from here on so freeze() can test
-  // membership: seed certification runs before the heap is built.
-  util::IndexedMaxHeap heap(total_edges);
-
   /// Freeze a net whose pins fail certification: lock every active edge,
-  /// erase the heap entries, return how many edges locked. The BFS walks
+  /// return how many edges locked. Its queue entries stay; the loop drops
+  /// them as dead (their edges are no longer active) when their bucket
+  /// opens or they reach the top. The BFS walks
   /// active edges only, so once any edge of a net locks — an edge without
   /// which some pin fails — every later verdict of that net is "lock" as
   /// well; locking the remainder at once decides exactly those verdicts
@@ -839,10 +835,6 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
       std::uint8_t& meta = ehot[wk.gid_base + ei].meta;
       meta = static_cast<std::uint8_t>((meta & ~kStateMask) | kLocked);
       ++locked;
-      // A mid-heap erase sifts only a level or two, where draining the
-      // entry later through the top would pay the full tree depth.
-      const auto gid = static_cast<std::int32_t>(wk.gid_base + ei);
-      if (heap.contains(gid)) heap.erase(gid);
     }
     return locked;
   };
@@ -854,7 +846,7 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
   // and runs the bridge pass, so degenerate (1-wide) bounding boxes never
   // pay a single deletability BFS. Bridges are marked here only: a net
   // freezes at its first lock, so its graph never shrinks by a lock while
-  // it still has heap entries.
+  // it still has live queue entries.
   constexpr std::size_t kNetGrain = 64;  // nets per chunk (fixed)
   parallel::ordered_reduce<std::size_t>(
       works.size(), kNetGrain, threads,
@@ -878,61 +870,95 @@ RoutingResult IdRouter::route(const std::vector<RouterNet>& nets) const {
         result.stats.edges_locked += locked;
       });
 
+  // The deletion queue: one entry per active candidate edge, keyed on its
+  // initial weight and tagged with its net. A chunk pass counts the entries
+  // per key bucket, and a second pass over the same chunks computes the
+  // keys again and stores each entry in its bucket, so no second entry
+  // array is ever live. Nets frozen at seed get no entries. The pop order
+  // is a function of the (key, id) set alone, not of the layout.
+  using Queue = util::MonotoneMaxQueue;
+  Queue queue;
   {
-    std::vector<util::IndexedMaxHeap::Entry> heap_init(total_edges);
-    constexpr std::size_t kWeightGrain = 4096;  // edges per chunk (fixed)
+    // At least 64K edges and at most ~16 chunks, so the per-chunk bucket
+    // counts (kBuckets each) stay small.
+    const std::size_t grain =
+        std::max<std::size_t>(std::size_t{1} << 16, total_edges / 16 + 1);
+    auto for_each_live = [&](std::size_t begin, std::size_t end, auto visit) {
+      std::size_t n = static_cast<std::size_t>(
+          std::upper_bound(edge_base.begin(), edge_base.end(), begin) -
+          edge_base.begin() - 1);
+      for (std::size_t gid = begin; gid < end; ++gid) {
+        while (gid >= edge_base[n + 1]) ++n;
+        const EdgeHot& h = ehot[gid];
+        if ((h.meta & kStateMask) != kActive) continue;  // frozen at seed
+        visit(gid, n, weight_from_cache(h));
+      }
+    };
+    std::vector<std::uint32_t> counts(
+        parallel::chunk_count(total_edges, grain) * Queue::kBuckets, 0);
     parallel::parallel_for(
-        total_edges, kWeightGrain, threads,
+        total_edges, grain, threads,
         [&](std::size_t begin, std::size_t end, int) {
-          for (std::size_t gid = begin; gid < end; ++gid) {
-            heap_init[gid] = util::IndexedMaxHeap::Entry{
-                weight_from_cache(ehot[gid]), static_cast<std::int32_t>(gid)};
-          }
+          std::uint32_t* const count =
+              counts.data() + begin / grain * Queue::kBuckets;
+          for_each_live(begin, end, [&](std::size_t, std::size_t, double key) {
+            ++count[Queue::bucket_of(key)];
+          });
         });
-    // Nets frozen at seed enter the deletion loop without entries. The pop
-    // order is a function of the (key, id) set alone, not of the layout.
-    if (result.stats.edges_locked > 0) {
-      std::erase_if(heap_init, [&](const util::IndexedMaxHeap::Entry& en) {
-        return (ehot[static_cast<std::size_t>(en.id)].meta & kStateMask) !=
-               kActive;
-      });
-    }
-    heap.build(std::move(heap_init));
+    queue.lay_out(counts);
+    parallel::parallel_for(
+        total_edges, grain, threads,
+        [&](std::size_t begin, std::size_t end, int) {
+          std::uint32_t* const next =
+              counts.data() + begin / grain * Queue::kBuckets;
+          for_each_live(begin, end,
+                        [&](std::size_t gid, std::size_t n, double key) {
+                          queue.slot(next[Queue::bucket_of(key)]++) =
+                              Queue::Entry{key, static_cast<std::int32_t>(gid),
+                                           static_cast<std::int32_t>(n)};
+                        });
+        });
   }
 
   // ------------------------------------------------------------- deletion
   //
   // Pop semantics replicate the historical lazy-revalidation heap exactly:
-  // the heap key is the weight at the edge's last touch, and a popped-to-top
-  // entry whose *current* weight dropped by more than 1e-9 is re-keyed in
-  // place instead of processed. Because the old scheme kept exactly one
-  // live entry per active edge, the processing order here is identical —
-  // minus the duplicate-entry churn and the per-pop Eq. (2)/(3)
+  // the queue key is the weight at the edge's last touch, and a top entry
+  // whose *current* weight dropped by more than 1e-9 goes back with that
+  // weight instead of being processed. Because the old scheme kept exactly
+  // one live entry per active edge, the processing order here is identical
+  // — minus the duplicate-entry churn and the per-pop Eq. (2)/(3)
   // recomputation, and without the old `max_reinserts_per_edge` safety cap
   // (termination is structural: a re-key needs a strict weight drop, which
-  // needs an intervening deletion, and deletions are finite).
+  // needs an intervening deletion, and deletions are finite). A re-key is
+  // the only push, and it is below the entry just taken, so the taken keys
+  // never rise: the monotone queue's one requirement.
   //
-  // Every net with heap entries has never locked an edge, so its certified
+  // Every net with live entries has never locked an edge, so its certified
   // pin paths are always current: each deletion of an on-path edge adopts
   // the paths of the BFS that approved it.
   phase_span.emplace("router.deletion", "router");
-  phase_span->arg("candidates", static_cast<double>(heap.size()));
+  phase_span->arg("candidates", static_cast<double>(queue.size()));
   BfsScratch& sc = scratch.front();
   sc.init(max_vertices, max_edges);
-  while (!heap.empty()) {
-    const auto [gid, stored] = heap.top();
-    const auto ugid = static_cast<std::size_t>(gid);
+  const auto frozen = [&](const Queue::Entry& en) {
+    return (ehot[static_cast<std::size_t>(en.id)].meta & kStateMask) !=
+           kActive;
+  };
+  while (queue.settle(frozen)) {
+    const Queue::Entry top = queue.top();
+    queue.pop();
+    const auto ugid = static_cast<std::size_t>(top.id);
     EdgeHot& h = ehot[ugid];
 
     const double now = current_weight(h);
-    if (now < stored - 1e-9) {
+    if (now < top.key - 1e-9) {
       ++result.stats.reinserts;
-      heap.update(gid, now);
+      queue.push(Queue::Entry{now, top.id, top.tag});
       continue;
     }
-    heap.pop();
 
-    NetWork& wk = works[static_cast<std::size_t>(gid_net[ugid])];
+    NetWork& wk = works[static_cast<std::size_t>(top.tag)];
     // Certificate verdict: 0 = lock (negative certificate: a bridge with a
     // pin behind it), 1 = delete (positive certificate: the certified pin
     // paths survive this edge's removal), -1 = no certificate applies.

@@ -21,13 +21,19 @@
 // The paper's Section 5 observation that ID dominates GSINO's runtime makes
 // this file the Phase I hot path, so the deletion loop runs as an
 // incremental engine:
-//   - one indexed d-ary max-heap entry per candidate edge
-//     (util/indexed_heap.h) with in-place update-key. The key is the weight
-//     at the edge's last touch and a popped-to-top entry whose current
-//     weight dropped is re-keyed instead of processed — the exact
-//     processing order of the historical lazy-revalidation
+//   - one monotone max-queue entry per candidate edge
+//     (util/monotone_queue.h), tagged with its net. The key is the weight
+//     at the edge's last touch, and a top entry whose current weight
+//     dropped goes back with that lower weight instead of being processed
+//     — the exact processing order of the historical lazy-revalidation
 //     std::priority_queue (which held one live entry per edge), without
-//     duplicate-entry churn or a reinsert cap;
+//     duplicate-entry churn or a reinsert cap. Since a key only ever
+//     changes at the top and only downward, the keys taken never rise: the
+//     queue buckets the initial entries by key in one chunk-parallel
+//     scatter, sorts a bucket only when it can hold the maximum, and keeps
+//     re-keyed entries in a small binary heap beside the buckets. A frozen
+//     net's entries are not erased; the loop drops them when their bucket
+//     opens or when they reach the top;
 //   - one dense record per (region, dir) holding the presence statistics,
 //     the cached density/overflow derived from them, and a stale flag: a
 //     stats change marks the touched regions, the Eq. (2)/(3) derivation
@@ -51,14 +57,14 @@
 //     edge without which some pin fails, and the BFS does not cross locked
 //     edges, so the first lock of a net freezes it: every later verdict of
 //     that net is "lock", and its whole active remainder bulk-locks at
-//     once, with its heap entries erased. A net whose pins already fail at
-//     seed, with no edge skipped, freezes before the heap is built. Edge
+//     once. A net whose pins already fail at seed, with no edge skipped,
+//     freezes before the queue is built and gets no entries. Edge
 //     removal can only shrink the graph, so certificates stay valid until
 //     a pop touches them;
 //   - demand rebalancing walks maintained per-direction active-vertex
 //     lists instead of rescanning the whole bounding box, and per-net
 //     arrays are carved from shared arenas (three allocations total);
-//   - the build phase (per-net graph + CSR + f(WL) + initial heap keys) is
+//   - the build phase (per-net graph + CSR + f(WL) + the queue) is
 //     chunk-parallel on the shared pool (src/parallel): workers fill
 //     disjoint arena slices, the shared RegionStats accumulation is
 //     replayed serially in net order by the ordered reducer, and the
@@ -113,7 +119,7 @@ struct IdRouterOptions {
   /// can leave arbitrarily long snakes through quiet regions.
   double max_detour_factor = 1.3;
   std::int32_t detour_slack = 1;
-  /// Workers for the per-net phases (graphs, f(WL) tables, CSR, heap keys,
+  /// Workers for the per-net phases (graphs, f(WL) tables, CSR, queue build,
   /// seed certification, route extraction) on the shared pool
   /// (src/parallel). 0 = auto (RLCR_THREADS env var, else hardware
   /// concurrency); 1 = the exact serial path. Output is bit-identical at

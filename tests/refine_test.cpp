@@ -133,7 +133,7 @@ TEST(Refiner, SolutionsStayFeasibleAfterRefinement) {
 
 // ------------------------------------------ pass-2 selection: heap vs scan
 //
-// reduce_congestion picks each step's region off an indexed max-heap. The
+// reduce_congestion picks each step's region off a monotone max-queue. The
 // reference below is the historical pass 2 it replaced: a linear argmax
 // scan over every (region, dir) solution per iteration, with the same
 // loosen / re-solve / accept-or-restore step. Both must visit the same

@@ -293,9 +293,9 @@ TEST(Maze, TwoPinShortestWhenUncongested) {
 // Values captured from the pre-incremental (seed) router implementation on
 // fixed generator seeds. They pin exact routes (an FNV-1a hash over every
 // net's sorted edge list), wire length, presence overflow, and the deletion
-// outcome counts, proving the incremental engine (indexed heap, lazy
-// density caches, bounded BFS, certificates) is behavior-preserving.
-// `reinserts` (heap re-keys) is pinned as well. It counts the deletion
+// outcome counts, proving the incremental engine (monotone deletion queue,
+// lazy density caches, bounded BFS, certificates) is behavior-preserving.
+// `reinserts` (queue re-keys) is pinned as well. It counts the deletion
 // loop's work, not its decisions: a change that moves it without moving a
 // route changed how much work the loop does, and re-pins it on purpose.
 
@@ -362,6 +362,46 @@ TEST(IdRouterGolden, Grid32Seed7) {
   EXPECT_EQ(res.stats.edges_deleted, 5271u);
   EXPECT_EQ(res.stats.edges_locked, 11392u);
   EXPECT_EQ(res.stats.reinserts, 4266u);
+}
+
+// bench_ablation's Eq. (2) weight sets, each with one term switched off, on
+// the Grid10HighSensitivity nets, where every term moves the routes. A
+// vanished term collapses many deletion-queue keys onto equal values (the
+// (key, id) tie-break decides) or narrows them to a few key buckets. The
+// values were computed by the indexed-heap deletion loop that the monotone
+// queue replaced, and must hold at any thread count.
+void expect_weight_golden(const IdWeights& weights, std::uint64_t hash,
+                          std::size_t deleted, std::size_t locked,
+                          std::size_t reinserts) {
+  const grid::RegionGrid g = make_grid(10, 10, 4);
+  const sino::NssModel nss;
+  auto nets = random_nets(g, 100, 41);
+  for (auto& n : nets) n.si = 0.6;
+  for (int threads : {1, 2, 8}) {
+    IdRouterOptions opt;
+    opt.weights = weights;
+    opt.threads = threads;
+    const RoutingResult res = IdRouter(g, nss, opt).route(nets);
+    EXPECT_EQ(route_hash(res), hash) << "threads=" << threads;
+    EXPECT_EQ(res.stats.edges_deleted, deleted) << "threads=" << threads;
+    EXPECT_EQ(res.stats.edges_locked, locked) << "threads=" << threads;
+    EXPECT_EQ(res.stats.reinserts, reinserts) << "threads=" << threads;
+  }
+}
+
+TEST(IdRouterGolden, Grid10HighSensitivityNoWireLengthTerm) {
+  expect_weight_golden({0.0, 1.0, 50.0}, 5968265807220816153ULL, 558u, 2181u,
+                       3159u);
+}
+
+TEST(IdRouterGolden, Grid10HighSensitivityNoDensityTerm) {
+  expect_weight_golden({2.0, 0.0, 50.0}, 9241119805253966441ULL, 695u, 2044u,
+                       3658u);
+}
+
+TEST(IdRouterGolden, Grid10HighSensitivityNoOverflowTerm) {
+  expect_weight_golden({2.0, 1.0, 0.0}, 3669534942731606541ULL, 807u, 1932u,
+                       1328u);
 }
 
 // A detour guard tighter than Manhattan distance fails most nets' pins

@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "util/csv.h"
-#include "util/indexed_heap.h"
 #include "util/matrix.h"
+#include "util/monotone_queue.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/stopwatch.h"
@@ -307,59 +307,233 @@ TEST(Csv, WritesAndQuotes) {
   EXPECT_EQ(line2, "1.5,2.5");
 }
 
-// ------------------------------------------------------- IndexedMaxHeap
+// ----------------------------------------------------- MonotoneMaxQueue
 
-TEST(IndexedMaxHeap, PopsInKeyThenIdOrder) {
-  IndexedMaxHeap h(8);
-  h.push(0, 1.0);
-  h.push(1, 3.0);
-  h.push(2, 3.0);  // equal keys: larger id wins
-  h.push(3, 2.0);
-  EXPECT_EQ(h.size(), 4u);
-  EXPECT_EQ(h.pop(), (std::pair<std::int32_t, double>{2, 3.0}));
-  EXPECT_EQ(h.pop(), (std::pair<std::int32_t, double>{1, 3.0}));
-  EXPECT_EQ(h.pop(), (std::pair<std::int32_t, double>{3, 2.0}));
-  EXPECT_EQ(h.pop(), (std::pair<std::int32_t, double>{0, 1.0}));
-  EXPECT_TRUE(h.empty());
+using QEntry = MonotoneMaxQueue::Entry;
+
+/// Builds `q` from a list of entries.
+void build(MonotoneMaxQueue& q, const std::vector<QEntry>& entries) {
+  q.build([&](auto visit) {
+    for (const QEntry& e : entries) visit(e);
+  });
 }
 
-TEST(IndexedMaxHeap, UpdateMovesBothDirections) {
-  IndexedMaxHeap h(4);
-  h.push(0, 5.0);
-  h.push(1, 4.0);
-  h.push(2, 3.0);
-  h.update(0, 1.0);  // decrease the max
-  EXPECT_EQ(h.top().first, 1);
-  h.update(2, 9.0);  // increase from below
-  EXPECT_EQ(h.top().first, 2);
-  h.erase(1);
-  EXPECT_EQ(h.pop().first, 2);
-  EXPECT_EQ(h.pop().first, 0);
-  EXPECT_TRUE(h.empty());
-}
-
-TEST(IndexedMaxHeap, BulkBuildMatchesSequentialPushes) {
-  std::vector<IndexedMaxHeap::Entry> entries;
-  util::Xoshiro256 rng(7);
-  for (std::int32_t i = 0; i < 500; ++i) {
-    entries.push_back({static_cast<double>(rng.below(50)), i});
+/// Settles and pops everything left, returning the ids in pop order.
+std::vector<std::int32_t> drain(MonotoneMaxQueue& q) {
+  std::vector<std::int32_t> ids;
+  while (q.settle()) {
+    ids.push_back(q.top().id);
+    q.pop();
   }
-  IndexedMaxHeap bulk(entries.size()), seq(entries.size());
-  bulk.build(entries);
-  for (const auto& e : entries) seq.push(e.id, e.key);
-  while (!bulk.empty()) {
-    ASSERT_FALSE(seq.empty());
-    EXPECT_EQ(bulk.pop(), seq.pop());
-  }
-  EXPECT_TRUE(seq.empty());
+  return ids;
 }
 
-TEST(IndexedMaxHeap, BulkBuildHandlesTinySizes) {
-  IndexedMaxHeap h(2);
-  h.build({});  // must not touch an empty heap
-  EXPECT_TRUE(h.empty());
-  h.build({{1.5, 0}});
-  EXPECT_EQ(h.pop(), (std::pair<std::int32_t, double>{0, 1.5}));
+TEST(MonotoneMaxQueue, PopsInKeyThenIdOrder) {
+  MonotoneMaxQueue q;
+  build(q, {{1.0, 0, 0}, {3.0, 1, 0}, {3.0, 2, 0}, {2.0, 3, 0}});
+  EXPECT_EQ(q.size(), 4u);
+  // Equal keys: the larger id pops first.
+  EXPECT_EQ(drain(q), (std::vector<std::int32_t>{2, 1, 3, 0}));
+  EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(MonotoneMaxQueue, EmptyAndOneEntryBuilds) {
+  MonotoneMaxQueue fresh;
+  EXPECT_FALSE(fresh.settle());  // never built
+  EXPECT_EQ(fresh.size(), 0u);
+
+  MonotoneMaxQueue q;
+  build(q, {});
+  EXPECT_FALSE(q.settle());
+  build(q, {{1.5, 0, 7}});
+  ASSERT_TRUE(q.settle());
+  EXPECT_EQ(q.top().id, 0);
+  EXPECT_EQ(q.top().key, 1.5);
+  EXPECT_EQ(q.top().tag, 7);  // the payload rides along
+  q.pop();
+  EXPECT_FALSE(q.settle());
+}
+
+TEST(MonotoneMaxQueue, PushedEntriesCompeteWithTheOpenBucket) {
+  MonotoneMaxQueue q;
+  build(q, {{5.0, 0, 0}, {4.0, 1, 0}, {1.0, 2, 0}});
+  ASSERT_TRUE(q.settle());
+  EXPECT_EQ(q.top().id, 0);
+  q.pop();
+  q.push({4.5, 0, 0});  // re-key below the key just taken
+  ASSERT_TRUE(q.settle());
+  EXPECT_EQ(q.top().id, 0);
+  q.pop();
+  q.push({0.5, 0, 0});  // now below every built entry
+  EXPECT_EQ(drain(q), (std::vector<std::int32_t>{1, 2, 0}));
+}
+
+TEST(MonotoneMaxQueue, AllKeysInOneBucket) {
+  std::vector<QEntry> entries;
+  for (std::int32_t i = 0; i < 200; ++i) {
+    entries.push_back({1.0 + (i % 17) * 1e-9, i, 0});
+  }
+  for (const QEntry& e : entries) {
+    ASSERT_EQ(MonotoneMaxQueue::bucket_of(e.key),
+              MonotoneMaxQueue::bucket_of(1.0));
+  }
+  MonotoneMaxQueue q;
+  build(q, entries);
+  std::vector<QEntry> want = entries;
+  std::sort(want.begin(), want.end(), [](const QEntry& a, const QEntry& b) {
+    return a.key != b.key ? a.key > b.key : a.id > b.id;
+  });
+  const std::vector<std::int32_t> got = drain(q);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], want[i].id);
+}
+
+TEST(MonotoneMaxQueue, BucketOfFollowsKeyOrder) {
+  // Ascending, across signs, exponents, subnormals and infinities.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> keys = {
+      -inf,  -1e300, -3.0, -2.5, -1.0, -1e-300, -tiny, 0.0,
+      tiny,  1e-300, 0.11, 1.0,  1.0625, 2.0,  12.37, 1e300, inf};
+  for (std::size_t i = 1; i < keys.size(); ++i) {
+    EXPECT_LE(MonotoneMaxQueue::bucket_of(keys[i - 1]),
+              MonotoneMaxQueue::bucket_of(keys[i]))
+        << keys[i - 1] << " vs " << keys[i];
+  }
+  // Far-apart keys land in different buckets.
+  const auto bucket = &MonotoneMaxQueue::bucket_of;
+  EXPECT_LT(bucket(-1.0), bucket(0.0));
+  EXPECT_LT(bucket(1.0), bucket(2.0));
+  EXPECT_LT(bucket(1e-300), bucket(1.0));
+}
+
+TEST(MonotoneMaxQueue, KeysSpanningExponentsAndSigns) {
+  const std::vector<QEntry> entries = {
+      {-2.5, 0, 0},  {1e300, 1, 0}, {1e-300, 2, 0}, {-1e-300, 3, 0},
+      {0.75, 4, 0},  {-1e300, 5, 0}, {3.0, 6, 0},   {-2.5, 7, 0},
+      {1e-300, 8, 0}, {0.0, 9, 0}};
+  MonotoneMaxQueue q;
+  build(q, entries);
+  EXPECT_EQ(drain(q),
+            (std::vector<std::int32_t>{1, 6, 4, 8, 2, 9, 3, 7, 0, 5}));
+}
+
+TEST(MonotoneMaxQueue, NegativeZeroIsPositiveZero) {
+  EXPECT_EQ(MonotoneMaxQueue::bucket_of(-0.0),
+            MonotoneMaxQueue::bucket_of(0.0));
+  // -0.0 == +0.0, so the id alone orders them, across both signs.
+  MonotoneMaxQueue q;
+  build(q,
+        {{0.0, 1, 0}, {-0.0, 4, 0}, {-0.0, 2, 0}, {0.0, 3, 0}, {-1.0, 5, 0}});
+  EXPECT_EQ(drain(q), (std::vector<std::int32_t>{4, 3, 2, 1, 5}));
+}
+
+TEST(MonotoneMaxQueue, ChunkedLayOutMatchesSerialBuild) {
+  Xoshiro256 rng(11);
+  std::vector<QEntry> entries;
+  for (std::int32_t i = 0; i < 3000; ++i) {
+    entries.push_back({static_cast<double>(rng.below(400)) / 8.0 - 10.0, i, i});
+  }
+  MonotoneMaxQueue serial;
+  build(serial, entries);
+
+  // Three uneven chunks fill the same queue through the parallel protocol.
+  const std::size_t bounds[] = {0, 100, 2500, entries.size()};
+  std::vector<std::uint32_t> counts(3 * MonotoneMaxQueue::kBuckets, 0);
+  for (std::size_t c = 0; c < 3; ++c) {
+    for (std::size_t i = bounds[c]; i < bounds[c + 1]; ++i) {
+      ++counts[c * MonotoneMaxQueue::kBuckets +
+               MonotoneMaxQueue::bucket_of(entries[i].key)];
+    }
+  }
+  MonotoneMaxQueue chunked;
+  chunked.lay_out(counts);
+  for (std::size_t c = 3; c-- > 0;) {  // any chunk order fills the same slots
+    for (std::size_t i = bounds[c]; i < bounds[c + 1]; ++i) {
+      chunked.slot(counts[c * MonotoneMaxQueue::kBuckets +
+                          MonotoneMaxQueue::bucket_of(entries[i].key)]++) =
+          entries[i];
+    }
+  }
+  EXPECT_EQ(chunked.size(), entries.size());
+  EXPECT_EQ(drain(chunked), drain(serial));
+}
+
+// Randomized differential against a brute-force (key, id) argmax over the
+// live items: build, pops, pushes at or below the key just taken (the only
+// pushes the queue allows), and items the caller retires, which the queue
+// must skip whether they sit in an unopened bucket, the open one, or among
+// the pushed entries.
+TEST(MonotoneMaxQueue, MatchesBruteForceArgmax) {
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    Xoshiro256 rng(seed);
+    const std::int32_t n = 1500;
+    // Keys from a few regimes: heavy ties, one bucket, many exponents and
+    // both signs (with both zeros).
+    auto draw = [&]() -> double {
+      switch (rng.below(4)) {
+        case 0: return static_cast<double>(rng.below(6));
+        case 1: return 2.0 + static_cast<double>(rng.below(1000)) * 1e-6;
+        case 2: return std::ldexp(1.0 + rng.uniform(),
+                                  static_cast<int>(rng.below(80)) - 40);
+        default: return (rng.below(2) ? -1.0 : 1.0) *
+                        static_cast<double>(rng.below(3)) * 0.5;
+      }
+    };
+    std::vector<QEntry> entries;
+    std::vector<double> live_key(static_cast<std::size_t>(n));
+    std::vector<std::uint8_t> live(static_cast<std::size_t>(n), 1);
+    std::vector<std::uint8_t> dead(static_cast<std::size_t>(n), 0);
+    for (std::int32_t i = 0; i < n; ++i) {
+      live_key[static_cast<std::size_t>(i)] = draw();
+      entries.push_back({live_key[static_cast<std::size_t>(i)], i, -i});
+    }
+    MonotoneMaxQueue q;
+    build(q, entries);
+    const auto is_dead = [&](const QEntry& e) {
+      return dead[static_cast<std::size_t>(e.id)] != 0;
+    };
+    std::size_t steps = 0;
+    for (;;) {
+      // Brute force: the largest (key, id) among live, not-dead items.
+      std::int32_t best = -1;
+      for (std::int32_t i = 0; i < n; ++i) {
+        const auto u = static_cast<std::size_t>(i);
+        if (!live[u] || dead[u]) continue;
+        const auto b = static_cast<std::size_t>(best);
+        if (best < 0 || live_key[u] > live_key[b] ||
+            (live_key[u] == live_key[b] && i > best)) {
+          best = i;
+        }
+      }
+      const bool any = q.settle(is_dead);
+      ASSERT_EQ(any, best >= 0) << "seed " << seed << " step " << steps;
+      if (!any) break;
+      const QEntry top = q.top();
+      ASSERT_EQ(top.id, best) << "seed " << seed << " step " << steps;
+      ASSERT_EQ(top.key, live_key[static_cast<std::size_t>(best)]);
+      ASSERT_EQ(top.tag, -best);
+      q.pop();
+      live[static_cast<std::size_t>(best)] = 0;
+      ++steps;
+      const auto roll = rng.below(10);
+      if (roll < 4) {
+        // Re-key: back in at or below the key just taken.
+        const double below =
+            rng.below(4) == 0 ? top.key
+                              : top.key - std::ldexp(rng.uniform(),
+                                                     static_cast<int>(
+                                                         rng.below(12)) - 4);
+        live_key[static_cast<std::size_t>(best)] = below;
+        live[static_cast<std::size_t>(best)] = 1;
+        q.push({below, best, -best});
+      } else if (roll < 6) {
+        // The caller retires a random item; its entry stays in the queue.
+        dead[rng.below(static_cast<std::uint64_t>(n))] = 1;
+      }
+    }
+    EXPECT_GT(steps, static_cast<std::size_t>(n) / 2);
+  }
 }
 
 // -------------------------------------------------------------- Stopwatch

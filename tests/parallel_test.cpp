@@ -381,7 +381,7 @@ TEST(ParallelDeterminism, LskSamplesBitIdenticalAcrossThreadCounts) {
 
 TEST(ParallelDeterminism, RouterDeletionLoopBitIdenticalAcrossThreadCounts) {
   // Few nets with big overlapping boxes on a tight grid: consecutive
-  // top-of-heap candidates routinely belong to the same net.
+  // top-of-queue candidates routinely belong to the same net.
   const grid::RegionGrid g = det_grid(10, 4);
   const auto nets = det_nets(g, 6, 21, /*spread=*/8);
   const sino::NssModel nss;

@@ -131,7 +131,7 @@ TEST(Refiner, SolutionsStayFeasibleAfterRefinement) {
   }
 }
 
-// ------------------------------------------ pass-2 selection: heap vs scan
+// ----------------------------------------- pass-2 selection: queue vs scan
 //
 // reduce_congestion picks each step's region off a monotone max-queue. The
 // reference below is the historical pass 2 it replaced: a linear argmax
@@ -292,7 +292,7 @@ void expect_identical(const Pass2Run& heap_run, const FlowState& heap_fs,
   }
 }
 
-/// Runs LocalRefiner's heap pass 2 on `heap_fs` and the reference scan on
+/// Runs LocalRefiner's queue pass 2 on `heap_fs` and the reference scan on
 /// `scan_fs`, expects identical results, and returns the scan's run.
 Pass2Run expect_heap_matches_scan(const RoutingProblem& problem,
                                   FlowState& heap_fs, FlowState& scan_fs) {

@@ -406,7 +406,7 @@ TEST(IdRouterGolden, Grid10HighSensitivityNoOverflowTerm) {
 
 // A detour guard tighter than Manhattan distance fails most nets' pins
 // before any edge is removed, so seed certification freezes them: every
-// edge locks without a pop and never enters the heap. The default guard
+// edge locks without a pop and never enters the queue. The default guard
 // never fails at seed, so no golden above reaches this path. Seed
 // certification runs on the pool; its outcome must not depend on the
 // thread count, and every candidate edge must end deleted or locked.
@@ -435,6 +435,28 @@ TEST(IdRouter, SeedFreezeIsThreadCountInvariant) {
     EXPECT_EQ(res.stats.edges_deleted, serial.stats.edges_deleted);
     EXPECT_EQ(res.stats.edges_locked, serial.stats.edges_locked);
     EXPECT_EQ(res.stats.reinserts, serial.stats.reinserts);
+  }
+}
+
+// Enough candidate edges (214,495) that the deletion queue's build splits
+// into four pool chunks: a chunk then starts in the middle of a net, and
+// each chunk scatters into its bucket slots from its own count offsets.
+// Every other router test builds in one chunk. The values were computed by
+// the indexed-heap deletion loop that the monotone queue replaced.
+TEST(IdRouterGolden, Grid48MultiChunkQueueBuild) {
+  const grid::RegionGrid g = make_grid(48, 48, 12);
+  const sino::NssModel nss;
+  const auto nets = random_nets(g, 1100, 13, 10);
+  for (int threads : {1, 8}) {
+    IdRouterOptions opt;
+    opt.threads = threads;
+    const RoutingResult res = IdRouter(g, nss, opt).route(nets);
+    EXPECT_EQ(res.stats.edges_initial, 214495u) << "threads=" << threads;
+    EXPECT_EQ(route_hash(res), 9670266071233211905ULL)
+        << "threads=" << threads;
+    EXPECT_EQ(res.stats.edges_deleted, 61500u) << "threads=" << threads;
+    EXPECT_EQ(res.stats.edges_locked, 152995u) << "threads=" << threads;
+    EXPECT_EQ(res.stats.reinserts, 83715u) << "threads=" << threads;
   }
 }
 

@@ -24,9 +24,9 @@
 //                 --trace-out trace.json --metrics-out metrics.json --profile
 //
 //   # incremental ECO: apply 3 seeded netlist deltas through the session,
-//   # re-running the flow after each; the final state is differentially
-//   # checked against a from-scratch recompute of the whole chain
-//   $ ./route_cli --circuit ibm01 --delta-demo 3
+//   # re-running each --flow flow after each; every flow's final state is
+//   # differentially checked against a from-scratch recompute of the chain
+//   $ ./route_cli --circuit ibm01 --flow all --delta-demo 3
 //
 //   # scenario matrix: the four campaign kinds (bound sweep, tech sweep,
 //   # delta chain, ECO slice) on one instance, as bench_scenarios runs them
@@ -121,11 +121,12 @@ struct CliOptions {
       "  --seed N                 master seed (default 1)\n"
       "  --threads N              pool workers for routing + Phase II\n"
       "                           (default auto; output identical at any N)\n"
-      "  --delta-demo N           incremental mode: route once, then apply\n"
-      "                           N seeded netlist deltas (add/remove/re-pin)\n"
-      "                           through the session, re-running the flow\n"
-      "                           after each; ends with a from-scratch\n"
-      "                           differential check (exits non-zero on any\n"
+      "  --delta-demo N           incremental mode: run the --flow flow(s)\n"
+      "                           once, then apply N seeded netlist deltas\n"
+      "                           (add/remove/re-pin) through the session,\n"
+      "                           re-running every flow after each; ends\n"
+      "                           with a from-scratch differential check of\n"
+      "                           every flow (exits non-zero on any\n"
       "                           fingerprint mismatch)\n"
       "  --matrix                 run the four scenario-matrix campaign\n"
       "                           kinds (bound/tech sweeps, delta chain,\n"
@@ -531,27 +532,46 @@ int main(int argc, char** argv) {
   sopt.store = artifact_store;
   FlowSession session(problem, std::move(sopt));
 
-  // ---- incremental delta demo (--delta-demo N): route once, then apply N
-  // seeded netlist deltas through FlowSession::apply_delta, re-running the
-  // GSINO flow after each. Ends with the differential contract from
-  // tests/delta_differential_test.cpp: the whole chain applied up front and
-  // recomputed from scratch must match the incremental end state bit for
-  // bit (route hash and state fingerprint).
+  std::vector<FlowKind> kinds;
+  if (opt.flow == "idno") {
+    kinds = {FlowKind::kIdNo};
+  } else if (opt.flow == "isino") {
+    kinds = {FlowKind::kIsino};
+  } else if (opt.flow == "gsino") {
+    kinds = {FlowKind::kGsino};
+  } else if (opt.flow == "all") {
+    kinds = {FlowKind::kIdNo, FlowKind::kIsino, FlowKind::kGsino};
+  } else {
+    usage(argv[0]);
+  }
+
+  // ---- incremental delta demo (--delta-demo N): run every requested flow
+  // once, then apply N seeded netlist deltas through
+  // FlowSession::apply_delta, re-running every flow after each. Ends with
+  // the differential contract from tests/delta_differential_test.cpp: the
+  // whole chain applied up front and recomputed from scratch must match
+  // each flow's incremental end state bit for bit (route hash and state
+  // fingerprint).
   if (opt.delta_demo > 0) {
-    FlowResult fr = session.run(FlowKind::kGsino);
-    report(fr, session.problem(), opt.fingerprint);
+    std::vector<FlowResult> got;
+    for (const FlowKind kind : kinds) {
+      got.push_back(session.run(kind));
+      report(got.back(), session.problem(), opt.fingerprint);
+    }
     std::vector<scenario::NetlistDelta> chain;
     for (int step = 0; step < opt.delta_demo; ++step) {
       chain.push_back(scenario::random_delta(
           session.problem(), opt.seed + static_cast<std::uint64_t>(step), 6));
       const scenario::DeltaReport rep = session.apply_delta(chain.back());
-      fr = session.run(FlowKind::kGsino);
       std::printf(
           "delta %d: %zu change(s) | routes %zu rerouted | "
           "regions %zu reused / %zu re-solved | %.2fs\n",
           step + 1, rep.changed_nets, rep.nets_rerouted,
           rep.regions_reused, rep.regions_solved, rep.seconds);
-      report(fr, session.problem(), opt.fingerprint);
+      for (std::size_t k = 0; k < kinds.size(); ++k) {
+        got[k] = session.run(kinds[k]);
+        report(got[k], session.problem(), opt.fingerprint);
+      }
     }
     const StageCounters& c = session.counters();
     std::printf(
@@ -564,10 +584,17 @@ int main(int argc, char** argv) {
       scratch = scenario::apply_delta(scratch, delta);
     }
     FlowSession fresh(scratch);
-    const FlowResult want = fresh.run(FlowKind::kGsino);
-    const bool ok =
-        state_fingerprint(want) == state_fingerprint(fr) &&
-        router::route_hash(want.routing()) == router::route_hash(fr.routing());
+    bool ok = true;
+    for (std::size_t k = 0; k < kinds.size(); ++k) {
+      const FlowResult want = fresh.run(kinds[k]);
+      if (state_fingerprint(want) != state_fingerprint(got[k]) ||
+          router::route_hash(want.routing()) !=
+              router::route_hash(got[k].routing())) {
+        std::fprintf(stderr, "%s: incremental end state differs\n",
+                     flow_name(kinds[k]));
+        ok = false;
+      }
+    }
     std::printf("differential check (from-scratch recompute): %s\n",
                 ok ? "bit-identical" : "MISMATCH");
     return ok ? 0 : 1;
@@ -596,19 +623,6 @@ int main(int argc, char** argv) {
   // ---- run the requested flow(s): one session, so flows with matching
   // router profiles (ID+NO and iSINO) share a Phase I artifact, and a
   // bound sweep re-solves Phase II/III off the cached routing.
-  std::vector<FlowKind> kinds;
-  if (opt.flow == "idno") {
-    kinds = {FlowKind::kIdNo};
-  } else if (opt.flow == "isino") {
-    kinds = {FlowKind::kIsino};
-  } else if (opt.flow == "gsino") {
-    kinds = {FlowKind::kGsino};
-  } else if (opt.flow == "all") {
-    kinds = {FlowKind::kIdNo, FlowKind::kIsino, FlowKind::kGsino};
-  } else {
-    usage(argv[0]);
-  }
-
   FlowResult last;
   for (FlowKind kind : kinds) {
     if (opt.sweep_bounds.empty()) {

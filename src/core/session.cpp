@@ -87,21 +87,21 @@ struct StageTally {
   std::size_t& executed;
 };
 
-/// The one cache path of the four session stages. `entry` arrives with
-/// the stage's store key (and any per-stage extras) and no artifact. In
-/// order: count the request; look the key up in memory, else load it from
-/// the store; accept a hit of either kind only through the stage's
-/// provenance check, so a record filed under the wrong key (store files
-/// shuffled by hand, a key collision) is a miss rather than a foreign
-/// artifact; on a miss, compute, count, insert and publish. The cache is
-/// an LRU list (back = most recent): a hit rotates to the back, an insert
-/// beyond `cache_entries` (0 = unbounded) evicts from the front. The span
-/// covers the whole request: a hit is a short span, a compute the stage.
+/// The one cache path of the four session stages, under the stage's store
+/// `key`. In order: count the request; look the key up in memory, else
+/// load it from the store; accept a hit of either kind only through the
+/// stage's provenance check, so a record filed under the wrong key (store
+/// files shuffled by hand, a key collision) is a miss rather than a
+/// foreign artifact; on a miss, compute, count, insert and publish. The
+/// cache is an LRU list (back = most recent): a hit rotates to the back,
+/// an insert beyond `cache_entries` (0 = unbounded) evicts from the front.
+/// The span covers the whole request: a hit is a short span, a compute the
+/// stage.
 template <typename Entry, typename Load, typename Accept, typename Compute,
           typename Publish>
 decltype(Entry::artifact) cached_stage(const SessionOptions& opt,
                                        std::vector<Entry>& cache,
-                                       StageTally tally, Entry entry,
+                                       StageTally tally, std::uint64_t key,
                                        const Load& load, const Accept& accept,
                                        const Compute& compute,
                                        const Publish& publish) {
@@ -109,7 +109,7 @@ decltype(Entry::artifact) cached_stage(const SessionOptions& opt,
   ++tally.requests;
   const auto hit =
       std::find_if(cache.begin(), cache.end(),
-                   [&](const Entry& e) { return e.key == entry.key; });
+                   [&](const Entry& e) { return e.key == key; });
   if (hit != cache.end()) {
     if (accept(*hit->artifact)) {
       std::rotate(hit, hit + 1, cache.end());
@@ -118,20 +118,19 @@ decltype(Entry::artifact) cached_stage(const SessionOptions& opt,
     cache.erase(hit);
   }
 
-  if (opt.store) entry.artifact = load(*opt.store);
-  const bool loaded = entry.artifact != nullptr && accept(*entry.artifact);
+  decltype(Entry::artifact) art = opt.store ? load(*opt.store) : nullptr;
+  const bool loaded = art != nullptr && accept(*art);
   if (loaded) {
     ++tally.loaded;
   } else {
-    entry.artifact = compute();
+    art = compute();
     ++tally.executed;
   }
-  const auto art = entry.artifact;
   if (opt.cache_entries > 0 && cache.size() >= opt.cache_entries) {
     cache.erase(cache.begin(), cache.end() - static_cast<std::ptrdiff_t>(
                                                  opt.cache_entries - 1));
   }
-  cache.push_back(std::move(entry));
+  cache.push_back(Entry{key, art});
   if (!loaded && opt.store) publish(*opt.store, *art);
   return art;
 }
@@ -172,7 +171,7 @@ std::size_t noise_pass(const ktable::LskTable& table, double bound_v,
 
 std::shared_ptr<const BudgetArtifact> compute_budget(
     const RoutingProblem& p, BudgetRule rule, double bound_v, double margin,
-    const RoutingArtifact* phase1) {
+    std::shared_ptr<const RoutingArtifact> phase1) {
   util::Stopwatch watch;
   auto art = std::make_shared<BudgetArtifact>();
   art->rule = rule;
@@ -191,6 +190,7 @@ std::shared_ptr<const BudgetArtifact> compute_budget(
           std::max((*phase1->critical_path_um)[n], p.le_um()[n]);
       (*kth)[n] = budgeter.kth_from_length(routed_um);
     }
+    art->phase1 = std::move(phase1);
   } else {
     // ID+NO (reporting only) and GSINO (Phase I rule): Manhattan estimate,
     // tightened by the budgeting safety margin for GSINO.
@@ -337,7 +337,8 @@ void FlowState::refresh_noise() {
 // -------------------------------------------------------------- FlowSession
 
 FlowSession::FlowSession(const RoutingProblem& problem, SessionOptions options)
-    : problem_(&problem), options_(std::move(options)) {}
+    : problem_(std::shared_ptr<const RoutingProblem>(), &problem),
+      options_(std::move(options)) {}
 
 router::IdRouterOptions FlowSession::router_profile(FlowKind kind) const {
   router::IdRouterOptions ropt = problem_->params().router;
@@ -406,7 +407,7 @@ std::shared_ptr<const RoutingArtifact> FlowSession::route(
       options_, route_cache_,
       {"session.route", counters_.route_requests, counters_.route_loaded,
        counters_.route_executed},
-      {key, nullptr},
+      key,
       [&](store::ArtifactStore& st) { return st.get_routing(key, p); },
       [&](const RoutingArtifact& a) {
         return a.options.same_routing_profile(options);
@@ -426,22 +427,20 @@ std::shared_ptr<const BudgetArtifact> FlowSession::budget(
   // for the other rules, so a margin-only what-if on ID+NO/iSINO reuses
   // the (bit-identical) budget instead of re-running Phase II.
   if (rule != BudgetRule::kManhattanMargin) margin = 1.0;
-  const std::uint64_t key =
-      store::budget_key(p, rule, bound_v, margin, phase1.get());
   // Only the iSINO rule reads the routing; the Manhattan rules are
   // routing-independent and shared across profiles.
-  BudgetEntry entry{{key, nullptr},
-                    rule == BudgetRule::kRoutedLength ? phase1 : nullptr};
+  const std::uint64_t key =
+      store::budget_key(p, rule, bound_v, margin, phase1.get());
   return cached_stage(
       options_, budget_cache_,
       {"session.budget", counters_.budget_requests, counters_.budget_loaded,
        counters_.budget_executed},
-      std::move(entry),
-      [&](store::ArtifactStore& st) { return st.get_budget(key, p); },
+      key,
+      [&](store::ArtifactStore& st) { return st.get_budget(key, p, phase1); },
       [&](const BudgetArtifact& a) {
         return a.rule == rule && a.bound_v == bound_v && a.margin == margin;
       },
-      [&] { return compute_budget(p, rule, bound_v, margin, phase1.get()); },
+      [&] { return compute_budget(p, rule, bound_v, margin, phase1); },
       [key](store::ArtifactStore& st, const BudgetArtifact& a) {
         st.put_budget(key, a);
       });
@@ -458,15 +457,12 @@ std::shared_ptr<const RegionSolveArtifact> FlowSession::solve_regions(
       options_, solve_cache_,
       {"session.solve_regions", counters_.solve_requests,
        counters_.solve_loaded, counters_.solve_executed},
-      {key, nullptr},
+      key,
       [&](store::ArtifactStore& st) {
         return st.get_region_solve(key, p, phase1, budget);
       },
-      // The key names a routed-length budget by `phase1`'s profile, so a
-      // budget derived from another routing shares it: match Kth too.
       [&](const RegionSolveArtifact& a) {
-        return a.kind == kind && a.annealed == anneal &&
-               (a.budget == budget || *a.budget->kth == *budget->kth);
+        return a.kind == kind && a.annealed == anneal;
       },
       [&] { return solve_region_set(p, kind, anneal, phase1, budget); },
       [key](store::ArtifactStore& st, const RegionSolveArtifact& a) {
@@ -516,12 +512,11 @@ std::shared_ptr<const RefineArtifact> FlowSession::refine(
       options_, refine_cache_,
       {"session.refine", counters_.refine_requests, counters_.refine_loaded,
        counters_.refine_executed},
-      {key, nullptr},
+      key,
       [&](store::ArtifactStore& st) { return st.get_refine(key, p, solve); },
-      // Same key, other budget: see solve_regions().
       [&](const RefineArtifact& a) {
-        return a.base == solve ||
-               *a.base->budget->kth == *solve->budget->kth;
+        return a.base->kind == solve->kind &&
+               a.base->annealed == solve->annealed;
       },
       [&] {
         util::Stopwatch watch;

@@ -21,13 +21,15 @@
 //     downstream of it).
 //   - BudgetArtifact depends on (rule, bound_v, margin) and — for the
 //     iSINO rule, which budgets from routed critical-path lengths — on the
-//     routing artifact it was derived from.
+//     routing artifact it was derived from, which it carries.
 //   - RegionSolveArtifact depends on its routing + budget artifacts and
 //     the Phase II choices (solve mode, annealing).
 //   - RefineArtifact depends on its solve artifact alone: no Phase III
 //     option changes output.
 //
-// All artifacts are held behind shared_ptr<const>: they are safe to share
+// Every artifact carries its inputs and none points into a RoutingProblem,
+// so it outlives its problem. All artifacts are held behind
+// shared_ptr<const>: they are safe to share
 // across flows, sessions, and threads, and a FlowResult is nothing but a
 // thin assembled view over them. Determinism is inherited from
 // src/parallel's contract (see src/core/README.md): every stage is
@@ -183,6 +185,8 @@ struct BudgetArtifact {
   BudgetRule rule = BudgetRule::kManhattan;
   double bound_v = 0.15;
   double margin = 1.0;  ///< applied under kManhattanMargin only
+  /// The routing the bounds come from (kRoutedLength only, else null).
+  std::shared_ptr<const RoutingArtifact> phase1;
   std::shared_ptr<const std::vector<double>> kth;  ///< per net
   double seconds = 0.0;
 };
@@ -226,12 +230,12 @@ RegionSolution build_region_solution(const RoutingProblem& problem,
                                      const std::vector<double>& kth,
                                      const PathIndex& paths);
 
-/// Per-net Kth bounds (Section 3.1) under `rule`. `phase1` supplies the
-/// routed critical-path lengths of kRoutedLength and is unused otherwise;
+/// Per-net Kth bounds (Section 3.1) under `rule`. `phase1` supplies (and
+/// is kept as) the routed lengths of kRoutedLength; other rules ignore it.
 /// `margin` applies under kManhattanMargin only. Stamps `seconds`.
 std::shared_ptr<const BudgetArtifact> compute_budget(
     const RoutingProblem& problem, BudgetRule rule, double bound_v,
-    double margin, const RoutingArtifact* phase1);
+    double margin, std::shared_ptr<const RoutingArtifact> phase1);
 
 /// Phase II over every (region, dir): build each instance, solve it
 /// (net order for ID+NO, greedy for the SINO flows, annealing the
@@ -329,12 +333,12 @@ std::uint64_t state_fingerprint(const FlowResult& fr);
 
 // --------------------------------------------------------------- FlowState
 
-/// Mutable Phase III working state, owned by the session (or by whoever
-/// asked the session for one). The historical free functions
-/// resolve_region / refresh_noise / finalize_metrics over FlowResult are
-/// methods here; LocalRefiner operates on a FlowState.
+/// Mutable Phase III working state, owned by whoever asked the session for
+/// one; it shares its problem, so it survives later deltas. The historical
+/// free functions resolve_region / refresh_noise / finalize_metrics over
+/// FlowResult are methods here; LocalRefiner operates on a FlowState.
 struct FlowState {
-  const RoutingProblem* problem = nullptr;
+  std::shared_ptr<const RoutingProblem> problem;
   FlowKind kind = FlowKind::kGsino;
   double bound_v = 0.15;
   std::shared_ptr<const RoutingArtifact> phase1;
@@ -469,7 +473,7 @@ class FlowSession {
       double bound_v, double margin);
 
   /// Phase II; cached under store::solve_key (kind, anneal, and the keys
-  /// of the routing and budget inputs).
+  /// of the routing and budget inputs, each budget keyed by its own).
   std::shared_ptr<const RegionSolveArtifact> solve_regions(
       FlowKind kind, const std::shared_ptr<const RoutingArtifact>& phase1,
       const std::shared_ptr<const BudgetArtifact>& budget, bool anneal_phase2);
@@ -505,7 +509,9 @@ class FlowSession {
   /// artifacts are patched downstream (solves carry clean (region, dir)
   /// solutions over and recompute only the dirty ones), and refine
   /// artifacts are invalidated (Phase III orders work by global
-  /// worst-violator, which has no regional patch). Every patched artifact
+  /// worst-violator, which has no regional patch); a delta that keeps the
+  /// problem's fingerprint changes nothing. The replaced problem is
+  /// released, unless a FlowState shares it. Every patched artifact
   /// is bit-identical to what a from-scratch session over the mutated
   /// problem computes — the contract tests/delta_differential_test.cpp
   /// pins — and is published to the persistent store under the mutated
@@ -523,18 +529,9 @@ class FlowSession {
                       std::shared_ptr<const RegionSolveArtifact> solve,
                       std::shared_ptr<const RefineArtifact> refined) const;
 
-  const RoutingProblem* problem_;
-  /// Set by apply_delta(): the mutated problem the session now serves
-  /// (problem_ points here afterwards). Null until the first delta — the
-  /// constructor's problem stays caller-owned, as before.
-  std::shared_ptr<const RoutingProblem> owned_problem_;
-  /// Problems displaced by later deltas. Artifacts hold pointers into
-  /// their problem's grid (occupancy, congestion dimensions), and a caller
-  /// may still hold FlowResults assembled before a delta — retiring
-  /// instead of dropping keeps those views valid for the session's
-  /// lifetime. One entry per applied delta; problems are small next to
-  /// their artifacts.
-  std::vector<std::shared_ptr<const RoutingProblem>> retired_problems_;
+  /// A non-owning alias of the caller's problem until apply_delta()
+  /// replaces it with the owned mutated problem.
+  std::shared_ptr<const RoutingProblem> problem_;
   SessionOptions options_;
   StageCounters counters_;
 
@@ -553,14 +550,8 @@ class FlowSession {
     std::uint64_t key = 0;
     std::shared_ptr<const Artifact> artifact;
   };
-  /// A routed-length budget also keeps the routing artifact it was derived
-  /// from (null under the Manhattan rules): the delta engine re-keys the
-  /// entry through that artifact's router profile.
-  struct BudgetEntry : CacheEntry<BudgetArtifact> {
-    std::shared_ptr<const RoutingArtifact> phase1;
-  };
   std::vector<CacheEntry<RoutingArtifact>> route_cache_;
-  std::vector<BudgetEntry> budget_cache_;
+  std::vector<CacheEntry<BudgetArtifact>> budget_cache_;
   std::vector<CacheEntry<RegionSolveArtifact>> solve_cache_;
   std::vector<CacheEntry<RefineArtifact>> refine_cache_;
 };

@@ -4,7 +4,7 @@
 
 namespace rlcr::grid {
 
-CongestionMap::CongestionMap(const RegionGrid& grid) : grid_(&grid) {
+CongestionMap::CongestionMap(const RegionGrid& grid) : grid_(grid) {
   for (auto& v : seg_) v.assign(grid.region_count(), 0.0);
   for (auto& v : shield_) v.assign(grid.region_count(), 0.0);
 }
@@ -16,7 +16,7 @@ void CongestionMap::clear() {
 
 double CongestionMap::max_density() const {
   double best = 0.0;
-  for (std::size_t r = 0; r < grid_->region_count(); ++r) {
+  for (std::size_t r = 0; r < grid_.region_count(); ++r) {
     for (Dir d : kBothDirs) best = std::max(best, density(r, d));
   }
   return best;
@@ -24,9 +24,9 @@ double CongestionMap::max_density() const {
 
 double CongestionMap::total_overflow() const {
   double acc = 0.0;
-  for (std::size_t r = 0; r < grid_->region_count(); ++r) {
+  for (std::size_t r = 0; r < grid_.region_count(); ++r) {
     for (Dir d : kBothDirs) {
-      const double over = utilization(r, d) - grid_->capacity(d);
+      const double over = utilization(r, d) - grid_.capacity(d);
       if (over > 0.0) acc += over;
     }
   }
@@ -35,7 +35,7 @@ double CongestionMap::total_overflow() const {
 
 double CongestionMap::total_shields() const {
   double acc = 0.0;
-  for (std::size_t r = 0; r < grid_->region_count(); ++r) {
+  for (std::size_t r = 0; r < grid_.region_count(); ++r) {
     for (Dir d : kBothDirs) {
       const double s = shields(r, d);
       if (s != 0.0) acc += s;

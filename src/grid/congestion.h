@@ -20,15 +20,15 @@
 
 namespace rlcr::grid {
 
-/// Mutable track-usage state layered over an immutable RegionGrid.
-/// Segment and shield counts are doubles so the router can work with the
-/// fractional shield *estimates* of Eq. (3) before any SINO solution exists.
-/// Each count is one flat array over the grid's regions per direction.
+/// Mutable track-usage state over its own copy of a RegionGrid (so it
+/// outlives its problem). Segment and shield counts are doubles so the
+/// router can work with the fractional shield *estimates* of Eq. (3)
+/// before any SINO solution exists; each is one flat array per direction.
 class CongestionMap {
  public:
   explicit CongestionMap(const RegionGrid& grid);
 
-  const RegionGrid& grid() const { return *grid_; }
+  const RegionGrid& grid() const { return grid_; }
 
   double segments(std::size_t region, Dir d) const {
     return seg_[static_cast<std::size_t>(d)][region];
@@ -55,12 +55,12 @@ class CongestionMap {
   }
   /// HD / VD: utilization over capacity.
   double density(std::size_t region, Dir d) const {
-    return utilization(region, d) / grid_->capacity(d);
+    return utilization(region, d) / grid_.capacity(d);
   }
   /// HOFR / VOFR: relative overflow (0 when under capacity).
   double relative_overflow(std::size_t region, Dir d) const {
-    const double over = utilization(region, d) - grid_->capacity(d);
-    return over > 0.0 ? over / grid_->capacity(d) : 0.0;
+    const double over = utilization(region, d) - grid_.capacity(d);
+    return over > 0.0 ? over / grid_.capacity(d) : 0.0;
   }
 
   void clear();
@@ -73,7 +73,7 @@ class CongestionMap {
   double total_shields() const;
 
  private:
-  const RegionGrid* grid_;
+  RegionGrid grid_;
   std::vector<double> seg_[2];
   std::vector<double> shield_[2];
 };

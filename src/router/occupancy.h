@@ -37,7 +37,7 @@ class Occupancy {
  public:
   Occupancy(const grid::RegionGrid& grid, const std::vector<NetRoute>& routes);
 
-  const grid::RegionGrid& grid() const { return *grid_; }
+  const grid::RegionGrid& grid() const { return grid_; }
 
   /// Nets occupying tracks of direction d in a region (empty for regions
   /// no route touches).
@@ -62,7 +62,7 @@ class Occupancy {
   void fill_segments(grid::CongestionMap& cmap) const;
 
  private:
-  const grid::RegionGrid* grid_;
+  grid::RegionGrid grid_;  // a copy, so an occupancy outlives its problem
   std::vector<std::vector<Segment>> by_region_[2];
   std::vector<std::vector<NetRegionRef>> by_net_;
 };

@@ -239,7 +239,12 @@ DeltaReport DeltaEngine::apply(gsino::FlowSession& s,
 
   auto newp = std::make_shared<const gsino::RoutingProblem>(
       apply_delta(*s.problem_, delta));
-  report.problem = newp;
+  s.counters_.delta_applies += 1;
+  // Equal fingerprints: every cached artifact is already the mutated one's.
+  if (newp->fingerprint() == s.problem_->fingerprint()) {
+    report.seconds = watch.seconds();
+    return report;
+  }
 
   // Every entry re-files under the mutated problem's store keys, and a
   // downstream entry finds its new inputs by looking their keys up. An
@@ -263,21 +268,22 @@ DeltaReport DeltaEngine::apply(gsino::FlowSession& s,
     if (st) st->put_routing(e.key, *e.artifact);
   }
 
-  // Budgets recompute through the stage path (cheap).
+  // Budgets recompute through the stage path (cheap). A routed-length
+  // budget re-links to the patched routing of its own router profile.
   for (auto it = s.budget_cache_.begin(); it != s.budget_cache_.end();) {
     const gsino::BudgetArtifact& old = *it->artifact;
-    if (it->phase1) {
-      it->phase1 =
-          find(s.route_cache_, store::routing_key(p, it->phase1->options));
-      if (!it->phase1) {
-        it = s.budget_cache_.erase(it);
-        continue;
-      }
+    const auto phase1 =
+        old.phase1
+            ? find(s.route_cache_, store::routing_key(p, old.phase1->options))
+            : nullptr;
+    if (old.phase1 && !phase1) {
+      it = s.budget_cache_.erase(it);
+      continue;
     }
     it->key = store::budget_key(p, old.rule, old.bound_v, old.margin,
-                                it->phase1.get());
+                                phase1.get());
     it->artifact = gsino::compute_budget(p, old.rule, old.bound_v, old.margin,
-                                         it->phase1.get());
+                                         phase1);
     if (st) st->put_budget(it->key, *it->artifact);
     ++it;
   }
@@ -288,10 +294,12 @@ DeltaReport DeltaEngine::apply(gsino::FlowSession& s,
     const gsino::BudgetArtifact& ob = *old.budget;
     const auto phase1 =
         find(s.route_cache_, store::routing_key(p, old.phase1->options));
+    // A budget key reads only its routing's profile, so the old routing
+    // names the patched budget too.
     const auto budget =
         phase1 ? find(s.budget_cache_,
                       store::budget_key(p, ob.rule, ob.bound_v, ob.margin,
-                                        phase1.get()))
+                                        ob.phase1.get()))
                : nullptr;
     if (!budget) {
       it = s.solve_cache_.erase(it);
@@ -310,18 +318,13 @@ DeltaReport DeltaEngine::apply(gsino::FlowSession& s,
   // invalidate; the next refine() recomputes from the patched solve.
   s.refine_cache_.clear();
 
-  s.counters_.delta_applies += 1;
   s.counters_.delta_nets_rerouted += report.nets_rerouted;
   s.counters_.delta_regions_solved += report.regions_solved;
   s.counters_.delta_regions_reused += report.regions_reused;
 
-  // Swap the session onto the mutated problem; retire the previous owned
-  // problem (artifacts hold pointers into their problem's grid).
-  if (s.owned_problem_) {
-    s.retired_problems_.push_back(std::move(s.owned_problem_));
-  }
-  s.owned_problem_ = newp;
-  s.problem_ = s.owned_problem_.get();
+  // Swap the session onto the mutated problem. No artifact points into the
+  // old one, so it is released here unless a FlowState still shares it.
+  s.problem_ = std::move(newp);
 
   report.seconds = watch.seconds();
   return report;

@@ -19,10 +19,12 @@
 // artifact — routing the mutated problem through the route stage's own
 // compute, then rebuilding only the dirty Phase II regions — so that each
 // patched artifact is bit-identical to what a from-scratch session
-// computes. Slot preservation is what makes region carry-over possible:
-// removal empties a slot instead of shifting indices, so per-net
-// sensitivities, pairwise-sensitivity draws, and the annealing stream
-// seeds of every untouched net keep their values.
+// computes; a delta that keeps the problem's fingerprint (an empty one)
+// keeps every cached artifact, and a replaced problem is dropped. Slot
+// preservation is what makes region carry-over possible: removal empties
+// a slot instead of shifting indices, so per-net sensitivities,
+// pairwise-sensitivity draws, and the annealing stream seeds of every
+// untouched net keep their values.
 //
 // Both apply_delta overloads throw std::out_of_range, before mutating
 // anything, when a kRemove or kRepin names a slot outside the pre-delta
@@ -35,7 +37,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -74,10 +75,8 @@ gsino::RoutingProblem apply_delta(const gsino::RoutingProblem& problem,
 
 /// What one FlowSession::apply_delta() call did. The reused regions are
 /// the compute avoided by incrementality; results are bit-identical either
-/// way.
+/// way. The mutated problem is FlowSession::problem().
 struct DeltaReport {
-  /// The mutated problem the session now serves (owned by the session).
-  std::shared_ptr<const gsino::RoutingProblem> problem;
   std::size_t changed_nets = 0;    ///< slots the delta touched
   std::size_t routes_patched = 0;  ///< cached routing artifacts patched
   std::size_t nets_rerouted = 0;   ///< nets routed, summed over the profiles

@@ -295,60 +295,64 @@ void ArtifactStore::evict_over_budget_locked(const fs::path& keep) {
 
 // --------------------------------------------------------------- typed IO
 
-bool ArtifactStore::touch_existing(ArtifactType type, std::uint64_t key) {
-  // Content-addressed fast path for the typed puts: when the record is
-  // already on disk (a concurrent session won the publish race), skip the
-  // multi-megabyte serialization entirely and just refresh recency. A
-  // record vanishing between the check and the touch falls back to a full
-  // publish.
+template <typename Artifact>
+void ArtifactStore::put_typed(ArtifactType type, std::uint64_t key,
+                              const Artifact& art) {
+  // Content-addressed fast path: when the record is already on disk (a
+  // concurrent session won the publish race), skip the multi-megabyte
+  // serialization entirely and just refresh recency. A record vanishing
+  // between the check and the touch falls back to a full publish.
   const fs::path path = path_of(type, key);
-  std::error_code ec;
-  if (!fs::exists(path, ec)) return false;
-  std::error_code touch_ec;
-  fs::last_write_time(path, fs::file_time_type::clock::now(), touch_ec);
-  return !touch_ec;
+  std::error_code ec, touch_ec;
+  if (fs::exists(path, ec)) {
+    fs::last_write_time(path, fs::file_time_type::clock::now(), touch_ec);
+    if (!touch_ec) return;
+  }
+  put(type, key, save(art));
+}
+
+template <typename Load>
+auto ArtifactStore::get_typed(ArtifactType type, std::uint64_t key,
+                              const Load& load)
+    -> decltype(load(std::vector<std::uint8_t>{})) {
+  auto bytes = get(type, key);
+  if (!bytes) return nullptr;
+  auto art = load(*bytes);
+  if (art == nullptr) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    reject_locked(path_of(type, key), *bytes);
+  }
+  return art;
 }
 
 void ArtifactStore::put_routing(std::uint64_t key,
                                 const gsino::RoutingArtifact& art) {
-  if (touch_existing(ArtifactType::kRouting, key)) return;
-  put(ArtifactType::kRouting, key, save(art));
+  put_typed(ArtifactType::kRouting, key, art);
 }
 
 std::shared_ptr<const gsino::RoutingArtifact> ArtifactStore::get_routing(
     std::uint64_t key, const gsino::RoutingProblem& problem) {
-  auto bytes = get(ArtifactType::kRouting, key);
-  if (!bytes) return nullptr;
-  auto art = load_routing(*bytes, problem);
-  if (art == nullptr) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    reject_locked(path_of(ArtifactType::kRouting, key), *bytes);
-  }
-  return art;
+  return get_typed(ArtifactType::kRouting, key, [&](const auto& bytes) {
+    return load_routing(bytes, problem);
+  });
 }
 
 void ArtifactStore::put_budget(std::uint64_t key,
                                const gsino::BudgetArtifact& art) {
-  if (touch_existing(ArtifactType::kBudget, key)) return;
-  put(ArtifactType::kBudget, key, save(art));
+  put_typed(ArtifactType::kBudget, key, art);
 }
 
 std::shared_ptr<const gsino::BudgetArtifact> ArtifactStore::get_budget(
-    std::uint64_t key, const gsino::RoutingProblem& problem) {
-  auto bytes = get(ArtifactType::kBudget, key);
-  if (!bytes) return nullptr;
-  auto art = load_budget(*bytes, problem);
-  if (art == nullptr) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    reject_locked(path_of(ArtifactType::kBudget, key), *bytes);
-  }
-  return art;
+    std::uint64_t key, const gsino::RoutingProblem& problem,
+    std::shared_ptr<const gsino::RoutingArtifact> phase1) {
+  return get_typed(ArtifactType::kBudget, key, [&](const auto& bytes) {
+    return load_budget(bytes, problem, std::move(phase1));
+  });
 }
 
 void ArtifactStore::put_region_solve(std::uint64_t key,
                                      const gsino::RegionSolveArtifact& art) {
-  if (touch_existing(ArtifactType::kRegionSolve, key)) return;
-  put(ArtifactType::kRegionSolve, key, save(art));
+  put_typed(ArtifactType::kRegionSolve, key, art);
 }
 
 std::shared_ptr<const gsino::RegionSolveArtifact>
@@ -356,34 +360,23 @@ ArtifactStore::get_region_solve(
     std::uint64_t key, const gsino::RoutingProblem& problem,
     std::shared_ptr<const gsino::RoutingArtifact> phase1,
     std::shared_ptr<const gsino::BudgetArtifact> budget) {
-  auto bytes = get(ArtifactType::kRegionSolve, key);
-  if (!bytes) return nullptr;
-  auto art = load_region_solve(*bytes, problem, std::move(phase1),
-                               std::move(budget));
-  if (art == nullptr) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    reject_locked(path_of(ArtifactType::kRegionSolve, key), *bytes);
-  }
-  return art;
+  return get_typed(ArtifactType::kRegionSolve, key, [&](const auto& bytes) {
+    return load_region_solve(bytes, problem, std::move(phase1),
+                             std::move(budget));
+  });
 }
 
 void ArtifactStore::put_refine(std::uint64_t key,
                                const gsino::RefineArtifact& art) {
-  if (touch_existing(ArtifactType::kRefine, key)) return;
-  put(ArtifactType::kRefine, key, save(art));
+  put_typed(ArtifactType::kRefine, key, art);
 }
 
 std::shared_ptr<const gsino::RefineArtifact> ArtifactStore::get_refine(
     std::uint64_t key, const gsino::RoutingProblem& problem,
     std::shared_ptr<const gsino::RegionSolveArtifact> base) {
-  auto bytes = get(ArtifactType::kRefine, key);
-  if (!bytes) return nullptr;
-  auto art = load_refine(*bytes, problem, std::move(base));
-  if (art == nullptr) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    reject_locked(path_of(ArtifactType::kRefine, key), *bytes);
-  }
-  return art;
+  return get_typed(ArtifactType::kRefine, key, [&](const auto& bytes) {
+    return load_refine(bytes, problem, std::move(base));
+  });
 }
 
 // ------------------------------------------------------------ identities
@@ -437,7 +430,7 @@ std::uint64_t solve_key(const gsino::RoutingProblem& problem,
   h.i32(problem.params().anneal_iterations);  // anneal stream length
   h.u64(routing_key(problem, phase1.options));
   h.u64(budget_key(problem, budget.rule, budget.bound_v, budget.margin,
-                   &phase1));
+                   budget.phase1.get()));
   return h.value();
 }
 

@@ -94,9 +94,11 @@ class ArtifactStore {
   std::shared_ptr<const gsino::RoutingArtifact> get_routing(
       std::uint64_t key, const gsino::RoutingProblem& problem);
 
+  /// The caller re-attaches a routed-length budget's `phase1`.
   void put_budget(std::uint64_t key, const gsino::BudgetArtifact& art);
   std::shared_ptr<const gsino::BudgetArtifact> get_budget(
-      std::uint64_t key, const gsino::RoutingProblem& problem);
+      std::uint64_t key, const gsino::RoutingProblem& problem,
+      std::shared_ptr<const gsino::RoutingArtifact> phase1);
 
   void put_region_solve(std::uint64_t key,
                         const gsino::RegionSolveArtifact& art);
@@ -114,7 +116,13 @@ class ArtifactStore {
 
  private:
   std::filesystem::path path_of(ArtifactType type, std::uint64_t key) const;
-  bool touch_existing(ArtifactType type, std::uint64_t key);
+  /// put(save(art)) unless the record exists (then only refresh it).
+  template <typename Artifact>
+  void put_typed(ArtifactType type, std::uint64_t key, const Artifact& art);
+  /// get() + `load(bytes)`; a record the loader rejects is deleted.
+  template <typename Load>
+  auto get_typed(ArtifactType type, std::uint64_t key, const Load& load)
+      -> decltype(load(std::vector<std::uint8_t>{}));
   std::uintmax_t scan_bytes_locked() const;
   void evict_over_budget_locked(const std::filesystem::path& keep);
   void reject_locked(const std::filesystem::path& path,
@@ -159,7 +167,8 @@ std::uint64_t budget_key(const gsino::RoutingProblem& problem,
                          const gsino::RoutingArtifact* phase1);
 
 /// Key of a Phase II region-solve artifact over the keys of the routing
-/// and budget artifacts it solves.
+/// and budget artifacts it solves; a routed-length budget is keyed by its
+/// own `phase1`, not by the solve's routing.
 std::uint64_t solve_key(const gsino::RoutingProblem& problem,
                         gsino::FlowKind kind, bool annealed,
                         const gsino::RoutingArtifact& phase1,

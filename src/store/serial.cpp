@@ -344,7 +344,8 @@ std::shared_ptr<const gsino::RoutingArtifact> load_routing(
 
 std::shared_ptr<const gsino::BudgetArtifact> load_budget(
     const std::vector<std::uint8_t>& bytes,
-    const gsino::RoutingProblem& problem) {
+    const gsino::RoutingProblem& problem,
+    std::shared_ptr<const gsino::RoutingArtifact> phase1) {
   const auto [payload, size] = unframe(bytes, ArtifactType::kBudget);
   if (payload == nullptr) return nullptr;
   BinaryReader r(payload, size);
@@ -358,6 +359,7 @@ std::shared_ptr<const gsino::BudgetArtifact> load_budget(
   art->kth = std::move(kth);
   art->seconds = r.f64();
   if (!r.at_end() || art->kth->size() != problem.net_count()) return nullptr;
+  if (art->rule == gsino::BudgetRule::kRoutedLength) art->phase1 = phase1;
   return art;
 }
 

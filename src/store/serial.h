@@ -79,8 +79,11 @@ std::vector<std::uint8_t> save(const gsino::RefineArtifact& art);
 std::shared_ptr<const gsino::RoutingArtifact> load_routing(
     const std::vector<std::uint8_t>& bytes, const gsino::RoutingProblem& problem);
 
+/// Like a solve's inputs, a kRoutedLength budget's `phase1` is identity:
+/// the loader re-attaches the caller's (other rules leave it null).
 std::shared_ptr<const gsino::BudgetArtifact> load_budget(
-    const std::vector<std::uint8_t>& bytes, const gsino::RoutingProblem& problem);
+    const std::vector<std::uint8_t>& bytes, const gsino::RoutingProblem& problem,
+    std::shared_ptr<const gsino::RoutingArtifact> phase1);
 
 /// The solve artifact's phase1/budget inputs are identity, not payload:
 /// the caller supplies the (already loaded or computed) artifacts it was

@@ -321,20 +321,87 @@ TEST(DeltaDifferential, PatchedArtifactsAreCacheHits) {
 // Removing a net and re-adding the identical pin set converges back to
 // the original problem fingerprint only when the slot itself is restored;
 // appended slots are new identities. What IS pinned: a delta that touches
-// nothing (empty change list) leaves every state untouched.
+// nothing (empty change list) leaves the fingerprint, and so every cached
+// artifact, as it was: nothing is routed, and the next run is all cache
+// hits, Phase III included.
 TEST(DeltaDifferential, EmptyDeltaIsIdentity) {
   const Pipeline pipe(200);
   const gsino::RoutingProblem p0 = pipe.problem();
   gsino::FlowSession session(p0);
   const StepState before = observe(session.run(gsino::FlowKind::kGsino));
+  const gsino::StageCounters warm = session.counters();
 
   const DeltaReport report = session.apply_delta(NetlistDelta{});
   EXPECT_EQ(report.changed_nets, 0u);
-  EXPECT_EQ(report.nets_rerouted, p0.net_count());
-  EXPECT_EQ(report.problem->fingerprint(), p0.fingerprint());
+  EXPECT_EQ(report.nets_rerouted, 0u);
+  EXPECT_EQ(report.routes_patched, 0u);
+  EXPECT_EQ(report.regions_solved + report.regions_reused, 0u);
+  EXPECT_EQ(session.problem().fingerprint(), p0.fingerprint());
 
   const StepState after = observe(session.run(gsino::FlowKind::kGsino));
   EXPECT_TRUE(before == after);
+  const gsino::StageCounters& c = session.counters();
+  EXPECT_EQ(c.delta_applies, 1u);
+  EXPECT_EQ(c.route_executed, warm.route_executed);
+  EXPECT_EQ(c.budget_executed, warm.budget_executed);
+  EXPECT_EQ(c.solve_executed, warm.solve_executed);
+  EXPECT_EQ(c.refine_executed, warm.refine_executed);
+}
+
+// Nothing taken from a session points into a problem it may drop. A
+// FlowResult and a FlowState taken after one delta (over a problem the
+// session owns) stay usable through two more: density, routing area and a
+// Phase III re-solve all read the grid, and the re-solve matches the same
+// re-solve done before the deltas. A replaced problem is released once no
+// FlowState shares it.
+TEST(DeltaDifferential, ResultsOutliveTheProblemsDeltasReplace) {
+  const Pipeline pipe(200);
+  const gsino::RoutingProblem p0 = pipe.problem();
+  gsino::FlowSession session(p0);
+  session.run(gsino::FlowKind::kGsino);
+  session.apply_delta(random_delta(p0, 41, 6));
+
+  const gsino::FlowResult fr = session.run(gsino::FlowKind::kGsino);
+  gsino::FlowState fs = session.state(gsino::FlowKind::kGsino);
+  gsino::FlowState ref = session.state(gsino::FlowKind::kGsino);
+  std::size_t busiest = 0;
+  for (std::size_t si = 0; si < fs.solutions.size(); ++si) {
+    if (fs.solutions[si].net_index.size() >
+        fs.solutions[busiest].net_index.size()) {
+      busiest = si;
+    }
+  }
+  const double area = grid::compute_routing_area(*fr.congestion).area_um2();
+  const double density = fr.congestion->max_density();
+  ref.resolve_region(busiest, true);
+
+  for (std::uint64_t seed : {42, 43}) {
+    session.apply_delta(random_delta(session.problem(), seed, 6));
+  }
+  EXPECT_EQ(grid::compute_routing_area(*fr.congestion).area_um2(), area);
+  EXPECT_EQ(fr.congestion->max_density(), density);
+  EXPECT_EQ(fr.occupancy->grid().region_count(),
+            fr.congestion->grid().region_count());
+  fs.resolve_region(busiest, true);
+  EXPECT_EQ(fs.solution_density(busiest), ref.solution_density(busiest));
+  EXPECT_EQ(fs.net_lsk, ref.net_lsk);
+  fs.refresh_noise();
+  ref.refresh_noise();
+  EXPECT_EQ(fs.violating, ref.violating);
+
+  // Only the two states still share the first owned problem.
+  const std::weak_ptr<const gsino::RoutingProblem> first = fs.problem;
+  fs = gsino::FlowState{};
+  ref = gsino::FlowState{};
+  EXPECT_TRUE(first.expired());
+
+  // The current problem lives while the session serves it, and goes with
+  // the next delta.
+  const std::weak_ptr<const gsino::RoutingProblem> current =
+      session.state(gsino::FlowKind::kGsino).problem;
+  EXPECT_FALSE(current.expired());
+  session.apply_delta(random_delta(session.problem(), 44, 6));
+  EXPECT_TRUE(current.expired());
 }
 
 // A block-structured design — nine 3x3-region clusters separated by an

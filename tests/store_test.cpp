@@ -132,9 +132,12 @@ TEST(StoreSerial, BudgetRoundTripIsBitIdenticalForEveryRule) {
        {FlowKind::kIdNo, FlowKind::kIsino, FlowKind::kGsino}) {
     const auto phase1 = session.route(kind);
     const auto art = session.budget(kind, phase1, 0.15, 0.9);
-    const auto loaded = store::load_budget(store::save(*art), p);
+    const auto loaded = store::load_budget(store::save(*art), p, phase1);
     ASSERT_NE(loaded, nullptr) << flow_name(kind);
     EXPECT_EQ(loaded->rule, art->rule);
+    // Only the routed-length rule carries (and re-attaches) its routing.
+    EXPECT_EQ(loaded->phase1, art->phase1) << flow_name(kind);
+    EXPECT_EQ(loaded->phase1 != nullptr, kind == FlowKind::kIsino);
     EXPECT_EQ(loaded->bound_v, art->bound_v);
     EXPECT_EQ(loaded->margin, art->margin);
     ASSERT_EQ(loaded->kth->size(), art->kth->size());
@@ -254,7 +257,7 @@ TEST(StoreSerial, WrongArtifactTypeIsRejected) {
   FlowSession session(p);
   const auto phase1 = session.route(FlowKind::kGsino);
   const std::vector<std::uint8_t> routing_bytes = store::save(*phase1);
-  EXPECT_EQ(store::load_budget(routing_bytes, p), nullptr);
+  EXPECT_EQ(store::load_budget(routing_bytes, p, phase1), nullptr);
   const auto budget = session.budget(FlowKind::kGsino, phase1, 0.15, 1.0);
   EXPECT_EQ(store::load_routing(store::save(*budget), p), nullptr);
 }
@@ -293,7 +296,7 @@ TEST(StoreSerial, RecordForDifferentProblemIsRejected) {
   const Pipeline other(0.3, 120);
   const RoutingProblem p_other = other.problem();
   EXPECT_EQ(store::load_routing(bytes, p_other), nullptr);
-  EXPECT_EQ(store::load_budget(bytes, p_other), nullptr);
+  EXPECT_EQ(store::load_budget(bytes, p_other, nullptr), nullptr);
 }
 
 // ------------------------------------------------- cross-process warm start
@@ -414,7 +417,8 @@ TEST(ArtifactStore, StageKeysArePinned) {
     return b;
   };
   const BudgetArtifact manhattan = budget(BudgetRule::kManhattan, 1.0);
-  const BudgetArtifact routed = budget(BudgetRule::kRoutedLength, 1.0);
+  BudgetArtifact routed = budget(BudgetRule::kRoutedLength, 1.0);
+  routed.phase1 = std::make_shared<const RoutingArtifact>(plain);
   const BudgetArtifact margin = budget(BudgetRule::kManhattanMargin, 0.9);
   EXPECT_EQ(store::budget_key(p, manhattan.rule, 0.15, 1.0, nullptr),
             0x7ad77cfa0dbbef90u);
@@ -429,6 +433,74 @@ TEST(ArtifactStore, StageKeysArePinned) {
   EXPECT_EQ(store::solve_key(p, FlowKind::kIsino, true, plain, routed),
             0x0ce0d6fb3d89d8d0u);
   EXPECT_EQ(store::refine_key(p, solve), 0x1c51df0caf8cfa4du);
+}
+
+/// True when every instance net of `solve` carries its Kth from `budget`.
+bool solved_under(const RegionSolveArtifact& solve,
+                  const BudgetArtifact& budget) {
+  for (const RegionSolution& sol : *solve.solutions) {
+    for (std::size_t i = 0; i < sol.net_index.size(); ++i) {
+      if (sol.instance.net(i).kth != (*budget.kth)[sol.net_index[i]]) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+// A solve key names a routed-length budget by the routing the budget was
+// derived from, not by the solve's own routing: iSINO over the ID+NO
+// routing with a budget from the GSINO routing is a different solve from
+// the consistent one. A second session on the same store must compute the
+// consistent solve instead of loading the mixed record under the caller's
+// budget, and one session keeps both solves cached side by side.
+TEST(ArtifactStore, SolveKeyNamesTheBudgetsOwnRouting) {
+  const fs::path dir = store_dir("solve_key_budget");
+  const Pipeline pipe(0.5);
+  const RoutingProblem p = pipe.problem();
+  SessionOptions sopt;
+  sopt.store = std::make_shared<store::ArtifactStore>(dir);
+
+  std::vector<double> foreign_kth;
+  {
+    FlowSession first(p, sopt);
+    const auto plain = first.route(FlowKind::kIsino);
+    const auto foreign =
+        first.budget(FlowKind::kIsino, first.route(FlowKind::kGsino), 0.15, 1.0);
+    const auto mixed =
+        first.solve_regions(FlowKind::kIsino, plain, foreign, false);
+    EXPECT_TRUE(solved_under(*mixed, *foreign));
+    foreign_kth = *foreign->kth;
+  }
+
+  FlowSession second(p, sopt);
+  const auto plain = second.route(FlowKind::kIsino);
+  const auto own = second.budget(FlowKind::kIsino, plain, 0.15, 1.0);
+  ASSERT_NE(*own->kth, foreign_kth);  // the two budgets really differ
+  const auto solve = second.solve_regions(FlowKind::kIsino, plain, own, false);
+  EXPECT_EQ(second.counters().solve_loaded, 0u);
+  EXPECT_EQ(second.counters().solve_executed, 1u);
+  EXPECT_TRUE(solved_under(*solve, *own));
+
+  // One store-less session: alternate the two requests; each computes once
+  // and is a memory hit afterwards.
+  FlowSession one(p);
+  const auto r_plain = one.route(FlowKind::kIsino);
+  const auto r_own = one.budget(FlowKind::kIsino, r_plain, 0.15, 1.0);
+  const auto r_foreign =
+      one.budget(FlowKind::kIsino, one.route(FlowKind::kGsino), 0.15, 1.0);
+  const auto consistent =
+      one.solve_regions(FlowKind::kIsino, r_plain, r_own, false);
+  const auto mixed =
+      one.solve_regions(FlowKind::kIsino, r_plain, r_foreign, false);
+  EXPECT_EQ(one.solve_regions(FlowKind::kIsino, r_plain, r_own, false).get(),
+            consistent.get());
+  EXPECT_EQ(
+      one.solve_regions(FlowKind::kIsino, r_plain, r_foreign, false).get(),
+      mixed.get());
+  EXPECT_EQ(one.counters().solve_executed, 2u);
+  EXPECT_TRUE(solved_under(*consistent, *r_own));
+  EXPECT_TRUE(solved_under(*mixed, *r_foreign));
 }
 
 TEST(ArtifactStore, DifferentSeedDoesNotHitTheStore) {

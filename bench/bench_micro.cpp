@@ -33,14 +33,14 @@ std::vector<geom::Point> random_pins(std::size_t n, std::uint64_t seed) {
   return pins;
 }
 
-sino::SinoInstance random_instance(std::size_t n, double rate,
+sino::OwnedInstance random_instance(std::size_t n, double rate,
                                    std::uint64_t seed) {
   util::Xoshiro256 rng(seed);
   std::vector<sino::SinoNet> nets(n);
   for (std::size_t i = 0; i < n; ++i) {
-    nets[i] = sino::SinoNet{static_cast<int>(i), rate, 1.5};
+    nets[i] = sino::SinoNet{rate, 1.5};
   }
-  sino::SinoInstance inst(std::move(nets));
+  sino::OwnedInstance inst(nets);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = i + 1; j < n; ++j)
       if (rng.bernoulli(rate)) inst.set_sensitive(i, j);

@@ -56,14 +56,14 @@ int main() {
     const double rate = rng.uniform(0.3, 0.7);
     std::vector<sino::SinoNet> nets(nns);
     for (std::size_t i = 0; i < nns; ++i) {
-      nets[i] = sino::SinoNet{static_cast<int>(i),
-                              std::clamp(rng.uniform(rate * 0.5, rate * 1.5), 0.0, 1.0),
-                              rng.uniform(0.8, 2.0)};
+      nets[i] = sino::SinoNet{
+          std::clamp(rng.uniform(rate * 0.5, rate * 1.5), 0.0, 1.0),
+          rng.uniform(0.8, 2.0)};
     }
-    sino::SinoInstance inst(std::move(nets));
+    sino::OwnedInstance inst(nets);
     for (std::size_t i = 0; i < nns; ++i)
       for (std::size_t j = i + 1; j < nns; ++j)
-        if (rng.bernoulli(std::min(1.0, inst.net(i).si * inst.net(j).si / rate)))
+        if (rng.bernoulli(std::min(1.0, inst.si(i) * inst.si(j) / rate)))
           inst.set_sensitive(i, j);
     sino::AnnealOptions ao;
     ao.seed = rng();

@@ -147,19 +147,18 @@ BENCHMARK(BM_Maze64)->Arg(200)->Arg(800)->Unit(benchmark::kMillisecond);
 // shape the flow produces (tens of nets, dense sensitivity); a share of
 // near-impossible Kth bounds trips the annealing arm so both solver paths
 // are timed. Args: {instances, threads}.
-std::vector<sino::SinoInstance> batch_instances(std::size_t count,
+std::vector<sino::OwnedInstance> batch_instances(std::size_t count,
                                                 std::uint64_t seed) {
   util::Xoshiro256 rng(seed);
-  std::vector<sino::SinoInstance> out;
+  std::vector<sino::OwnedInstance> out;
   out.reserve(count);
   for (std::size_t k = 0; k < count; ++k) {
     std::vector<sino::SinoNet> nets(6 + rng.below(10));
     for (std::size_t i = 0; i < nets.size(); ++i) {
-      nets[i].net_id = static_cast<std::int32_t>(i);
       nets[i].si = rng.uniform(0.1, 0.9);
       nets[i].kth = rng.bernoulli(0.2) ? 1e-6 : rng.uniform(0.1, 0.8);
     }
-    sino::SinoInstance inst(std::move(nets));
+    sino::OwnedInstance inst(nets);
     for (std::size_t i = 0; i < inst.net_count(); ++i) {
       for (std::size_t j = i + 1; j < inst.net_count(); ++j) {
         if (rng.bernoulli(0.4)) inst.set_sensitive(i, j);
@@ -176,7 +175,7 @@ void BM_SinoBatch(benchmark::State& state) {
   const ktable::KeffModel keff;
   std::vector<sino::SinoBatchItem> items(instances.size());
   for (std::size_t i = 0; i < instances.size(); ++i) {
-    items[i].instance = &instances[i];
+    items[i].instance = instances[i];
     items[i].mode = sino::SinoSolveMode::kGreedyAnneal;
     items[i].anneal_seed = sino::stream_seed(2026, i);
     items[i].anneal_iterations = 1500;

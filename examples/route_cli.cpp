@@ -693,29 +693,22 @@ int main(int argc, char** argv) {
     // The flow has quiesced (session.run returned, pool joined), so the
     // export contract in obs/trace.h holds.
     if (opt.profile) {
-      struct Agg {
-        std::size_t count = 0;
-        double total_ms = 0.0;
-      };
-      std::map<std::string, Agg> by_name;
-      for (const obs::SpanRecord& s : trace->snapshot()) {
-        Agg& a = by_name[s.name];
-        ++a.count;
-        a.total_ms += static_cast<double>(s.dur_ns) / 1e6;
-      }
-      std::vector<std::pair<std::string, Agg>> rows(by_name.begin(),
-                                                    by_name.end());
-      std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-        return a.second.total_ms > b.second.total_ms;
-      });
+      // The per-name aggregates are exact: ring wraparound drops spans
+      // from the timeline only.
+      std::vector<obs::SpanStat> rows = trace->span_stats();
+      std::sort(rows.begin(), rows.end(),
+                [](const obs::SpanStat& a, const obs::SpanStat& b) {
+                  return a.total_ns > b.total_ns;
+                });
       util::TablePrinter table("run profile (span aggregates)");
-      table.set_header({"span", "count", "total ms", "mean ms"});
-      for (const auto& [name, agg] : rows) {
-        table.add_row({name, util::fmt_int(static_cast<long long>(agg.count)),
-                       util::fmt_double(agg.total_ms, 2),
-                       util::fmt_double(agg.total_ms /
-                                            static_cast<double>(agg.count),
-                                        3)});
+      table.set_header({"span", "count", "total ms", "mean ms", "max ms"});
+      for (const obs::SpanStat& s : rows) {
+        const double total_ms = static_cast<double>(s.total_ns) / 1e6;
+        table.add_row(
+            {s.name, util::fmt_int(static_cast<long long>(s.count)),
+             util::fmt_double(total_ms, 2),
+             util::fmt_double(total_ms / static_cast<double>(s.count), 3),
+             util::fmt_double(static_cast<double>(s.max_ns) / 1e6, 3)});
       }
       table.print(std::cout);
     }

@@ -58,9 +58,9 @@ int main(int argc, char** argv) {
   util::Xoshiro256 rng(2002);
   std::vector<SinoNet> nets(n);
   for (std::size_t i = 0; i < n; ++i) {
-    nets[i] = SinoNet{static_cast<int>(i), rate, kth};
+    nets[i] = SinoNet{rate, kth};
   }
-  SinoInstance inst(std::move(nets));
+  OwnedInstance inst(nets);
   int pairs = 0;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
@@ -102,9 +102,9 @@ int main(int argc, char** argv) {
   // each region.
   std::printf("\nwhat-if Kth sweep (same instance, re-solved greedily):\n");
   for (double f : {0.5, 0.75, 1.0, 1.5, 2.0}) {
-    SinoInstance sweep = inst;
+    OwnedInstance sweep = inst;
     for (std::size_t i = 0; i < sweep.net_count(); ++i) {
-      sweep.net(i).kth = kth * f;
+      sweep.set_kth(i, kth * f);
     }
     const ktable::SlotVec slots = solve_greedy(sweep, keff);
     std::printf("  Kth %.2f: area %2d, shields %d\n", kth * f,

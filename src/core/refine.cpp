@@ -26,31 +26,40 @@ std::ptrdiff_t find_member(const RegionSolution& sol, std::size_t net) {
 /// Snapshot of one region's state, for accept/reject reverts.
 struct RegionBackup {
   std::size_t sol_index = 0;
-  RegionSolution solution;
+  std::vector<double> kth, ki;     ///< per member
+  ktable::SlotVec slots;
   std::vector<double> lsk, noise;  ///< per member net
   double shields_before = 0.0;
 };
 
 RegionBackup snapshot(const FlowState& fs, std::size_t si) {
+  const RegionSolution sol = fs.solution(si);
   RegionBackup b;
   b.sol_index = si;
-  b.solution = fs.solutions[si];
-  b.lsk.reserve(b.solution.net_index.size());
-  b.noise.reserve(b.solution.net_index.size());
-  for (std::size_t n : b.solution.net_index) {
-    b.lsk.push_back(fs.net_lsk[n]);
-    b.noise.push_back(fs.net_noise[n]);
+  b.ki.assign(sol.ki.begin(), sol.ki.end());
+  b.kth.reserve(sol.net_index.size());
+  b.lsk.reserve(sol.net_index.size());
+  b.noise.reserve(sol.net_index.size());
+  for (std::size_t i = 0; i < sol.net_index.size(); ++i) {
+    b.kth.push_back(sol.instance.kth(i));
+    b.lsk.push_back(fs.net_lsk[sol.net_index[i]]);
+    b.noise.push_back(fs.net_noise[sol.net_index[i]]);
   }
+  b.slots = fs.slots[si];
   b.shields_before = fs.congestion->shields(sol_region(si), sol_dir(si));
   return b;
 }
 
 void restore(FlowState& fs, const RegionBackup& b) {
-  fs.solutions[b.sol_index] = b.solution;
-  const RegionSolution& sol = fs.solutions[b.sol_index];
-  for (std::size_t i = 0; i < sol.net_index.size(); ++i) {
-    fs.net_lsk[sol.net_index[i]] = b.lsk[i];
-    fs.net_noise[sol.net_index[i]] = b.noise[i];
+  const std::size_t first = fs.regions->begin(b.sol_index);
+  std::copy(b.kth.begin(), b.kth.end(), fs.kth.begin() + first);
+  std::copy(b.ki.begin(), b.ki.end(), fs.ki.begin() + first);
+  fs.slots[b.sol_index] = b.slots;
+  const std::span<const std::uint32_t> members =
+      fs.regions->net_index(b.sol_index);
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    fs.net_lsk[members[i]] = b.lsk[i];
+    fs.net_noise[members[i]] = b.noise[i];
   }
   fs.congestion->set_shields(sol_region(b.sol_index), sol_dir(b.sol_index),
                              b.shields_before);
@@ -61,19 +70,19 @@ void restore(FlowState& fs, const RegionBackup& b) {
 /// critical path does not run through this region tolerates any coupling
 /// here; give it generous headroom.
 void loosen_kth(FlowState& fs, std::size_t si, double lsk_budget) {
-  RegionSolution& sol = fs.solutions[si];
+  const RegionSolution sol = fs.solution(si);
+  const std::span<double> kth = fs.kth_of(si);
   for (std::size_t i = 0; i < sol.net_index.size(); ++i) {
     const std::size_t n = sol.net_index[i];
-    sino::SinoNet& snet = sol.instance.net(i);
-    const double ki_now = i < sol.ki.size() ? sol.ki[i] : 0.0;
+    const double ki_now = sol.ki[i];
     if (sol.path_len_mm[i] <= 0.0) {
-      snet.kth = std::max(snet.kth, 3.0 * (ki_now + 1.0));
+      kth[i] = std::max(kth[i], 3.0 * (ki_now + 1.0));
       continue;
     }
     const double slack_lsk = lsk_budget - fs.net_lsk[n];
     if (slack_lsk <= 0.0) continue;
     const double dk = 0.9 * slack_lsk / sol.path_len_mm[i];
-    snet.kth = std::max(snet.kth, ki_now + dk);
+    kth[i] = std::max(kth[i], ki_now + dk);
   }
 }
 
@@ -83,7 +92,7 @@ bool accepted(const FlowState& fs, const RegionBackup& b) {
   const double shields_after =
       fs.congestion->shields(sol_region(b.sol_index), sol_dir(b.sol_index));
   if (shields_after >= b.shields_before) return false;
-  for (std::size_t n : fs.solutions[b.sol_index].net_index) {
+  for (const std::uint32_t n : fs.regions->net_index(b.sol_index)) {
     if (fs.net_noise[n] > fs.bound_v + 1e-9) return false;
   }
   return true;
@@ -112,7 +121,7 @@ FixOutcome attempt_fix(FlowState& fs, std::size_t worst,
     bool have = false;
     for (const router::NetRegionRef& ref : refs) {
       const std::size_t si = sol_index_of(ref.region, ref.dir);
-      const RegionSolution& cand = fs.solutions[si];
+      const RegionSolution cand = fs.solution(si);
       if (cand.empty()) continue;
       const std::ptrdiff_t m = find_member(cand, worst);
       if (m < 0) continue;
@@ -120,7 +129,7 @@ FixOutcome attempt_fix(FlowState& fs, std::size_t worst,
       // Skip regions off the net's critical path, with negligible
       // contribution, or whose bound has bottomed out.
       const double contribution = cand.path_len_mm[cmi] * cand.ki[cmi];
-      if (contribution < 1e-6 || cand.instance.net(cmi).kth <= 2e-6) continue;
+      if (contribution < 1e-6 || cand.instance.kth(cmi) <= 2e-6) continue;
       const double dens = fs.solution_density(si);
       if (dens < best_density) {
         best_density = dens;
@@ -132,7 +141,7 @@ FixOutcome attempt_fix(FlowState& fs, std::size_t worst,
     }
     if (!have) break;
 
-    RegionSolution& sol = fs.solutions[best_sol];
+    const RegionSolution sol = fs.solution(best_sol);
     const auto mi = best_member;
 
     // Tighten the bound so the re-solve must add shielding (Fig. 2:
@@ -143,11 +152,10 @@ FixOutcome attempt_fix(FlowState& fs, std::size_t worst,
     const double excess = fs.net_lsk[worst] - lsk_budget;
     const double contribution = sol.path_len_mm[mi] * sol.ki[mi];
     const double target_contribution = contribution - 1.1 * excess;
-    sino::SinoNet& snet = sol.instance.net(mi);
+    double& kth = fs.kth_of(best_sol)[mi];
     const double targeted =
         best_len > 0.0 ? target_contribution / best_len : 0.0;
-    snet.kth = std::clamp(std::min(targeted, snet.kth * params.lr_kth_shrink),
-                          1e-6, snet.kth);
+    kth = std::clamp(std::min(targeted, kth * params.lr_kth_shrink), 1e-6, kth);
 
     fs.resolve_region(best_sol, /*allow_anneal=*/true);
     ++out.resolves;
@@ -223,7 +231,7 @@ void LocalRefiner::reduce_congestion(FlowState& fs, RefineStats& stats) const {
   // serves it. The queue takes the largest (key, id); storing solution si
   // under id n-1-si sends density ties to the lowest index, so regions are
   // visited in argmax-scan order.
-  const std::size_t n = fs.solutions.size();
+  const std::size_t n = fs.solution_count();
   const auto queue_id = [n](std::size_t si) {
     return static_cast<std::int32_t>(n - 1 - si);
   };
@@ -234,7 +242,7 @@ void LocalRefiner::reduce_congestion(FlowState& fs, RefineStats& stats) const {
   util::MonotoneMaxQueue queue;
   queue.build([&](auto visit) {
     for (std::size_t si = 0; si < n; ++si) {
-      if (fs.solutions[si].empty()) continue;
+      if (fs.regions->count(si) == 0) continue;
       const double dens = fs.solution_density(si);
       if (eligible(si, dens)) visit({dens, queue_id(si), 0});
     }

@@ -1,6 +1,7 @@
 #include "core/session.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "core/paths.h"
@@ -39,42 +40,87 @@ BudgetRule budget_rule(FlowKind kind) {
   return BudgetRule::kManhattan;
 }
 
-RegionSolution build_region_solution(const RoutingProblem& problem,
-                                     const router::Occupancy& occ,
-                                     std::size_t region, grid::Dir dir,
-                                     const std::vector<double>& kth,
-                                     const PathIndex& paths) {
-  RegionSolution sol;
+void build_region_solution(const RoutingProblem& problem,
+                           const router::Occupancy& occ, std::size_t region,
+                           grid::Dir dir, const PathIndex& paths,
+                           RegionSet::Slice out) {
   const auto& segs = occ.segments(region, dir);
-  if (segs.empty()) return sol;
-
-  std::vector<sino::SinoNet> nets;
-  nets.reserve(segs.size());
-  sol.net_index.reserve(segs.size());
-  sol.len_mm.reserve(segs.size());
-  sol.path_len_mm.reserve(segs.size());
-  for (const router::Segment& s : segs) {
-    const auto n = static_cast<std::size_t>(s.net_index);
-    sino::SinoNet sn;
-    sn.net_id = s.net_index;
-    sn.si = problem.router_nets()[n].si;
-    sn.kth = kth[n];
-    nets.push_back(sn);
-    sol.net_index.push_back(n);
-    sol.len_mm.push_back(s.length_um / 1000.0);
-    sol.path_len_mm.push_back(paths.length_um(n, region, dir) / 1000.0);
+  const std::size_t n = segs.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const router::Segment& s = segs[i];
+    const auto net = static_cast<std::size_t>(s.net_index);
+    out.net_index[i] = static_cast<std::uint32_t>(net);
+    out.si[i] = problem.router_nets()[net].si;
+    out.len_mm[i] = s.length_um / 1000.0;
+    out.path_len_mm[i] = paths.length_um(net, region, dir) / 1000.0;
   }
-  sol.instance = sino::SinoInstance(std::move(nets));
-  for (std::size_t i = 0; i < sol.net_index.size(); ++i) {
-    for (std::size_t j = i + 1; j < sol.net_index.size(); ++j) {
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
       if (problem.sensitivity().sensitive(
-              static_cast<netlist::NetId>(sol.net_index[i]),
-              static_cast<netlist::NetId>(sol.net_index[j]))) {
-        sol.instance.set_sensitive(i, j);
+              static_cast<netlist::NetId>(out.net_index[i]),
+              static_cast<netlist::NetId>(out.net_index[j]))) {
+        out.sensitive[i * n + j] = 1;
+        out.sensitive[j * n + i] = 1;
       }
     }
   }
-  return sol;
+}
+
+namespace {
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// The region set of a routing: shaped by the occupancy's segment counts,
+/// then every instance filled through build_region_solution, or copied
+/// from `carry_from` when its inputs are unchanged. Instances fill
+/// disjoint slices, so the parallel fill is deterministic.
+std::shared_ptr<const RegionSet> build_region_set(
+    const RoutingProblem& p, const router::Occupancy& occ,
+    const PathIndex& paths, const RoutingArtifact* carry_from, int threads) {
+  const std::size_t sol_count = p.grid().region_count() * 2;
+  std::vector<std::uint32_t> counts(sol_count);
+  for (std::size_t si = 0; si < sol_count; ++si) {
+    counts[si] = static_cast<std::uint32_t>(
+        occ.segments(sol_region(si), sol_dir(si)).size());
+  }
+  auto set = std::make_shared<RegionSet>(counts);
+  constexpr std::size_t kRegionGrain = 32;  // instances per chunk (fixed)
+  parallel::parallel_for(
+      sol_count, kRegionGrain, threads,
+      [&](std::size_t b, std::size_t e, int) {
+        for (std::size_t si = b; si < e; ++si) {
+          if (carry_from && same_region_inputs(*carry_from, occ, paths, si)) {
+            set->copy_slice(si, *carry_from->regions);
+          } else {
+            build_region_solution(p, occ, sol_region(si), sol_dir(si), paths,
+                                  set->slice(si));
+          }
+        }
+      });
+  return set;
+}
+
+}  // namespace
+
+bool same_region_inputs(const RoutingArtifact& old,
+                        const router::Occupancy& occ, const PathIndex& paths,
+                        std::size_t si) {
+  const std::size_t r = sol_region(si);
+  const grid::Dir d = sol_dir(si);
+  const auto& olds = old.occupancy->segments(r, d);
+  const auto& news = occ.segments(r, d);
+  if (olds.size() != news.size()) return false;
+  for (std::size_t i = 0; i < news.size(); ++i) {
+    const auto n = static_cast<std::size_t>(news[i].net_index);
+    if (olds[i].net_index != news[i].net_index ||
+        !same_bits(olds[i].length_um, news[i].length_um) ||
+        !same_bits(old.paths->length_um(n, r, d), paths.length_um(n, r, d))) {
+      return false;
+    }
+  }
+  return true;
 }
 
 namespace {
@@ -143,11 +189,11 @@ std::uint64_t region_resolve_seed(const RoutingProblem& p,
 
 /// The Phase III re-solve of one region as a sino batch item.
 sino::SinoBatchItem region_resolve_item(const RoutingProblem& p,
-                                        const RegionSolution& sol,
+                                        const sino::SinoInstance& instance,
                                         std::size_t sol_index,
                                         bool allow_anneal) {
   sino::SinoBatchItem item;
-  item.instance = &sol.instance;
+  item.instance = instance;
   item.mode = allow_anneal ? sino::SinoSolveMode::kGreedyAnneal
                            : sino::SinoSolveMode::kGreedy;
   item.anneal_seed = region_resolve_seed(p, sol_index);
@@ -208,46 +254,43 @@ std::shared_ptr<const RegionSolveArtifact> solve_region_set(
     const RoutingProblem& p, FlowKind kind, bool anneal,
     std::shared_ptr<const RoutingArtifact> phase1,
     std::shared_ptr<const BudgetArtifact> budget,
-    const std::vector<const RegionSolution*>& carried) {
+    const std::vector<RegionSolution>& carried) {
   util::Stopwatch watch;
   const auto is_carried = [&carried](std::size_t si) {
-    return si < carried.size() && carried[si] != nullptr;
+    return si < carried.size() && !carried[si].empty();
   };
 
-  // Every (region, dir) SINO instance is independent: the instances are
-  // built with a parallel map, solved across the pool by the batch driver
-  // (sino/batch.h, each region with its own deterministic RNG stream), and
-  // the LSK/shield accumulation replays serially in the historical
-  // (region, dir) order — so the phase's output is bit-identical at any
-  // thread count, threads == 1 being the exact serial path.
+  // Every (region, dir) SINO instance is independent: each is a view over
+  // the routing's region set under this budget's Kth, solved across the
+  // pool by the batch driver (sino/batch.h, each region with its own
+  // deterministic RNG stream), and the LSK/shield accumulation replays
+  // serially in the historical (region, dir) order — so the phase's output
+  // is bit-identical at any thread count, threads == 1 being the exact
+  // serial path.
+  const RegionSet& set = *phase1->regions;
   const std::size_t regions = p.grid().region_count();
-  const std::size_t sol_count = regions * 2;
-  const std::vector<double>& kth = *budget->kth;
-  const PathIndex& paths = *phase1->paths;
+  const std::size_t sol_count = set.size();
+  const std::vector<double>& net_kth = *budget->kth;
 
-  constexpr std::size_t kRegionGrain = 32;  // instances per chunk (fixed)
-  auto solutions = std::make_shared<std::vector<RegionSolution>>(
-      parallel::parallel_map<RegionSolution>(
-          sol_count, kRegionGrain, p.params().threads,
-          [&](std::size_t si) -> RegionSolution {
-            if (is_carried(si)) return *carried[si];
-            return build_region_solution(p, *phase1->occupancy, sol_region(si),
-                                         sol_dir(si), kth, paths);
-          }));
-
+  std::vector<double> kth(set.member_count());
   std::vector<sino::SinoBatchItem> items(sol_count);
   for (std::size_t si = 0; si < sol_count; ++si) {
-    const RegionSolution& sol = (*solutions)[si];
-    if (sol.empty() || is_carried(si)) continue;
+    const std::span<const std::uint32_t> members = set.net_index(si);
+    const std::size_t b = set.begin(si);
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      kth[b + i] = net_kth[members[i]];
+    }
+    if (members.empty() || is_carried(si)) continue;
     sino::SinoBatchItem& item = items[si];
-    item.instance = &sol.instance;
+    item.instance = set.instance(si, kth.data() + b);
     if (kind == FlowKind::kIdNo) {
       item.mode = sino::SinoSolveMode::kNetOrder;
     } else if (anneal) {
       item.mode = sino::SinoSolveMode::kGreedyAnneal;
       // The historical per-region stream seed, preserved so annealed
       // Phase II results stay identical to the pre-batch flow.
-      item.anneal_seed = p.params().seed ^ (sol.net_index.front() * 977u);
+      item.anneal_seed =
+          p.params().seed ^ (static_cast<std::size_t>(members.front()) * 977u);
       item.anneal_iterations = p.params().anneal_iterations;
     } else {
       item.mode = sino::SinoSolveMode::kGreedy;
@@ -256,24 +299,31 @@ std::shared_ptr<const RegionSolveArtifact> solve_region_set(
   std::vector<sino::SinoBatchResult> solved =
       sino::solve_batch(items, p.keff(), p.params().threads);
 
+  std::vector<double> ki(set.member_count(), 0.0);
+  std::vector<ktable::SlotVec> slots(sol_count);
   auto net_lsk = std::make_shared<std::vector<double>>(p.net_count(), 0.0);
   auto net_noise = std::make_shared<std::vector<double>>(p.net_count(), 0.0);
   auto congestion = std::make_shared<grid::CongestionMap>(*phase1->segments);
   for (std::size_t r = 0; r < regions; ++r) {
     for (grid::Dir d : grid::kBothDirs) {
       const std::size_t si = sol_index_of(r, d);
-      RegionSolution& sol = (*solutions)[si];
-      if (sol.empty()) continue;
-      if (!is_carried(si)) {
-        sol.slots = std::move(solved[si].slots);
-        sol.ki = std::move(solved[si].ki);
+      const std::span<const std::uint32_t> members = set.net_index(si);
+      if (members.empty()) continue;
+      const std::size_t b = set.begin(si);
+      if (is_carried(si)) {
+        std::copy(carried[si].ki.begin(), carried[si].ki.end(), ki.begin() + b);
+        slots[si].assign(carried[si].slots.begin(), carried[si].slots.end());
+      } else {
+        std::copy(solved[si].ki.begin(), solved[si].ki.end(), ki.begin() + b);
+        slots[si] = std::move(solved[si].slots);
       }
-      for (std::size_t i = 0; i < sol.net_index.size(); ++i) {
-        (*net_lsk)[sol.net_index[i]] += sol.path_len_mm[i] * sol.ki[i];
+      const std::span<const double> path_len = set.path_len_mm(si);
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        (*net_lsk)[members[i]] += path_len[i] * ki[b + i];
       }
       congestion->set_shields(
           r, d,
-          static_cast<double>(sino::SinoEvaluator::shield_count(sol.slots)));
+          static_cast<double>(sino::SinoEvaluator::shield_count(slots[si])));
     }
   }
 
@@ -282,9 +332,10 @@ std::shared_ptr<const RegionSolveArtifact> solve_region_set(
   art->annealed = anneal;
   art->violating =
       noise_pass(p.lsk_table(), budget->bound_v, *net_lsk, *net_noise);
+  art->solutions =
+      RegionSolutions::pack(phase1->regions, nullptr, kth, ki, slots);
   art->phase1 = std::move(phase1);
   art->budget = std::move(budget);
-  art->solutions = std::move(solutions);
   art->net_lsk = std::move(net_lsk);
   art->net_noise = std::move(net_noise);
   art->congestion = std::move(congestion);
@@ -292,28 +343,47 @@ std::shared_ptr<const RegionSolveArtifact> solve_region_set(
   return art;
 }
 
+namespace {
+
+std::size_t owned_state_bytes(const RegionSolutions& solutions,
+                              const std::vector<double>& net_lsk,
+                              const std::vector<double>& net_noise,
+                              const grid::CongestionMap& congestion) {
+  return solutions.owned_bytes() +
+         (net_lsk.capacity() + net_noise.capacity()) * sizeof(double) +
+         congestion.owned_bytes();
+}
+
+}  // namespace
+
+std::size_t RegionSolveArtifact::owned_bytes() const {
+  return owned_state_bytes(*solutions, *net_lsk, *net_noise, *congestion);
+}
+
+std::size_t RefineArtifact::owned_bytes() const {
+  return owned_state_bytes(*solutions, *net_lsk, *net_noise, *congestion);
+}
+
 // ---------------------------------------------------------------- FlowState
 
 void FlowState::resolve_region(std::size_t sol_idx, bool allow_anneal) {
-  RegionSolution& sol = solutions[sol_idx];
+  const RegionSolution sol = solution(sol_idx);
   if (sol.empty()) return;
   const RoutingProblem& p = *problem;
   sino::SinoBatchResult solved = sino::solve_region(
-      region_resolve_item(p, sol, sol_idx, allow_anneal), p.keff());
+      region_resolve_item(p, sol.instance, sol_idx, allow_anneal), p.keff());
 
-  // Remove old LSK contributions (critical-path lengths; Eq. 1 is per sink).
+  // Remove old LSK contributions (critical-path lengths; Eq. 1 is per
+  // sink), swap in the new Ki, add the new contributions and refresh noise
+  // for member nets.
+  const std::size_t b = regions->begin(sol_idx);
   for (std::size_t i = 0; i < sol.net_index.size(); ++i) {
-    if (i < sol.ki.size()) {
-      net_lsk[sol.net_index[i]] -= sol.path_len_mm[i] * sol.ki[i];
-    }
+    net_lsk[sol.net_index[i]] -= sol.path_len_mm[i] * ki[b + i];
   }
-
-  sol.slots = std::move(solved.slots);
-  sol.ki = std::move(solved.ki);
-
-  // Add new contributions and refresh noise for member nets.
+  std::copy(solved.ki.begin(), solved.ki.end(), ki.begin() + b);
+  slots[sol_idx] = std::move(solved.slots);
   for (std::size_t i = 0; i < sol.net_index.size(); ++i) {
-    net_lsk[sol.net_index[i]] += sol.path_len_mm[i] * sol.ki[i];
+    net_lsk[sol.net_index[i]] += sol.path_len_mm[i] * ki[b + i];
     net_noise[sol.net_index[i]] =
         p.lsk_table().voltage(net_lsk[sol.net_index[i]]);
   }
@@ -321,7 +391,7 @@ void FlowState::resolve_region(std::size_t sol_idx, bool allow_anneal) {
   // Refresh the region's shield count.
   congestion->set_shields(
       sol_region(sol_idx), sol_dir(sol_idx),
-      static_cast<double>(sino::SinoEvaluator::shield_count(sol.slots)));
+      static_cast<double>(sino::SinoEvaluator::shield_count(slots[sol_idx])));
 
   if (on_resolve) on_resolve(sol_idx);
 }
@@ -359,7 +429,8 @@ std::shared_ptr<const RoutingArtifact> FlowSession::route(FlowKind kind) {
 
 std::shared_ptr<RoutingArtifact> derive_routing_artifact(
     const RoutingProblem& p, const router::IdRouterOptions& options,
-    std::uint64_t seed, std::shared_ptr<const router::RoutingResult> routing) {
+    std::uint64_t seed, std::shared_ptr<const router::RoutingResult> routing,
+    const RoutingArtifact* carry_from) {
   auto art = std::make_shared<RoutingArtifact>();
   art->options = options;
   art->seed = seed;
@@ -379,6 +450,8 @@ std::shared_ptr<RoutingArtifact> derive_routing_artifact(
   }
   auto index = std::make_shared<PathIndex>(std::move(paths));
 
+  art->regions =
+      build_region_set(p, *occupancy, *index, carry_from, options.threads);
   art->routing = std::move(routing);
   art->occupancy = std::move(occupancy);
   art->segments = std::move(segments);
@@ -388,13 +461,14 @@ std::shared_ptr<RoutingArtifact> derive_routing_artifact(
 }
 
 std::shared_ptr<const RoutingArtifact> compute_route(
-    const RoutingProblem& p, const router::IdRouterOptions& options) {
+    const RoutingProblem& p, const router::IdRouterOptions& options,
+    const RoutingArtifact* carry_from) {
   util::Stopwatch watch;
   const router::IdRouter router(p.grid(), p.nss(), options);
   auto routing = std::make_shared<router::RoutingResult>(
       router.route(p.router_nets()));
-  auto art =
-      derive_routing_artifact(p, options, p.params().seed, std::move(routing));
+  auto art = derive_routing_artifact(p, options, p.params().seed,
+                                     std::move(routing), carry_from);
   art->seconds = watch.seconds();
   return art;
 }
@@ -477,7 +551,21 @@ FlowState FlowSession::state(const RegionSolveArtifact& solve) const {
   st.bound_v = solve.budget->bound_v;
   st.phase1 = solve.phase1;
   st.budget = solve.budget;
-  st.solutions = *solve.solutions;  // mutable copies of the artifact state
+  // Mutable copies of the artifact's per-bound state; the set is shared.
+  const RegionSolutions& sols = *solve.solutions;
+  st.regions = sols.set();
+  st.kth.resize(st.regions->member_count());
+  st.ki.resize(st.regions->member_count());
+  st.slots.resize(sols.size());
+  for (std::size_t si = 0; si < sols.size(); ++si) {
+    const RegionSolution sol = sols[si];
+    const std::size_t first = st.regions->begin(si);
+    for (std::size_t i = 0; i < sol.net_index.size(); ++i) {
+      st.kth[first + i] = sol.instance.kth(i);
+    }
+    std::copy(sol.ki.begin(), sol.ki.end(), st.ki.begin() + first);
+    st.slots[si].assign(sol.slots.begin(), sol.slots.end());
+  }
   st.net_lsk = *solve.net_lsk;
   st.net_noise = *solve.net_noise;
   st.congestion = std::make_unique<grid::CongestionMap>(*solve.congestion);
@@ -525,8 +613,9 @@ std::shared_ptr<const RefineArtifact> FlowSession::refine(
 
         auto art = std::make_shared<RefineArtifact>();
         art->base = solve;
-        art->solutions = std::make_shared<const std::vector<RegionSolution>>(
-            std::move(st.solutions));
+        // Only the instances refinement changed are the artifact's own.
+        art->solutions = RegionSolutions::pack(st.regions, solve->solutions,
+                                               st.kth, st.ki, st.slots);
         art->net_lsk =
             std::make_shared<const std::vector<double>>(std::move(st.net_lsk));
         art->net_noise = std::make_shared<const std::vector<double>>(

@@ -49,6 +49,7 @@
 #include "core/budget.h"
 #include "core/paths.h"
 #include "core/problem.h"
+#include "core/regions.h"
 #include "grid/congestion.h"
 #include "router/id_router.h"
 #include "router/occupancy.h"
@@ -84,21 +85,6 @@ inline std::size_t sol_region(std::size_t sol_index) { return sol_index / 2; }
 inline grid::Dir sol_dir(std::size_t sol_index) {
   return static_cast<grid::Dir>(sol_index % 2);
 }
-
-/// The SINO (or ordering) state of one (region, direction).
-struct RegionSolution {
-  sino::SinoInstance instance;          ///< nets with S_i and current Kth
-  std::vector<std::size_t> net_index;   ///< instance net -> global net index
-  std::vector<double> len_mm;           ///< net's tree wire length here (tracks)
-  /// Net's critical source->sink path length inside this region (mm); zero
-  /// when the region only hosts a branch to another sink. LSK (Eq. 1) sums
-  /// path_len_mm * Ki — noise at a sink accumulates along its path only.
-  std::vector<double> path_len_mm;
-  ktable::SlotVec slots;                ///< track assignment
-  std::vector<double> ki;               ///< per instance net, current Ki
-
-  bool empty() const { return net_index.empty(); }
-};
 
 struct FlowTiming {
   double route_s = 0.0;
@@ -158,19 +144,26 @@ struct RoutingArtifact {
   std::shared_ptr<const grid::CongestionMap> segments;
   std::shared_ptr<const std::vector<double>> critical_path_um;  ///< per net
   std::shared_ptr<const PathIndex> paths;
+  /// Every (region, dir) SINO instance's routing-only structure, shared by
+  /// every solve and refine of this routing.
+  std::shared_ptr<const RegionSet> regions;
   double seconds = 0.0;  ///< compute time when this artifact was built
 };
 
 /// Derive the flow-independent views of a routed result — occupancy,
-/// segment congestion, critical paths/path index — and assemble the full
-/// artifact (seconds left at 0 for the caller to stamp). This is the one
-/// derivation path shared by FlowSession::route() and the persistent
-/// store's loader (store/serial.cpp), so an artifact deserialized from
-/// disk is bit-identical to a freshly computed one: the derivations are
-/// deterministic functions of (problem, routes).
+/// segment congestion, critical paths/path index, region set — and
+/// assemble the full artifact (seconds left at 0 for the caller to stamp).
+/// This is the one derivation path shared by FlowSession::route(), the
+/// delta engine and the persistent store's loader (store/serial.cpp), so an
+/// artifact deserialized from disk is bit-identical to a freshly computed
+/// one: the derivations are deterministic functions of (problem, routes).
+/// A non-null `carry_from` (the routing a delta replaces) lends every
+/// region-set instance whose inputs are unchanged (same_region_inputs);
+/// the copy is bit-identical to a rebuild.
 std::shared_ptr<RoutingArtifact> derive_routing_artifact(
     const RoutingProblem& problem, const router::IdRouterOptions& options,
-    std::uint64_t seed, std::shared_ptr<const router::RoutingResult> routing);
+    std::uint64_t seed, std::shared_ptr<const router::RoutingResult> routing,
+    const RoutingArtifact* carry_from = nullptr);
 
 /// How Phase I budgeting derives per-net Kth bounds.
 enum class BudgetRule {
@@ -192,19 +185,26 @@ struct BudgetArtifact {
 };
 
 /// Phase II output: every (region, dir) SINO solution plus the derived
-/// noise state, as an immutable snapshot. Phase III copies the mutable
-/// parts into a FlowState; flows without refinement view it directly.
+/// noise state, as an immutable snapshot. The solutions share the
+/// routing's region set and own only this bound's Kth, slots and Ki.
+/// Phase III copies the mutable parts into a FlowState; flows without
+/// refinement view it directly.
 struct RegionSolveArtifact {
   FlowKind kind = FlowKind::kIdNo;  ///< solve mode (net-order vs SINO)
   bool annealed = false;            ///< Phase II annealing was enabled
   std::shared_ptr<const RoutingArtifact> phase1;
   std::shared_ptr<const BudgetArtifact> budget;
-  std::shared_ptr<const std::vector<RegionSolution>> solutions;
+  std::shared_ptr<const RegionSolutions> solutions;  ///< over phase1->regions
   std::shared_ptr<const std::vector<double>> net_lsk;
   std::shared_ptr<const std::vector<double>> net_noise;
   std::shared_ptr<const grid::CongestionMap> congestion;  ///< with shields
   std::size_t violating = 0;
   double seconds = 0.0;
+
+  /// Heap bytes this artifact owns: its solutions' per-bound arrays, LSK,
+  /// noise and congestion map. Shared inputs (routing, budget, region
+  /// set) are not counted.
+  std::size_t owned_bytes() const;
 };
 
 // ----------------------------------------------------------- stage compute
@@ -216,19 +216,31 @@ struct RegionSolveArtifact {
 
 /// Phase I: route every net of `problem` under the router profile
 /// `options`, then derive the artifact's views through
-/// derive_routing_artifact. Stamps `seconds`.
+/// derive_routing_artifact (which `carry_from` is passed on to). Stamps
+/// `seconds`.
 std::shared_ptr<const RoutingArtifact> compute_route(
-    const RoutingProblem& problem, const router::IdRouterOptions& options);
+    const RoutingProblem& problem, const router::IdRouterOptions& options,
+    const RoutingArtifact* carry_from = nullptr);
 
-/// Build the SINO instance of one (region, dir) from an occupancy's
-/// segment list: member nets in segment order with their S_i / Kth, wire
-/// and critical-path lengths, and the pairwise sensitivity edges. The one
-/// construction path solve_region_set uses for every region it solves.
-RegionSolution build_region_solution(const RoutingProblem& problem,
-                                     const router::Occupancy& occ,
-                                     std::size_t region, grid::Dir dir,
-                                     const std::vector<double>& kth,
-                                     const PathIndex& paths);
+/// Fill the region-set slice of one (region, dir) from an occupancy's
+/// segment list: member nets in segment order with their S_i, wire and
+/// critical-path lengths, and the pairwise sensitivity matrix. The one
+/// construction path of every RegionSet instance; `out` is sized to the
+/// segment count.
+void build_region_solution(const RoutingProblem& problem,
+                           const router::Occupancy& occ, std::size_t region,
+                           grid::Dir dir, const PathIndex& paths,
+                           RegionSet::Slice out);
+
+/// True when everything build_region_solution reads for solution index
+/// `si` is bitwise the same under `old` and the (occupancy, paths) of a
+/// new routing: the segment list (members and lengths) and each member's
+/// critical-path length. Member S_i and the pairwise sensitivity draws are
+/// index-stable under a slot-preserving delta (scenario/delta.h), so equal
+/// members imply equal values for both.
+bool same_region_inputs(const RoutingArtifact& old,
+                        const router::Occupancy& occ, const PathIndex& paths,
+                        std::size_t si);
 
 /// Per-net Kth bounds (Section 3.1) under `rule`. `phase1` supplies (and
 /// is kept as) the routed lengths of kRoutedLength; other rules ignore it.
@@ -237,19 +249,20 @@ std::shared_ptr<const BudgetArtifact> compute_budget(
     const RoutingProblem& problem, BudgetRule rule, double bound_v,
     double margin, std::shared_ptr<const RoutingArtifact> phase1);
 
-/// Phase II over every (region, dir): build each instance, solve it
+/// Phase II over every (region, dir): solve each instance
 /// (net order for ID+NO, greedy for the SINO flows, annealing the
 /// greedy-infeasible ones when `anneal`), then accumulate LSK and shields
 /// in (region, dir) order and count violations under the budget's bound.
-/// A non-null `carried[si]` is an already solved solution that is copied
-/// instead of built and solved; since the accumulation still replays over
-/// every region, the result is bit-identical to a full solve whenever
+/// Instances are views over `phase1->regions` under the budget's Kth. A
+/// non-empty `carried[si]` is an already solved solution whose slots and
+/// Ki are copied instead of solved; since the accumulation still replays
+/// over every region, the result is bit-identical to a full solve whenever
 /// each carried solution is. Stamps `seconds`.
 std::shared_ptr<const RegionSolveArtifact> solve_region_set(
     const RoutingProblem& problem, FlowKind kind, bool anneal,
     std::shared_ptr<const RoutingArtifact> phase1,
     std::shared_ptr<const BudgetArtifact> budget,
-    const std::vector<const RegionSolution*>& carried = {});
+    const std::vector<RegionSolution>& carried = {});
 
 struct RefineStats {
   int pass1_nets_fixed = 0;
@@ -269,10 +282,11 @@ struct RefineOptions {
   int threads = 0;
 };
 
-/// Phase III output: the refined per-region state.
+/// Phase III output: the refined per-region state. Its solutions share
+/// the base solve's region set and own their refined Kth, slots and Ki.
 struct RefineArtifact {
   std::shared_ptr<const RegionSolveArtifact> base;
-  std::shared_ptr<const std::vector<RegionSolution>> solutions;
+  std::shared_ptr<const RegionSolutions> solutions;
   std::shared_ptr<const std::vector<double>> net_lsk;
   std::shared_ptr<const std::vector<double>> net_noise;
   std::shared_ptr<const grid::CongestionMap> congestion;
@@ -280,6 +294,10 @@ struct RefineArtifact {
   std::size_t unfixable = 0;
   RefineStats stats;
   double seconds = 0.0;
+
+  /// Heap bytes this artifact owns, as RegionSolveArtifact::owned_bytes
+  /// counts them (the base solve is not counted).
+  std::size_t owned_bytes() const;
 };
 
 // -------------------------------------------------------------- FlowResult
@@ -299,14 +317,14 @@ struct FlowResult {
   std::shared_ptr<const RefineArtifact> phase3;  ///< null unless refined
 
   /// Final (possibly refined) state.
-  std::shared_ptr<const std::vector<RegionSolution>> solutions_ptr;
+  std::shared_ptr<const RegionSolutions> solutions_ptr;
   std::shared_ptr<const std::vector<double>> net_lsk_ptr;
   std::shared_ptr<const std::vector<double>> net_noise_ptr;
   std::shared_ptr<const grid::CongestionMap> congestion;
   std::shared_ptr<const router::Occupancy> occupancy;
 
   const router::RoutingResult& routing() const { return *phase1->routing; }
-  const std::vector<RegionSolution>& solutions() const { return *solutions_ptr; }
+  const RegionSolutions& solutions() const { return *solutions_ptr; }
   const std::vector<double>& net_lsk() const { return *net_lsk_ptr; }
   const std::vector<double>& net_noise() const { return *net_noise_ptr; }
   const std::vector<double>& kth() const { return *budget->kth; }
@@ -337,6 +355,8 @@ std::uint64_t state_fingerprint(const FlowResult& fr);
 /// one; it shares its problem, so it survives later deltas. The historical
 /// free functions resolve_region / refresh_noise / finalize_metrics over
 /// FlowResult are methods here; LocalRefiner operates on a FlowState.
+/// The per-bound arrays are mutable copies of a solve's; the region set
+/// stays shared.
 struct FlowState {
   std::shared_ptr<const RoutingProblem> problem;
   FlowKind kind = FlowKind::kGsino;
@@ -344,7 +364,10 @@ struct FlowState {
   std::shared_ptr<const RoutingArtifact> phase1;
   std::shared_ptr<const BudgetArtifact> budget;
 
-  std::vector<RegionSolution> solutions;  ///< index = region * 2 + dir
+  std::shared_ptr<const RegionSet> regions;  ///< phase1->regions
+  std::vector<double> kth;  ///< per member of `regions`, current Kth
+  std::vector<double> ki;   ///< per member of `regions`, current Ki
+  std::vector<ktable::SlotVec> slots;  ///< per solution index (region * 2 + dir)
   std::vector<double> net_lsk;            ///< Eq. (1) per net
   std::vector<double> net_noise;          ///< table lookup of net_lsk (V)
   std::unique_ptr<grid::CongestionMap> congestion;
@@ -357,7 +380,19 @@ struct FlowState {
 
   const router::Occupancy& occupancy() const { return *phase1->occupancy; }
 
-  /// Re-solve one region under the instance's current Kth values (greedy,
+  std::size_t solution_count() const { return slots.size(); }
+  /// View of one (region, dir) under the current state.
+  RegionSolution solution(std::size_t sol_index) const {
+    const std::size_t b = regions->begin(sol_index);
+    return regions->solution(sol_index, kth.data() + b, ki.data() + b,
+                             slots[sol_index]);
+  }
+  /// The current Kth of one (region, dir)'s members, writable.
+  std::span<double> kth_of(std::size_t sol_index) {
+    return {kth.data() + regions->begin(sol_index), regions->count(sol_index)};
+  }
+
+  /// Re-solve one region under its members' current Kth (greedy,
   /// optionally annealing when infeasible), updating slots/ki, the
   /// region's shield count, and every member net's LSK/noise.
   void resolve_region(std::size_t sol_index, bool allow_anneal);

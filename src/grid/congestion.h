@@ -72,6 +72,13 @@ class CongestionMap {
   /// Total shield count over all regions.
   double total_shields() const;
 
+  /// Heap bytes of the count arrays.
+  std::size_t owned_bytes() const {
+    return (seg_[0].capacity() + seg_[1].capacity() + shield_[0].capacity() +
+            shield_[1].capacity()) *
+           sizeof(double);
+  }
+
  private:
   RegionGrid grid_;
   std::vector<double> seg_[2];

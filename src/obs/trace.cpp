@@ -27,17 +27,64 @@ struct Span {
   std::uint64_t dur_ns = 0;
 };
 
-/// One writer thread's ring. Only the owning thread writes `slots`,
-/// `capacity`, and `count`; the exporter reads them under the registry
-/// mutex after acquiring `count` (release/acquire pairs with the owner's
-/// per-span release store) — plus the external quiesce contract
-/// (TraceSession docs), which is what makes the export race-free.
+/// Open-addressing table of per-name aggregates, keyed by the name
+/// pointer (names are literals, so one site is one key; the exporter
+/// merges equal names across keys and threads). Grows by doubling at 3/4
+/// load, so no span is ever left out.
+class StatTable {
+ public:
+  void clear() {
+    entries_.assign(64, SpanStat{});
+    used_ = 0;
+  }
+  void add(const char* name, const char* cat, std::uint64_t dur_ns) {
+    if ((used_ + 1) * 4 > entries_.size() * 3) grow();
+    SpanStat& e = slot(name);
+    if (e.name == nullptr) {
+      e.name = name;
+      e.cat = cat;
+      ++used_;
+    }
+    ++e.count;
+    e.total_ns += dur_ns;
+    e.max_ns = std::max(e.max_ns, dur_ns);
+  }
+  const std::vector<SpanStat>& entries() const { return entries_; }
+
+ private:
+  SpanStat& slot(const char* name) {
+    const std::size_t mask = entries_.size() - 1;
+    std::size_t i = (reinterpret_cast<std::uintptr_t>(name) >> 3) & mask;
+    while (entries_[i].name != nullptr && entries_[i].name != name) {
+      i = (i + 1) & mask;
+    }
+    return entries_[i];
+  }
+  void grow() {
+    std::vector<SpanStat> old;
+    old.swap(entries_);
+    entries_.assign(std::max<std::size_t>(64, old.size() * 2), SpanStat{});
+    for (const SpanStat& e : old) {
+      if (e.name != nullptr) slot(e.name) = e;
+    }
+  }
+
+  std::vector<SpanStat> entries_;
+  std::size_t used_ = 0;
+};
+
+/// One writer thread's ring and aggregates. Only the owning thread writes
+/// `slots`, `capacity`, `stats` and `count`; the exporter reads them under
+/// the registry mutex after acquiring `count` (release/acquire pairs with
+/// the owner's per-span release store) — plus the external quiesce
+/// contract (TraceSession docs), which is what makes the export race-free.
 struct ThreadBuffer {
   std::atomic<std::uint64_t> count{0};   ///< total spans ever recorded
   std::atomic<std::uint64_t> epoch{0};   ///< session this ring belongs to
   std::uint32_t tid = 0;                 ///< registration index
   std::size_t capacity = 0;
   std::vector<Span> slots;
+  StatTable stats;
 };
 
 /// Process-wide tracer state. Leaked on purpose: pool worker threads may
@@ -83,6 +130,7 @@ void record_span(const char* name, const char* cat, std::uint64_t start_ns,
     const std::size_t cap = reg.capacity.load(std::memory_order_acquire);
     if (buf->slots.size() != cap) buf->slots.assign(cap, Span{});
     buf->capacity = cap;
+    buf->stats.clear();
     buf->count.store(0, std::memory_order_relaxed);
     buf->epoch.store(epoch, std::memory_order_release);
   }
@@ -96,7 +144,9 @@ void record_span(const char* name, const char* cat, std::uint64_t start_ns,
   s.arg_val = arg_val;
   s.start_ns = start_ns;
   s.dur_ns = dur_ns;
-  // Release: an exporter that acquires `count` sees the slot contents.
+  buf->stats.add(name, cat, dur_ns);
+  // Release: an exporter that acquires `count` sees the slot contents and
+  // the aggregates.
   buf->count.store(n + 1, std::memory_order_release);
 }
 
@@ -173,6 +223,34 @@ std::uint64_t TraceSession::dropped() const {
     if (n > bufp->capacity) lost += n - bufp->capacity;
   }
   return lost;
+}
+
+std::vector<SpanStat> TraceSession::span_stats() const {
+  detail::Registry& reg = detail::registry();
+  std::lock_guard<std::mutex> lock(reg.mu);
+  std::vector<SpanStat> all;
+  for (const auto& bufp : reg.buffers) {
+    if (bufp->epoch.load(std::memory_order_acquire) != epoch_) continue;
+    if (bufp->count.load(std::memory_order_acquire) == 0) continue;
+    for (const SpanStat& e : bufp->stats.entries()) {
+      if (e.name != nullptr) all.push_back(e);
+    }
+  }
+  std::sort(all.begin(), all.end(), [](const SpanStat& a, const SpanStat& b) {
+    return std::strcmp(a.name, b.name) < 0;
+  });
+  std::vector<SpanStat> merged;
+  for (const SpanStat& e : all) {
+    if (!merged.empty() && std::strcmp(merged.back().name, e.name) == 0) {
+      SpanStat& m = merged.back();
+      m.count += e.count;
+      m.total_ns += e.total_ns;
+      m.max_ns = std::max(m.max_ns, e.max_ns);
+    } else {
+      merged.push_back(e);
+    }
+  }
+  return merged;
 }
 
 void TraceSession::write_chrome_trace(std::ostream& os) const {

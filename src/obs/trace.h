@@ -15,6 +15,11 @@
 //     worker threads against each other (tracing enabled must not perturb
 //     outputs; goldens are the oracle). When a buffer wraps, the oldest
 //     spans are dropped and counted (TraceSession::dropped()).
+//   - Beside its ring, each thread keeps exact per-name aggregates (count,
+//     total and max duration) in a small table keyed by the name pointer.
+//     They never wrap: TraceSession::span_stats() merges them across
+//     threads, so a profile stays exact when the ring (the timeline only)
+//     drops spans.
 //   - TraceSession is the on/off switch and the exporter: constructing one
 //     starts an epoch (stale buffers from earlier sessions are ignored),
 //     destroying it stops recording. snapshot()/write_chrome_trace() must
@@ -74,6 +79,16 @@ struct SpanRecord {
   std::uint64_t dur_ns = 0;
   const char* arg_name = nullptr;
   double arg_val = 0.0;
+};
+
+/// Exact aggregate of every span of one name in a session, whether or not
+/// the ring kept it.
+struct SpanStat {
+  const char* name = nullptr;
+  const char* cat = nullptr;
+  std::uint64_t count = 0;
+  std::uint64_t total_ns = 0;
+  std::uint64_t max_ns = 0;
 };
 
 /// RAII span: stamps start on construction (when tracing is on), records
@@ -157,6 +172,10 @@ class TraceSession {
   std::size_t span_count() const;
   /// Spans lost to ring wraparound across all threads.
   std::uint64_t dropped() const;
+  /// Per-name aggregates of every span recorded in this session, merged
+  /// across threads by name and sorted by name. Exact: ring wraparound
+  /// does not touch them.
+  std::vector<SpanStat> span_stats() const;
 
   /// Chrome trace-event JSON ("X" duration events + thread-name metadata),
   /// loadable in Perfetto / chrome://tracing. Timestamps are microseconds

@@ -13,15 +13,20 @@
 //   budget — per-net Kth is a pure per-net function (O(nets) table
 //   lookups); it recomputes through the stage's own compute_budget.
 //
-//   solve — a (region, dir) SINO solution is a pure function of the
-//   region's segment list, its members' Kth / critical-path lengths / S_i,
-//   and the pairwise sensitivity draws, all of which slot preservation
-//   keeps index-stable. Regions whose inputs are bitwise unchanged carry
-//   their old solution over verbatim; the rest go through the stage's own
-//   solve_region_set, which builds and solves them exactly as a full
-//   solve does and replays the LSK/shield/noise accumulation over every
-//   region in (region, dir) order, so the floating-point sums match a
-//   from-scratch solve exactly.
+//   region set — an instance's structure is a pure function of the
+//   region's segment list, its members' critical-path lengths / S_i, and
+//   the pairwise sensitivity draws, all of which slot preservation keeps
+//   index-stable. The patched routing copies every instance whose inputs
+//   are bitwise unchanged from the old routing's set and builds the rest
+//   through the one build_region_solution path.
+//
+//   solve — a (region, dir) SINO solution is a pure function of its
+//   instance and its members' Kth. Regions whose instance and Kth are
+//   bitwise unchanged carry their old slots and Ki over verbatim; the rest
+//   go through the stage's own solve_region_set, which solves them exactly
+//   as a full solve does and replays the LSK/shield/noise accumulation
+//   over every region in (region, dir) order, so the floating-point sums
+//   match a from-scratch solve exactly.
 //
 //   refine — Phase III orders its work by global worst-violator, which a
 //   regional patch cannot reproduce; refine artifacts are invalidated and
@@ -35,7 +40,6 @@
 #include <utility>
 
 #include "core/session.h"
-#include "router/occupancy.h"
 #include "store/artifact_store.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -183,38 +187,25 @@ SolvePatch patch_solve(
     const std::shared_ptr<const gsino::RoutingArtifact>& phase1,
     const std::shared_ptr<const gsino::BudgetArtifact>& budget) {
   SolvePatch out;
-  const router::Occupancy& old_occ = *oldart.phase1->occupancy;
-  const router::Occupancy& new_occ = *phase1->occupancy;
-  const gsino::PathIndex& old_paths = *oldart.phase1->paths;
-  const gsino::PathIndex& new_paths = *phase1->paths;
+  const gsino::RegionSet& set = *phase1->regions;
   const std::vector<double>& old_kth = *oldart.budget->kth;
   const std::vector<double>& new_kth = *budget->kth;
 
-  // A (region, dir) is clean iff everything build_region_solution reads
-  // there is bitwise unchanged: the segment list (members and lengths),
-  // every member's Kth and critical-path length. Member S_i and the
-  // pairwise sensitivity draws are index-stable under slot preservation,
-  // so an unchanged member list implies unchanged values for both. Clean
-  // regions carry their solved solution over (the solvers are pure per
+  // A (region, dir) is clean iff its region-set inputs are unchanged
+  // (gsino::same_region_inputs, the test the routing's set used to carry
+  // its slice over) and every member's Kth is bitwise unchanged. Clean
+  // regions carry their solved slots and Ki over (the solvers are pure per
   // instance, with per-region seeds keyed on the member list).
-  const std::size_t sol_count = p.grid().region_count() * 2;
-  std::vector<const gsino::RegionSolution*> carried(sol_count, nullptr);
-  for (std::size_t si = 0; si < sol_count; ++si) {
-    const std::size_t r = gsino::sol_region(si);
-    const grid::Dir d = gsino::sol_dir(si);
-    const auto& olds = old_occ.segments(r, d);
-    const auto& news = new_occ.segments(r, d);
-    bool clean = olds.size() == news.size();
-    for (std::size_t i = 0; clean && i < news.size(); ++i) {
-      const auto n = static_cast<std::size_t>(news[i].net_index);
-      clean = olds[i].net_index == news[i].net_index &&
-              same_bits(olds[i].length_um, news[i].length_um) &&
-              n < old_kth.size() && same_bits(old_kth[n], new_kth[n]) &&
-              same_bits(old_paths.length_um(n, r, d),
-                        new_paths.length_um(n, r, d));
+  std::vector<gsino::RegionSolution> carried(set.size());
+  for (std::size_t si = 0; si < set.size(); ++si) {
+    bool clean = gsino::same_region_inputs(*oldart.phase1, *phase1->occupancy,
+                                           *phase1->paths, si);
+    for (const std::uint32_t n : set.net_index(si)) {
+      if (!clean) break;
+      clean = n < old_kth.size() && same_bits(old_kth[n], new_kth[n]);
     }
-    if (clean) carried[si] = &(*oldart.solutions)[si];
-    if (!news.empty()) ++(clean ? out.reused : out.solved);
+    if (clean) carried[si] = (*oldart.solutions)[si];
+    if (set.count(si) != 0) ++(clean ? out.reused : out.solved);
   }
 
   out.artifact = gsino::solve_region_set(p, oldart.kind, oldart.annealed,
@@ -259,10 +250,11 @@ DeltaReport DeltaEngine::apply(gsino::FlowSession& s,
     return hit;
   };
 
-  // Routing: every cached router profile routes the mutated problem.
+  // Routing: every cached router profile routes the mutated problem; the
+  // new routing's region set copies every unchanged instance from the old.
   for (auto& e : s.route_cache_) {
     e.key = store::routing_key(p, e.artifact->options);
-    e.artifact = gsino::compute_route(p, e.artifact->options);
+    e.artifact = gsino::compute_route(p, e.artifact->options, e.artifact.get());
     report.nets_rerouted += p.net_count();
     ++report.routes_patched;
     if (st) st->put_routing(e.key, *e.artifact);

@@ -12,8 +12,8 @@ namespace rlcr::sino {
 SinoBatchResult solve_region(const SinoBatchItem& item,
                              const ktable::KeffModel& keff) {
   SinoBatchResult out;
-  if (item.instance == nullptr || item.instance->net_count() == 0) return out;
-  const SinoInstance& inst = *item.instance;
+  if (item.instance.net_count() == 0) return out;
+  const SinoInstance& inst = item.instance;
   const SinoEvaluator eval(inst, keff);
 
   if (item.mode == SinoSolveMode::kNetOrder) {
@@ -44,11 +44,9 @@ std::vector<SinoBatchResult> solve_batch(const std::vector<SinoBatchItem>& items
   return parallel::parallel_map<SinoBatchResult>(
       items.size(), kGrain, threads, [&](std::size_t i) {
         const SinoBatchItem& item = items[i];
-        if (item.instance == nullptr || item.instance->net_count() == 0) {
-          return SinoBatchResult{};
-        }
+        if (item.instance.net_count() == 0) return SinoBatchResult{};
         RLCR_TRACE_SPAN(span, "sino.solve", "sino");
-        span.arg("nets", static_cast<double>(item.instance->net_count()));
+        span.arg("nets", static_cast<double>(item.instance.net_count()));
         return solve_region(item, keff);
       });
 }

@@ -1,8 +1,8 @@
 // Deterministic batch driver for per-region SINO solves.
 //
 // Phase II of the flow is embarrassingly parallel: every (region, dir)
-// instance is self-contained (SinoInstance carries its own nets and
-// sensitivity matrix), so the batch driver fans the solves out across the
+// instance is independent (each SinoInstance views its own slice of the
+// routing's region set and of the solve's Kth), so the batch driver fans the solves out across the
 // shared pool (src/parallel) and returns results slot-indexed — one result
 // per item, written by exactly one chunk, so the output is independent of
 // scheduling by construction. Annealing randomness is per-item: each item
@@ -29,8 +29,8 @@ enum class SinoSolveMode {
 };
 
 struct SinoBatchItem {
-  /// Instance to solve; null or empty instances yield an empty result.
-  const SinoInstance* instance = nullptr;
+  /// Instance to solve (a view); empty instances yield an empty result.
+  SinoInstance instance;
   SinoSolveMode mode = SinoSolveMode::kGreedy;
   /// Seed of this item's private annealing RNG stream. Callers with no
   /// seeding convention of their own should derive it as

@@ -6,7 +6,7 @@ namespace rlcr::sino {
 
 SinoEvaluator::SinoEvaluator(const SinoInstance& instance,
                              const ktable::KeffModel& keff)
-    : instance_(&instance), keff_(&keff), never_over_(instance.net_count(), 0) {
+    : instance_(instance), keff_(&keff), never_over_(instance.net_count(), 0) {
   // In a stack holding each net at most once, Ki of net v sums at most one
   // term per net sensitive to v, and no term exceeds profile(1): coupling
   // never grows with distance or shield count (KeffModel's parameter
@@ -20,7 +20,7 @@ SinoEvaluator::SinoEvaluator(const SinoInstance& instance,
     for (std::size_t u = 0; u < n; ++u) terms += instance.sensitive(v, u);
     double ki_max = 0.0;
     for (std::size_t k = 0; k < terms; ++k) ki_max += term_max;
-    never_over_[v] = ki_max <= instance.net(v).kth;
+    never_over_[v] = ki_max <= instance.kth(v);
   }
 }
 
@@ -32,13 +32,13 @@ double SinoEvaluator::ki(const SlotVec& slots, std::size_t slot_index,
   return keff_->total_coupling(
       slots, slot_index,
       [&](ktable::Slot other) {
-        return instance_->sensitive(v, static_cast<std::size_t>(other));
+        return instance_.sensitive(v, static_cast<std::size_t>(other));
       },
       stop_above);
 }
 
 std::vector<double> SinoEvaluator::all_ki(const SlotVec& slots) const {
-  std::vector<double> out(instance_->net_count(), 0.0);
+  std::vector<double> out(instance_.net_count(), 0.0);
   for (std::size_t s = 0; s < slots.size(); ++s) {
     if (slots[s] >= 0) {
       out[static_cast<std::size_t>(slots[s])] = ki(slots, s);
@@ -51,7 +51,7 @@ SinoCheck SinoEvaluator::check(const SlotVec& slots) const {
   SinoCheck result;
 
   // Placement completeness: every net exactly once.
-  std::vector<int> seen(instance_->net_count(), 0);
+  std::vector<int> seen(instance_.net_count(), 0);
   bool at_most_once = true;
   for (ktable::Slot s : slots) {
     if (s >= 0) {
@@ -79,7 +79,7 @@ SinoCheck SinoEvaluator::check(const SlotVec& slots) const {
     const auto net_idx = static_cast<std::size_t>(slots[s]);
     if (at_most_once && never_over_[net_idx]) continue;
     const double k = ki(slots, s);
-    const double bound = instance_->net(net_idx).kth;
+    const double bound = instance_.kth(net_idx);
     if (k > bound) {
       ++result.inductive_violations;
       result.inductive_excess += k - bound;
@@ -124,7 +124,7 @@ bool SinoEvaluator::violation_free(const SlotVec& slots,
   return true;
 }
 
-int SinoEvaluator::area(const SlotVec& slots) {
+int SinoEvaluator::area(std::span<const ktable::Slot> slots) {
   int n = 0;
   for (ktable::Slot s : slots) {
     if (s != kEmptySlot) ++n;
@@ -132,7 +132,7 @@ int SinoEvaluator::area(const SlotVec& slots) {
   return n;
 }
 
-int SinoEvaluator::shield_count(const SlotVec& slots) {
+int SinoEvaluator::shield_count(std::span<const ktable::Slot> slots) {
   int n = 0;
   for (ktable::Slot s : slots) {
     if (s == kShieldSlot) ++n;

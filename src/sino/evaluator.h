@@ -7,6 +7,7 @@
 #pragma once
 
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "ktable/keff.h"
@@ -32,11 +33,12 @@ struct SinoCheck {
 
 class SinoEvaluator {
  public:
-  /// Reads every net's Kth and sensitivities once, here: build a new
-  /// evaluator after changing the instance.
+  /// Keeps a copy of the view and reads every net's Kth and sensitivities
+  /// once, here: build a new evaluator after changing the instance's
+  /// storage.
   SinoEvaluator(const SinoInstance& instance, const ktable::KeffModel& keff);
 
-  const SinoInstance& instance() const { return *instance_; }
+  const SinoInstance& instance() const { return instance_; }
   const ktable::KeffModel& keff() const { return *keff_; }
 
   /// Total inductive coupling Ki of the net in slot `slot_index`, counting
@@ -64,8 +66,8 @@ class SinoEvaluator {
   bool violation_free(const SlotVec& slots, std::size_t focus) const;
 
   /// Occupied tracks (nets + shields); the SINO area objective.
-  static int area(const SlotVec& slots);
-  static int shield_count(const SlotVec& slots);
+  static int area(std::span<const ktable::Slot> slots);
+  static int shield_count(std::span<const ktable::Slot> slots);
 
   /// Scalar objective for the annealer: area + penalty * violations, from
   /// `c` = check(slots).
@@ -76,7 +78,7 @@ class SinoEvaluator {
   /// Do two capacitively adjacent slots hold mutually sensitive nets?
   bool conflict(ktable::Slot a, ktable::Slot b) const {
     return a >= 0 && b >= 0 &&
-           instance_->sensitive(static_cast<std::size_t>(a),
+           instance_.sensitive(static_cast<std::size_t>(a),
                                 static_cast<std::size_t>(b));
   }
   /// Does the net in slot `s` exceed its Kth? `slots` holds each net at
@@ -84,11 +86,11 @@ class SinoEvaluator {
   bool over_bound(const SlotVec& slots, std::size_t s) const {
     const auto net = static_cast<std::size_t>(slots[s]);
     if (never_over_[net]) return false;
-    const double bound = instance_->net(net).kth;
+    const double bound = instance_.kth(net);
     return ki(slots, s, bound) > bound;
   }
 
-  const SinoInstance* instance_;
+  SinoInstance instance_;
   const ktable::KeffModel* keff_;
   /// Per net: no stack holding each net at most once can push its Ki past
   /// its Kth, so its Ki need not be computed to rule out a violation.

@@ -15,7 +15,7 @@ SlotVec solve_greedy(const SinoInstance& instance,
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return instance.net(a).si > instance.net(b).si;
+    return instance.si(a) > instance.si(b);
   });
 
   SlotVec slots;

@@ -47,14 +47,13 @@ NssFitReport fit_nss(const ktable::KeffModel& keff, const NssFitOptions& options
 
     std::vector<SinoNet> nets(nns);
     for (std::size_t i = 0; i < nns; ++i) {
-      nets[i].net_id = static_cast<std::int32_t>(i);
       nets[i].si = std::clamp(rng.uniform(rate * 0.5, rate * 1.5), 0.0, 1.0);
       nets[i].kth = kth_base * rng.uniform(0.8, 1.2);
     }
-    SinoInstance inst(std::move(nets));
+    OwnedInstance inst(nets);
     for (std::size_t i = 0; i < nns; ++i) {
       for (std::size_t j = i + 1; j < nns; ++j) {
-        const double p = std::min(1.0, inst.net(i).si * inst.net(j).si / rate);
+        const double p = std::min(1.0, inst.si(i) * inst.si(j) / rate);
         if (rng.bernoulli(p)) inst.set_sensitive(i, j);
       }
     }

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <span>
 
 #include "util/binio.h"
 #include "util/hash.h"
@@ -99,92 +100,127 @@ router::IdRouterOptions read_options(BinaryReader& r) {
 // ------------------------- shared region-state codec (solve and refine)
 //
 // The Phase II and Phase III payload tails are the same shape — the
-// per-(region, dir) solution vector, the per-net LSK/noise vectors, and
-// the congestion map — so one codec serves both (byte-identical to the
-// historical kRegionSolve layout).
+// per-bound state over the routing's region set and the per-net LSK/noise
+// vectors — so one codec serves both:
+//
+//   u64 instances | [u64 owned | u32 own[owned]]  (refine only)
+//   | u64 members | f64 kth[members] | f64 ki[members]
+//   | u64 slots | u32 slot_count[owned] | i32 slot[slots]
+//   | f64 vec net_lsk | f64 vec net_noise
+//
+// A solve owns every instance; a refine owns the instances it changed and
+// reads the rest from its base solve. The region set itself is not
+// stored: the loader re-attaches the one the routing artifact derived,
+// and the record must match its shape. The congestion map is not stored
+// either: it is the routing's segment counts plus each non-empty
+// instance's shield count, re-derived on load.
 
-void write_region_state(BinaryWriter& w,
-                        const std::vector<gsino::RegionSolution>& solutions,
+void write_region_state(BinaryWriter& w, const gsino::RegionSolutions& sols,
                         const std::vector<double>& net_lsk,
-                        const std::vector<double>& net_noise,
-                        const grid::CongestionMap& cmap) {
-  w.u64(solutions.size());
-  for (const gsino::RegionSolution& sol : solutions) {
-    const std::size_t n = sol.net_index.size();
-    w.u64(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const sino::SinoNet& sn = sol.instance.net(i);
-      w.i32(sn.net_id);
-      w.f64(sn.si);
-      w.f64(sn.kth);
-    }
-    // Strict upper triangle only: the matrix is symmetric with an empty
-    // diagonal, and set_sensitive mirrors on load.
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        w.u8(sol.instance.sensitive(i, j) ? 1 : 0);
-      }
-    }
-    for (const std::size_t g : sol.net_index) w.u64(g);
-    w.f64_vec(sol.len_mm);
-    w.f64_vec(sol.path_len_mm);
-    w.u64(sol.slots.size());
-    for (const ktable::Slot s : sol.slots) w.i32(s);
-    w.f64_vec(sol.ki);
+                        const std::vector<double>& net_noise) {
+  const gsino::RegionSolutions::Packed& st = sols.packed();
+  w.u64(sols.size());
+  if (sols.base()) {
+    w.u64(sols.own().size());
+    for (const std::uint32_t si : sols.own()) w.u32(si);
   }
-
+  w.u64(st.kth.size());
+  for (const double k : st.kth) w.f64(k);
+  for (const double k : st.ki) w.f64(k);
+  w.u64(st.slots.size());
+  for (std::size_t k = 0; k + 1 < st.slot_offset.size(); ++k) {
+    w.u32(st.slot_offset[k + 1] - st.slot_offset[k]);
+  }
+  for (const ktable::Slot s : st.slots) w.i32(s);
   w.f64_vec(net_lsk);
   w.f64_vec(net_noise);
+}
 
-  const std::size_t regions = cmap.grid().region_count();
-  w.u64(regions);
-  for (const grid::Dir d : grid::kBothDirs) {
-    for (std::size_t r = 0; r < regions; ++r) w.f64(cmap.segments(r, d));
-    for (std::size_t r = 0; r < regions; ++r) w.f64(cmap.shields(r, d));
+/// True when `slots` is an arrangement of an n-member instance: each
+/// member index exactly once, every other entry a shield or an empty
+/// track. An empty instance has no slots.
+bool valid_arrangement(std::span<const ktable::Slot> slots, std::size_t n,
+                       std::vector<char>& seen) {
+  if (n == 0) return slots.empty();
+  seen.assign(n, 0);
+  std::size_t placed = 0;
+  for (const ktable::Slot s : slots) {
+    if (s >= 0) {
+      const auto i = static_cast<std::size_t>(s);
+      if (i >= n || seen[i]) return false;
+      seen[i] = 1;
+      ++placed;
+    } else if (s != ktable::kShieldSlot && s != ktable::kEmptySlot) {
+      return false;
+    }
   }
+  return placed == n;
 }
 
 struct RegionState {
-  std::shared_ptr<std::vector<gsino::RegionSolution>> solutions;
+  std::shared_ptr<const gsino::RegionSolutions> solutions;
   std::shared_ptr<std::vector<double>> net_lsk;
   std::shared_ptr<std::vector<double>> net_noise;
   std::shared_ptr<grid::CongestionMap> congestion;
 };
 
-bool read_region_state(BinaryReader& r, const gsino::RoutingProblem& problem,
-                       RegionState& out) {
-  const std::uint64_t sol_count = r.seq_size(/*elem_bytes=*/8);
-  if (!r.ok() || sol_count != problem.grid().region_count() * 2) return false;
-  out.solutions = std::make_shared<std::vector<gsino::RegionSolution>>(
-      static_cast<std::size_t>(sol_count));
-  for (gsino::RegionSolution& sol : *out.solutions) {
-    const std::uint64_t n = r.seq_size(/*elem_bytes=*/20);
-    if (!r.ok()) return false;
-    std::vector<sino::SinoNet> nets(static_cast<std::size_t>(n));
-    for (sino::SinoNet& sn : nets) {
-      sn.net_id = r.i32();
-      sn.si = r.f64();
-      sn.kth = r.f64();
-    }
-    sol.instance = sino::SinoInstance(std::move(nets));
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        if (r.u8() != 0 && r.ok()) sol.instance.set_sensitive(i, j);
+/// Decodes the state over `phase1`'s region set; a refine record also
+/// names the instances it owns over `base` (null for a solve record).
+bool read_region_state(
+    BinaryReader& r, const gsino::RoutingProblem& problem,
+    const gsino::RoutingArtifact& phase1,
+    const std::shared_ptr<const gsino::RegionSolutions>& base,
+    RegionState& out) {
+  const gsino::RegionSet& set = *phase1.regions;
+  if (r.u64() != set.size() || !r.ok()) return false;
+
+  // The owned instances: every one for a solve, a sorted list for a refine.
+  std::vector<std::uint32_t> own;
+  std::size_t members = set.member_count();
+  if (base) {
+    const std::uint64_t owned = r.seq_size(/*elem_bytes=*/4);
+    if (!r.ok() || owned > set.size()) return false;
+    own.resize(static_cast<std::size_t>(owned));
+    members = 0;
+    for (std::size_t k = 0; k < own.size(); ++k) {
+      own[k] = r.u32();
+      if (!r.ok() || own[k] >= set.size() || (k > 0 && own[k] <= own[k - 1])) {
+        return false;
       }
+      members += set.count(own[k]);
     }
-    sol.net_index.resize(static_cast<std::size_t>(n));
-    for (std::size_t& g : sol.net_index) {
-      g = static_cast<std::size_t>(r.u64());
-      if (r.ok() && g >= problem.net_count()) return false;
-    }
-    if (!r.f64_vec(sol.len_mm) || !r.f64_vec(sol.path_len_mm)) return false;
-    const std::uint64_t slot_count = r.seq_size(/*elem_bytes=*/4);
-    if (!r.ok()) return false;
-    sol.slots.resize(static_cast<std::size_t>(slot_count));
-    for (ktable::Slot& s : sol.slots) s = r.i32();
-    if (!r.f64_vec(sol.ki)) return false;
-    if (sol.len_mm.size() != n || sol.path_len_mm.size() != n ||
-        sol.ki.size() != n) {
+  }
+  const auto instance_at = [&](std::size_t k) {
+    return base ? std::size_t{own[k]} : k;
+  };
+  const std::size_t owned = base ? own.size() : set.size();
+
+  gsino::RegionSolutions::Packed st;
+  if (r.seq_size(/*elem_bytes=*/16) != members || !r.ok()) return false;
+  st.kth.resize(members);
+  st.ki.resize(members);
+  for (double& k : st.kth) k = r.f64();
+  for (double& k : st.ki) k = r.f64();
+
+  const std::uint64_t slot_total = r.seq_size(/*elem_bytes=*/4);
+  if (!r.ok()) return false;
+  st.slot_offset.assign(owned + 1, 0);
+  for (std::size_t k = 0; k < owned; ++k) {
+    const std::uint64_t next = std::uint64_t{st.slot_offset[k]} + r.u32();
+    if (next > slot_total) return false;
+    st.slot_offset[k + 1] = static_cast<std::uint32_t>(next);
+  }
+  if (!r.ok() || st.slot_offset.back() != slot_total) return false;
+  st.slots.resize(static_cast<std::size_t>(slot_total));
+  for (ktable::Slot& s : st.slots) s = r.i32();
+  if (!r.ok()) return false;
+
+  std::vector<char> seen;
+  for (std::size_t k = 0; k < owned; ++k) {
+    const std::span<const ktable::Slot> mine(
+        st.slots.data() + st.slot_offset[k],
+        st.slot_offset[k + 1] - st.slot_offset[k]);
+    if (!valid_arrangement(mine, set.count(instance_at(k)), seen)) {
       return false;
     }
   }
@@ -197,22 +233,20 @@ bool read_region_state(BinaryReader& r, const gsino::RoutingProblem& problem,
     return false;
   }
 
-  const std::uint64_t regions = r.seq_size(/*elem_bytes=*/16);
-  if (!r.ok() || regions != problem.grid().region_count()) return false;
-  out.congestion = std::make_shared<grid::CongestionMap>(problem.grid());
-  // The record stores every region; only non-zero values are written
-  // back over the freshly zeroed map.
-  for (const grid::Dir d : grid::kBothDirs) {
-    for (std::size_t reg = 0; reg < regions; ++reg) {
-      const double v = r.f64();
-      if (v != 0.0) out.congestion->set_segments(reg, d, v);
-    }
-    for (std::size_t reg = 0; reg < regions; ++reg) {
-      const double v = r.f64();
-      if (v != 0.0) out.congestion->set_shields(reg, d, v);
-    }
+  out.solutions =
+      base ? std::make_shared<const gsino::RegionSolutions>(base, std::move(own),
+                                                            std::move(st))
+           : std::make_shared<const gsino::RegionSolutions>(phase1.regions,
+                                                            std::move(st));
+  out.congestion = std::make_shared<grid::CongestionMap>(*phase1.segments);
+  for (std::size_t si = 0; si < set.size(); ++si) {
+    if (set.count(si) == 0) continue;
+    out.congestion->set_shields(
+        gsino::sol_region(si), gsino::sol_dir(si),
+        static_cast<double>(
+            sino::SinoEvaluator::shield_count(out.solutions->slots(si))));
   }
-  return r.ok();
+  return true;
 }
 
 }  // namespace
@@ -264,8 +298,7 @@ std::vector<std::uint8_t> save(const gsino::RegionSolveArtifact& art) {
   w.u8(art.annealed ? 1 : 0);
   w.u64(art.violating);
   w.f64(art.seconds);
-  write_region_state(w, *art.solutions, *art.net_lsk, *art.net_noise,
-                     *art.congestion);
+  write_region_state(w, *art.solutions, *art.net_lsk, *art.net_noise);
   return frame(ArtifactType::kRegionSolve, w.take());
 }
 
@@ -281,8 +314,7 @@ std::vector<std::uint8_t> save(const gsino::RefineArtifact& art) {
   w.i32(s.pass2_accepted);
   w.i32(s.pass2_rejected);
   w.f64(art.seconds);
-  write_region_state(w, *art.solutions, *art.net_lsk, *art.net_noise,
-                     *art.congestion);
+  write_region_state(w, *art.solutions, *art.net_lsk, *art.net_noise);
   return frame(ArtifactType::kRefine, w.take());
 }
 
@@ -373,13 +405,22 @@ std::shared_ptr<const gsino::RegionSolveArtifact> load_region_solve(
   BinaryReader r(payload, size);
 
   auto art = std::make_shared<gsino::RegionSolveArtifact>();
-  art->kind = static_cast<gsino::FlowKind>(r.u32());
-  art->annealed = r.u8() != 0;
+  const std::uint32_t kind = r.u32();
+  const std::uint8_t annealed = r.u8();
+  if (kind > static_cast<std::uint32_t>(gsino::FlowKind::kGsino) ||
+      annealed > 1) {
+    return nullptr;
+  }
+  art->kind = static_cast<gsino::FlowKind>(kind);
+  art->annealed = annealed != 0;
   art->violating = static_cast<std::size_t>(r.u64());
   art->seconds = r.f64();
 
   RegionState state;
-  if (!read_region_state(r, problem, state) || !r.at_end()) return nullptr;
+  if (!read_region_state(r, problem, *phase1, nullptr, state) ||
+      !r.at_end()) {
+    return nullptr;
+  }
 
   art->phase1 = std::move(phase1);
   art->budget = std::move(budget);
@@ -411,7 +452,10 @@ std::shared_ptr<const gsino::RefineArtifact> load_refine(
   art->seconds = r.f64();
 
   RegionState state;
-  if (!read_region_state(r, problem, state) || !r.at_end()) return nullptr;
+  if (!read_region_state(r, problem, *base->phase1, base->solutions, state) ||
+      !r.at_end()) {
+    return nullptr;
+  }
 
   art->base = std::move(base);
   art->solutions = std::move(state.solutions);

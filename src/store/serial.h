@@ -24,8 +24,13 @@
 // recomputes and compares it, then rebuilds every derived view (occupancy,
 // segment congestion, critical paths) through the session's own
 // derive_routing_artifact(), the exact code path a fresh compute takes.
-// Budget and region-solve payloads carry their full numeric state
-// verbatim (bit patterns), so equality is structural.
+// Budget payloads carry their full numeric state verbatim (bit patterns),
+// so equality is structural. Region-solve and refine payloads carry only
+// their per-bound state (Kth, Ki, slots, LSK, noise) verbatim; the loader
+// re-attaches the routing's region set, rejects a record that does not
+// fit its shape or whose slots are not a valid arrangement of each
+// instance, and re-derives the congestion map from the routing's segment
+// counts and the slots' shields.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +58,12 @@ namespace rlcr::store {
 /// so the routing profile drops preroute_shape (u32), tree_profile (u8)
 /// and the tree_profile_overrides vector; v5 records load as misses and
 /// recompute.
-inline constexpr std::uint32_t kFormatVersion = 6;
+/// v7: region-solve and refine records hold only per-bound state over the
+/// routing's shared region set (flat Kth, Ki and slots, plus LSK and
+/// noise); members, S_i, lengths and sensitivities come from the routing,
+/// and the congestion map is re-derived. v6 records load as misses and
+/// recompute.
+inline constexpr std::uint32_t kFormatVersion = 7;
 
 enum class ArtifactType : std::uint32_t {
   kRouting = 1,

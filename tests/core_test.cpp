@@ -353,7 +353,8 @@ TEST(Flow, SolutionsSatisfySinoConstraints) {
   for (const RegionSolution& sol : fr.solutions()) {
     if (sol.empty()) continue;
     const sino::SinoEvaluator eval(sol.instance, p.keff());
-    const sino::SinoCheck c = eval.check(sol.slots);
+    const sino::SinoCheck c =
+        eval.check(ktable::SlotVec(sol.slots.begin(), sol.slots.end()));
     EXPECT_TRUE(c.placed_all);
     EXPECT_EQ(c.capacitive_violations, 0);
     EXPECT_EQ(c.inductive_violations, 0);

@@ -365,9 +365,8 @@ TEST(DeltaDifferential, ResultsOutliveTheProblemsDeltasReplace) {
   gsino::FlowState fs = session.state(gsino::FlowKind::kGsino);
   gsino::FlowState ref = session.state(gsino::FlowKind::kGsino);
   std::size_t busiest = 0;
-  for (std::size_t si = 0; si < fs.solutions.size(); ++si) {
-    if (fs.solutions[si].net_index.size() >
-        fs.solutions[busiest].net_index.size()) {
+  for (std::size_t si = 0; si < fs.solution_count(); ++si) {
+    if (fs.regions->count(si) > fs.regions->count(busiest)) {
       busiest = si;
     }
   }

@@ -35,6 +35,42 @@ TEST(Tracer, SpanSitesAreInertWithoutASession) {
   EXPECT_FALSE(sp.active());
 }
 
+// The per-name aggregates never wrap: a run that overflows a tiny ring on
+// several threads still reports every span's count and total.
+TEST(Tracer, SpanStatsStayExactWhenTheRingWraps) {
+  obs::TraceOptions topt;
+  topt.buffer_capacity = 4;
+  obs::TraceSession session(topt);
+  constexpr int kThreads = 3, kPerThread = 50;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([] {
+      for (int i = 0; i < kPerThread; ++i) {
+        obs::ScopedSpan sp("obs_test.stats_many", "test");
+      }
+      obs::ScopedSpan once("obs_test.stats_once", "test");
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  {
+    obs::ScopedSpan main_span("obs_test.stats_once", "test");
+  }
+
+  EXPECT_GT(session.dropped(), 0u);
+  const std::vector<obs::SpanStat> stats = session.span_stats();
+  ASSERT_EQ(stats.size(), 2u);
+  EXPECT_STREQ(stats[0].name, "obs_test.stats_many");
+  EXPECT_EQ(stats[0].count, std::uint64_t{kThreads * kPerThread});
+  EXPECT_STREQ(stats[1].name, "obs_test.stats_once");
+  EXPECT_EQ(stats[1].count, std::uint64_t{kThreads + 1});
+  for (const obs::SpanStat& s : stats) {
+    EXPECT_STREQ(s.cat, "test");
+    EXPECT_GE(s.total_ns, s.max_ns);
+  }
+  // The ring kept at most its capacity per thread; the aggregates kept all.
+  EXPECT_LE(session.span_count(), std::size_t{4 * (kThreads + 1)});
+}
+
 TEST(Tracer, RingWrapKeepsNewestSpansAndCountsDrops) {
   obs::TraceOptions topt;
   topt.buffer_capacity = 8;

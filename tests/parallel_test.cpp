@@ -290,22 +290,21 @@ TEST(ParallelDeterminism, IdRouterPreRoutePathBitIdentical) {
   EXPECT_EQ(run_at(8), golden);
 }
 
-std::vector<sino::SinoInstance> det_instances(std::size_t count,
+std::vector<sino::OwnedInstance> det_instances(std::size_t count,
                                               std::uint64_t seed) {
   util::Xoshiro256 rng(seed);
-  std::vector<sino::SinoInstance> out;
+  std::vector<sino::OwnedInstance> out;
   out.reserve(count);
   for (std::size_t k = 0; k < count; ++k) {
     std::vector<sino::SinoNet> nets(4 + rng.below(8));
     for (std::size_t i = 0; i < nets.size(); ++i) {
-      nets[i].net_id = static_cast<std::int32_t>(i);
       nets[i].si = rng.uniform(0.1, 0.9);
       // Deliberately near-impossible bounds on some nets so some greedy
       // solutions stay infeasible even after its shield fallback, and the
       // annealing arm (per-item RNG streams) gets exercised.
       nets[i].kth = rng.bernoulli(0.3) ? 1e-6 : rng.uniform(0.05, 0.6);
     }
-    sino::SinoInstance inst(std::move(nets));
+    sino::OwnedInstance inst(nets);
     for (std::size_t i = 0; i < inst.net_count(); ++i) {
       for (std::size_t j = i + 1; j < inst.net_count(); ++j) {
         if (rng.bernoulli(0.45)) inst.set_sensitive(i, j);
@@ -322,7 +321,7 @@ TEST(ParallelDeterminism, SinoBatchBitIdenticalAcrossThreadCounts) {
   std::vector<sino::SinoBatchItem> items(instances.size());
   bool any_anneal_expected = false;
   for (std::size_t i = 0; i < instances.size(); ++i) {
-    items[i].instance = &instances[i];
+    items[i].instance = instances[i];
     items[i].mode = sino::SinoSolveMode::kGreedyAnneal;
     items[i].anneal_seed = sino::stream_seed(2026, i);
     items[i].anneal_iterations = 500;
@@ -459,11 +458,9 @@ void expect_states_identical(const gsino::FlowState& a,
         << "net " << n << " threads=" << threads;
     ASSERT_EQ(a.net_noise[n], b.net_noise[n]) << "net " << n;
   }
-  ASSERT_EQ(a.solutions.size(), b.solutions.size());
-  for (std::size_t si = 0; si < a.solutions.size(); ++si) {
-    ASSERT_EQ(a.solutions[si].slots, b.solutions[si].slots) << "sol " << si;
-    ASSERT_EQ(a.solutions[si].ki, b.solutions[si].ki) << "sol " << si;
-  }
+  ASSERT_EQ(a.slots, b.slots);
+  ASSERT_EQ(a.ki, b.ki);
+  ASSERT_EQ(a.kth, b.kth);
 }
 
 TEST(ParallelDeterminism, RefinePass1BitIdenticalAcrossThreadCounts) {

@@ -125,7 +125,8 @@ TEST(Refiner, SolutionsStayFeasibleAfterRefinement) {
   for (const RegionSolution& sol : fr.solutions()) {
     if (sol.empty()) continue;
     const sino::SinoEvaluator eval(sol.instance, problem.keff());
-    const sino::SinoCheck c = eval.check(sol.slots);
+    const sino::SinoCheck c =
+        eval.check(ktable::SlotVec(sol.slots.begin(), sol.slots.end()));
     EXPECT_TRUE(c.placed_all);
     EXPECT_EQ(c.capacitive_violations, 0);
   }
@@ -141,26 +142,33 @@ TEST(Refiner, SolutionsStayFeasibleAfterRefinement) {
 
 struct ScanBackup {
   std::size_t sol_index = 0;
-  RegionSolution solution;
+  std::vector<double> kth, ki;
+  ktable::SlotVec slots;
   std::vector<double> lsk, noise;
   double shields_before = 0.0;
 };
 
 ScanBackup scan_snapshot(const FlowState& fs, std::size_t si) {
+  const RegionSolution sol = fs.solution(si);
   ScanBackup b;
   b.sol_index = si;
-  b.solution = fs.solutions[si];
-  for (std::size_t n : b.solution.net_index) {
-    b.lsk.push_back(fs.net_lsk[n]);
-    b.noise.push_back(fs.net_noise[n]);
+  for (std::size_t i = 0; i < sol.net_index.size(); ++i) {
+    b.kth.push_back(sol.instance.kth(i));
+    b.ki.push_back(sol.ki[i]);
+    b.lsk.push_back(fs.net_lsk[sol.net_index[i]]);
+    b.noise.push_back(fs.net_noise[sol.net_index[i]]);
   }
+  b.slots = fs.slots[si];
   b.shields_before = fs.congestion->shields(sol_region(si), sol_dir(si));
   return b;
 }
 
 void scan_restore(FlowState& fs, const ScanBackup& b) {
-  fs.solutions[b.sol_index] = b.solution;
-  const RegionSolution& sol = fs.solutions[b.sol_index];
+  const std::size_t first = fs.regions->begin(b.sol_index);
+  std::copy(b.kth.begin(), b.kth.end(), fs.kth.begin() + first);
+  std::copy(b.ki.begin(), b.ki.end(), fs.ki.begin() + first);
+  fs.slots[b.sol_index] = b.slots;
+  const RegionSolution sol = fs.solution(b.sol_index);
   for (std::size_t i = 0; i < sol.net_index.size(); ++i) {
     fs.net_lsk[sol.net_index[i]] = b.lsk[i];
     fs.net_noise[sol.net_index[i]] = b.noise[i];
@@ -170,19 +178,19 @@ void scan_restore(FlowState& fs, const ScanBackup& b) {
 }
 
 void scan_loosen_kth(FlowState& fs, std::size_t si, double lsk_budget) {
-  RegionSolution& sol = fs.solutions[si];
+  const RegionSolution sol = fs.solution(si);
+  const std::span<double> kth = fs.kth_of(si);
   for (std::size_t i = 0; i < sol.net_index.size(); ++i) {
     const std::size_t n = sol.net_index[i];
-    sino::SinoNet& snet = sol.instance.net(i);
-    const double ki_now = i < sol.ki.size() ? sol.ki[i] : 0.0;
+    const double ki_now = sol.ki[i];
     if (sol.path_len_mm[i] <= 0.0) {
-      snet.kth = std::max(snet.kth, 3.0 * (ki_now + 1.0));
+      kth[i] = std::max(kth[i], 3.0 * (ki_now + 1.0));
       continue;
     }
     const double slack_lsk = lsk_budget - fs.net_lsk[n];
     if (slack_lsk <= 0.0) continue;
     const double dk = 0.9 * slack_lsk / sol.path_len_mm[i];
-    snet.kth = std::max(snet.kth, ki_now + dk);
+    kth[i] = std::max(kth[i], ki_now + dk);
   }
 }
 
@@ -190,7 +198,7 @@ bool scan_accepted(const FlowState& fs, const ScanBackup& b) {
   const double shields_after =
       fs.congestion->shields(sol_region(b.sol_index), sol_dir(b.sol_index));
   if (shields_after >= b.shields_before) return false;
-  for (std::size_t n : fs.solutions[b.sol_index].net_index) {
+  for (std::size_t n : fs.solution(b.sol_index).net_index) {
     if (fs.net_noise[n] > fs.bound_v + 1e-9) return false;
   }
   return true;
@@ -204,8 +212,8 @@ void reduce_congestion_by_scan(const RoutingProblem& p, FlowState& fs,
     double worst_density = 0.0;
     std::size_t pick = 0;
     bool found = false;
-    for (std::size_t si = 0; si < fs.solutions.size(); ++si) {
-      if (done.count(si) || fs.solutions[si].empty()) continue;
+    for (std::size_t si = 0; si < fs.solution_count(); ++si) {
+      if (done.count(si) || fs.regions->count(si) == 0) continue;
       if (fs.congestion->shields(sol_region(si), sol_dir(si)) < 1.0) {
         continue;
       }
@@ -262,7 +270,7 @@ std::pair<FlowState, FlowState> post_pass1_pair(const RoutingProblem& problem) {
 }
 
 bool eligible_for_pass2(const FlowState& fs, std::size_t si) {
-  return !fs.solutions[si].empty() &&
+  return fs.regions->count(si) != 0 &&
          fs.congestion->shields(sol_region(si), sol_dir(si)) >= 1.0;
 }
 
@@ -276,16 +284,9 @@ void expect_identical(const Pass2Run& heap_run, const FlowState& heap_fs,
   // Exact double equality throughout: the contract is bit identity.
   ASSERT_EQ(heap_fs.net_lsk, scan_fs.net_lsk);
   ASSERT_EQ(heap_fs.net_noise, scan_fs.net_noise);
-  ASSERT_EQ(heap_fs.solutions.size(), scan_fs.solutions.size());
-  for (std::size_t si = 0; si < heap_fs.solutions.size(); ++si) {
-    const RegionSolution& h = heap_fs.solutions[si];
-    const RegionSolution& s = scan_fs.solutions[si];
-    ASSERT_EQ(h.slots, s.slots) << "sol " << si;
-    ASSERT_EQ(h.instance.net_count(), s.instance.net_count()) << "sol " << si;
-    for (std::size_t i = 0; i < h.instance.net_count(); ++i) {
-      ASSERT_EQ(h.instance.net(i).kth, s.instance.net(i).kth)
-          << "sol " << si << " member " << i;
-    }
+  ASSERT_EQ(heap_fs.slots, scan_fs.slots);
+  ASSERT_EQ(heap_fs.kth, scan_fs.kth);
+  for (std::size_t si = 0; si < heap_fs.solution_count(); ++si) {
     ASSERT_EQ(heap_fs.congestion->shields(sol_region(si), sol_dir(si)),
               scan_fs.congestion->shields(sol_region(si), sol_dir(si)))
         << "sol " << si;
@@ -336,14 +337,14 @@ TEST(Pass2HeapVsScanCases, DensityTiesGoToTheLowestIndex) {
   // common utilization above every other region's, so the first picks are
   // a pure tie between them.
   double top_util = 0.0;
-  for (std::size_t si = 0; si < scan_fs.solutions.size(); ++si) {
+  for (std::size_t si = 0; si < scan_fs.solution_count(); ++si) {
     top_util = std::max(top_util, scan_fs.congestion->utilization(
                                       sol_region(si), sol_dir(si)));
   }
   const double tied_util = std::floor(top_util) + 2.0;
   std::vector<std::size_t> tied;
   std::size_t eligible_seen = 0;
-  for (std::size_t si = 0; si < scan_fs.solutions.size() && tied.size() < 6;
+  for (std::size_t si = 0; si < scan_fs.solution_count() && tied.size() < 6;
        ++si) {
     if (sol_dir(si) != grid::Dir::kHorizontal ||
         !eligible_for_pass2(scan_fs, si) || eligible_seen++ % 4 != 0) {
@@ -372,8 +373,8 @@ TEST(Pass2HeapVsScanCases, AcceptThatRemovesTheLastShieldRetiresTheRegion) {
   const Fixture fx;
   const RoutingProblem problem = fx.problem();
   auto [heap_fs, scan_fs] = post_pass1_pair(problem);
-  std::vector<double> shields_before(scan_fs.solutions.size());
-  for (std::size_t si = 0; si < scan_fs.solutions.size(); ++si) {
+  std::vector<double> shields_before(scan_fs.solution_count());
+  for (std::size_t si = 0; si < scan_fs.solution_count(); ++si) {
     shields_before[si] =
         scan_fs.congestion->shields(sol_region(si), sol_dir(si));
   }
@@ -383,7 +384,7 @@ TEST(Pass2HeapVsScanCases, AcceptThatRemovesTheLastShieldRetiresTheRegion) {
   // Some region went from >= 1 shield to none: an accepted step made it
   // ineligible, so the heap must have dropped it as the scan skips it.
   std::size_t drained = 0;
-  for (std::size_t si = 0; si < scan_fs.solutions.size(); ++si) {
+  for (std::size_t si = 0; si < scan_fs.solution_count(); ++si) {
     if (shields_before[si] >= 1.0 &&
         scan_fs.congestion->shields(sol_region(si), sol_dir(si)) < 1.0) {
       ++drained;

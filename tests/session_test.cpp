@@ -4,6 +4,7 @@
 // artifact sharing that reproduces the experiment goldens.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "core/experiment.h"
@@ -313,6 +314,64 @@ TEST(Session, SolvesOverBudgetsFromDifferentRoutingsStayApart) {
   EXPECT_EQ(session.counters().refine_executed, 2u);
   EXPECT_EQ(refined->base.get(), solved.get());
   EXPECT_NE(refined.get(), refined_mixed.get());
+}
+
+// ------------------------------------------------------ shared region set
+
+// Old-layout bytes of the fixture's second-bound (0.20) GSINO solve plus
+// refine: every (region, dir) instance owned a copy of its members, S_i,
+// lengths and dense sensitivity matrix alongside the per-bound state.
+// Measured once (vector capacities, struct headers and the congestion
+// maps, allocator overhead excluded) on the layout this one replaced.
+constexpr std::size_t kOwningLayoutBytes = 759132;
+
+TEST(Session, BoundsShareOneRegionSetAndOwnOnlyPerBoundState) {
+  const Pipeline pipe(0.5);
+  const RoutingProblem p = pipe.problem();
+  FlowSession session(p);
+  Scenario at20;
+  at20.bound_v = 0.20;
+  const FlowResult first = session.run(FlowKind::kGsino);
+  const FlowResult second = session.run(FlowKind::kGsino, at20);
+
+  // One region set per routing, shared by both bounds' solves...
+  const RegionSet* set = first.phase1->regions.get();
+  ASSERT_NE(set, nullptr);
+  EXPECT_EQ(first.phase2->solutions->set().get(), set);
+  EXPECT_EQ(second.phase2->solutions->set().get(), set);
+  // ...and by each refine, which reads its base solve's state for every
+  // instance it did not change.
+  EXPECT_EQ(second.phase3->solutions->set().get(), set);
+  EXPECT_EQ(second.phase3->solutions->base().get(),
+            second.phase2->solutions.get());
+  EXPECT_LT(second.phase3->solutions->own().size(), set->size());
+
+  // A second bound adds only per-bound state.
+  const std::size_t added =
+      second.phase2->owned_bytes() + second.phase3->owned_bytes();
+  EXPECT_LE(added * 4, kOwningLayoutBytes) << added << " bytes";
+}
+
+TEST(Session, RegionSetOutlivesAnEvictedSolve) {
+  const Pipeline pipe(0.5);
+  const RoutingProblem p = pipe.problem();
+  SessionOptions one;
+  one.cache_entries = 1;
+  FlowSession session(p, std::move(one));
+
+  std::weak_ptr<const RegionSolveArtifact> evicted;
+  std::shared_ptr<const RegionSet> set;
+  {
+    const FlowResult fr = session.run(FlowKind::kGsino);
+    evicted = fr.phase2;
+    set = fr.phase1->regions;
+  }
+  Scenario at20;
+  at20.bound_v = 0.20;
+  const FlowResult next = session.run(FlowKind::kGsino, at20);
+  EXPECT_TRUE(evicted.expired());
+  EXPECT_EQ(next.phase2->solutions->set(), set);
+  EXPECT_EQ(session.counters().route_executed, 1u);
 }
 
 }  // namespace

@@ -43,7 +43,7 @@ double ref_pair_coupling(const ktable::KeffModel& keff, const SlotVec& slots,
 }
 
 struct RefEvaluator {
-  const SinoInstance& inst;
+  const SinoInstance inst;
   const ktable::KeffModel& keff;
 
   double ki(const SlotVec& slots, std::size_t victim) const {
@@ -97,7 +97,7 @@ struct RefEvaluator {
     for (std::size_t s = 0; s < slots.size(); ++s) {
       if (slots[s] < 0) continue;
       const double k = ki(slots, s);
-      const double bound = inst.net(static_cast<std::size_t>(slots[s])).kth;
+      const double bound = inst.kth(static_cast<std::size_t>(slots[s]));
       if (k > bound) {
         ++result.inductive_violations;
         result.inductive_excess += k - bound;
@@ -147,7 +147,7 @@ SlotVec ref_greedy(const SinoInstance& instance, const RefEvaluator& eval) {
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return instance.net(a).si > instance.net(b).si;
+    return instance.si(a) > instance.si(b);
   });
   SlotVec slots;
   for (std::size_t net : order) {
@@ -270,18 +270,17 @@ void expect_same_check(const SinoCheck& want, const SinoCheck& got) {
 
 /// n nets with mixed rates and bounds: some Kth tight enough that greedy
 /// needs its shield fallback, some loose, some in between.
-SinoInstance random_instance(std::size_t n, util::Xoshiro256& rng) {
+OwnedInstance random_instance(std::size_t n, util::Xoshiro256& rng) {
   const double rate = rng.uniform(0.05, 0.9);
   std::vector<SinoNet> nets(n);
   for (std::size_t i = 0; i < n; ++i) {
-    nets[i].net_id = static_cast<std::int32_t>(i);
     nets[i].si = std::clamp(rng.uniform(rate * 0.5, rate * 1.5), 0.0, 1.0);
     const double pick = rng.uniform();
     nets[i].kth = pick < 0.15   ? rng.uniform(1e-3, 0.3)
                   : pick < 0.85 ? rng.uniform(0.3, 2.5)
                                 : rng.uniform(2.5, 40.0);
   }
-  SinoInstance inst(std::move(nets));
+  OwnedInstance inst(nets);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
       if (rng.bernoulli(rate)) inst.set_sensitive(i, j);
@@ -356,7 +355,7 @@ TEST(SinoKernelDifferential, ChecksAndCompactionMatchReferenceOnRandomStacks) {
     for (std::size_t n = 1; n <= 40; ++n) {
       SCOPED_TRACE(testing::Message() << "n=" << n << " maxsep="
                                       << params.max_separation);
-      const SinoInstance inst = random_instance(n, rng);
+      const OwnedInstance inst = random_instance(n, rng);
       const auto shields = static_cast<std::size_t>(rng.below(n + 3));
       const auto empties = static_cast<std::size_t>(rng.below(4));
       expect_kernel_matches(inst, keff,
@@ -385,13 +384,13 @@ TEST(SinoKernelDifferential, WideStacksPastBothTables) {
   util::Xoshiro256 rng(7919);
   const ktable::KeffModel keff;
   for (int rep = 0; rep < 3; ++rep) {
-    const SinoInstance inst = random_instance(40, rng);
+    const OwnedInstance inst = random_instance(40, rng);
     const SlotVec slots = random_stack(inst, 100, 10, false, rng);
     ASSERT_GT(slots.size(), 128u);
     expect_kernel_matches(inst, keff, slots);
   }
   // Every slot between the pair a shield: 70 shields between two nets.
-  SinoInstance pair({SinoNet{0, 0.5, 1.0}, SinoNet{1, 0.5, 1.0}});
+  OwnedInstance pair({SinoNet{0.5, 1.0}, SinoNet{0.5, 1.0}});
   pair.set_sensitive(0, 1);
   SlotVec slots{0};
   slots.insert(slots.end(), 70, kShieldSlot);
@@ -408,7 +407,7 @@ TEST(SinoKernelDifferential, GreedyAndAnnealMatchReference) {
     for (std::size_t n = 1; n <= 40; n += (n < 12 ? 1 : 7)) {
       SCOPED_TRACE(testing::Message() << "n=" << n << " maxsep="
                                       << params.max_separation);
-      const SinoInstance inst = random_instance(n, rng);
+      const OwnedInstance inst = random_instance(n, rng);
       const RefEvaluator ref{inst, keff};
       const SlotVec greedy = solve_greedy(inst, keff);
       ASSERT_EQ(greedy, ref_greedy(inst, ref));
@@ -441,16 +440,18 @@ TEST(SinoKernelDifferential, EveryIbm01RegionMatchesReference) {
   const gsino::FlowState state = session.state(gsino::FlowKind::kGsino);
   const ktable::KeffModel& keff = problem.keff();
   std::size_t regions = 0;
-  for (const gsino::RegionSolution& sol : state.solutions) {
+  for (std::size_t si = 0; si < state.solution_count(); ++si) {
+    const gsino::RegionSolution sol = state.solution(si);
     if (sol.empty()) continue;
     ++regions;
     const RefEvaluator ref{sol.instance, keff};
     const SlotVec greedy = solve_greedy(sol.instance, keff);
     ASSERT_EQ(greedy, ref_greedy(sol.instance, ref));
-    ASSERT_EQ(greedy, sol.slots);
+    ASSERT_EQ(greedy, state.slots[si]);
     const SinoEvaluator eval(sol.instance, keff);
     ASSERT_EQ(bits(eval.all_ki(greedy)), bits(ref.all_ki(greedy)));
-    ASSERT_EQ(bits(sol.ki), bits(ref.all_ki(greedy)));
+    ASSERT_EQ(bits(std::vector<double>(sol.ki.begin(), sol.ki.end())),
+              bits(ref.all_ki(greedy)));
     expect_same_check(ref.check(greedy), eval.check(greedy));
   }
   EXPECT_GT(regions, 1000u);
@@ -465,7 +466,7 @@ TEST(SinoKernelProperty, RemovingAShieldNeverLowersKiNorBreaksAdjacency) {
     const ktable::KeffModel keff(params);
     for (int rep = 0; rep < 40; ++rep) {
       const auto n = static_cast<std::size_t>(rng.range(2, 30));
-      SinoInstance inst = random_instance(n, rng);
+      OwnedInstance inst = random_instance(n, rng);
       // Everything sensitive to everything, so every pair couples and
       // every adjacency is visible below.
       for (std::size_t i = 0; i < n; ++i) {

@@ -13,16 +13,15 @@ namespace {
 
 /// Instance with n nets, pairwise sensitivity from a seeded coin, uniform
 /// Kth.
-SinoInstance random_instance(std::size_t n, double rate, double kth,
+OwnedInstance random_instance(std::size_t n, double rate, double kth,
                              std::uint64_t seed) {
   util::Xoshiro256 rng(seed);
   std::vector<SinoNet> nets(n);
   for (std::size_t i = 0; i < n; ++i) {
-    nets[i].net_id = static_cast<std::int32_t>(i);
     nets[i].si = rate;
     nets[i].kth = kth;
   }
-  SinoInstance inst(std::move(nets));
+  OwnedInstance inst(nets);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = i + 1; j < n; ++j)
       if (rng.bernoulli(rate)) inst.set_sensitive(i, j);
@@ -30,8 +29,8 @@ SinoInstance random_instance(std::size_t n, double rate, double kth,
 }
 
 TEST(Instance, SensitivityMatrixIsSymmetric) {
-  SinoInstance inst({SinoNet{0, 0.3, 1.0}, SinoNet{1, 0.3, 1.0},
-                     SinoNet{2, 0.3, 1.0}});
+  OwnedInstance inst({SinoNet{0.3, 1.0}, SinoNet{0.3, 1.0},
+                     SinoNet{0.3, 1.0}});
   inst.set_sensitive(0, 2);
   EXPECT_TRUE(inst.sensitive(0, 2));
   EXPECT_TRUE(inst.sensitive(2, 0));
@@ -41,7 +40,7 @@ TEST(Instance, SensitivityMatrixIsSymmetric) {
 }
 
 TEST(Instance, SiSums) {
-  SinoInstance inst({SinoNet{0, 0.2, 1.0}, SinoNet{1, 0.4, 1.0}});
+  OwnedInstance inst({SinoNet{0.2, 1.0}, SinoNet{0.4, 1.0}});
   EXPECT_DOUBLE_EQ(inst.sum_si(), 0.6);
   EXPECT_DOUBLE_EQ(inst.sum_si2(), 0.04 + 0.16);
 }
@@ -49,7 +48,7 @@ TEST(Instance, SiSums) {
 // --------------------------------------------------------------- evaluator
 
 TEST(Evaluator, CapacitiveAdjacencyAcrossEmpties) {
-  SinoInstance inst({SinoNet{0, 0.3, 10.0}, SinoNet{1, 0.3, 10.0}});
+  OwnedInstance inst({SinoNet{0.3, 10.0}, SinoNet{0.3, 10.0}});
   inst.set_sensitive(0, 1);
   const ktable::KeffModel keff;
   const SinoEvaluator eval(inst, keff);
@@ -63,7 +62,7 @@ TEST(Evaluator, CapacitiveAdjacencyAcrossEmpties) {
 }
 
 TEST(Evaluator, InductiveCheckAgainstKth) {
-  SinoInstance inst({SinoNet{0, 0.3, 0.5}, SinoNet{1, 0.3, 10.0}});
+  OwnedInstance inst({SinoNet{0.3, 0.5}, SinoNet{0.3, 10.0}});
   inst.set_sensitive(0, 1);
   const ktable::KeffModel keff;
   const SinoEvaluator eval(inst, keff);
@@ -78,7 +77,7 @@ TEST(Evaluator, InductiveCheckAgainstKth) {
 }
 
 TEST(Evaluator, PlacedAllDetectsMissingAndDuplicates) {
-  SinoInstance inst({SinoNet{0, 0.3, 1.0}, SinoNet{1, 0.3, 1.0}});
+  OwnedInstance inst({SinoNet{0.3, 1.0}, SinoNet{0.3, 1.0}});
   const ktable::KeffModel keff;
   const SinoEvaluator eval(inst, keff);
   EXPECT_TRUE(eval.check({0, 1}).placed_all);
@@ -93,8 +92,8 @@ TEST(Evaluator, AreaAndShieldCount) {
 }
 
 TEST(Evaluator, KiMatchesManualSum) {
-  SinoInstance inst({SinoNet{0, 0.3, 9.0}, SinoNet{1, 0.3, 9.0},
-                     SinoNet{2, 0.3, 9.0}});
+  OwnedInstance inst({SinoNet{0.3, 9.0}, SinoNet{0.3, 9.0},
+                     SinoNet{0.3, 9.0}});
   inst.set_sensitive(0, 1);
   inst.set_sensitive(0, 2);
   const ktable::KeffModel keff;
@@ -116,7 +115,7 @@ TEST_P(GreedyFeasibility, SolutionsAreFeasibleAcrossSizesAndRates) {
   const auto [n, rate] = GetParam();
   const ktable::KeffModel keff;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    const SinoInstance inst =
+    const OwnedInstance inst =
         random_instance(static_cast<std::size_t>(n), rate, 1.5, seed);
     const SlotVec slots = solve_greedy(inst, keff);
     const SinoEvaluator eval(inst, keff);
@@ -134,14 +133,14 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Greedy, EmptyInstance) {
   const ktable::KeffModel keff;
-  const SinoInstance inst;
+  const OwnedInstance inst;
   EXPECT_TRUE(solve_greedy(inst, keff).empty());
 }
 
 TEST(Greedy, NoSensitivityNeedsNoShields) {
   const ktable::KeffModel keff;
-  SinoInstance inst({SinoNet{0, 0.0, 5.0}, SinoNet{1, 0.0, 5.0},
-                     SinoNet{2, 0.0, 5.0}});
+  OwnedInstance inst({SinoNet{0.0, 5.0}, SinoNet{0.0, 5.0},
+                     SinoNet{0.0, 5.0}});
   const SlotVec slots = solve_greedy(inst, keff);
   EXPECT_EQ(SinoEvaluator::shield_count(slots), 0);
   EXPECT_EQ(SinoEvaluator::area(slots), 3);
@@ -149,7 +148,7 @@ TEST(Greedy, NoSensitivityNeedsNoShields) {
 
 TEST(Greedy, CompactShieldsPreservesFeasibility) {
   const ktable::KeffModel keff;
-  const SinoInstance inst = random_instance(10, 0.5, 1.2, 77);
+  const OwnedInstance inst = random_instance(10, 0.5, 1.2, 77);
   SlotVec slots = solve_greedy(inst, keff);
   // Pad with redundant shields, then compact.
   slots.push_back(kShieldSlot);
@@ -164,7 +163,7 @@ TEST(Greedy, CompactShieldsPreservesFeasibility) {
 TEST(Greedy, TightBoundsForceShields) {
   const ktable::KeffModel keff;
   // Fully sensitive pair with tiny Kth: at least one shield is required.
-  SinoInstance inst({SinoNet{0, 1.0, 0.3}, SinoNet{1, 1.0, 0.3}});
+  OwnedInstance inst({SinoNet{1.0, 0.3}, SinoNet{1.0, 0.3}});
   inst.set_sensitive(0, 1);
   const SlotVec slots = solve_greedy(inst, keff);
   EXPECT_GE(SinoEvaluator::shield_count(slots), 1);
@@ -176,7 +175,7 @@ TEST(Greedy, TightBoundsForceShields) {
 TEST(Anneal, NeverWorseThanGreedy) {
   const ktable::KeffModel keff;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    const SinoInstance inst = random_instance(10, 0.5, 1.0, seed * 13);
+    const OwnedInstance inst = random_instance(10, 0.5, 1.0, seed * 13);
     const SlotVec greedy = solve_greedy(inst, keff);
     AnnealOptions opt;
     opt.seed = seed;
@@ -190,14 +189,14 @@ TEST(Anneal, NeverWorseThanGreedy) {
 
 TEST(Anneal, EmptyInstanceIsHandled) {
   const ktable::KeffModel keff;
-  const SinoInstance inst;
+  const OwnedInstance inst;
   const AnnealResult r = solve_anneal(inst, keff);
   EXPECT_TRUE(r.slots.empty());
 }
 
 TEST(Anneal, DeterministicInSeed) {
   const ktable::KeffModel keff;
-  const SinoInstance inst = random_instance(8, 0.4, 1.2, 5);
+  const OwnedInstance inst = random_instance(8, 0.4, 1.2, 5);
   AnnealOptions opt;
   opt.seed = 9;
   opt.iterations = 2000;
@@ -210,7 +209,7 @@ TEST(Anneal, DeterministicInSeed) {
 
 TEST(NetOrder, ProducesPermutationWithoutShields) {
   const ktable::KeffModel keff;
-  const SinoInstance inst = random_instance(12, 0.4, 1.0, 3);
+  const OwnedInstance inst = random_instance(12, 0.4, 1.0, 3);
   const NetOrderResult r = solve_net_order(inst, keff);
   EXPECT_EQ(r.slots.size(), 12u);
   std::vector<int> seen(12, 0);
@@ -226,8 +225,8 @@ TEST(NetOrder, SparseSensitivityReachesZeroAdjacency) {
   // A 6-cycle of sensitivities is 2-colourable in the complement: a
   // sensible ordering exists with no adjacent sensitive pair.
   std::vector<SinoNet> nets(6);
-  for (std::size_t i = 0; i < 6; ++i) nets[i] = SinoNet{static_cast<int>(i), 0.3, 1.0};
-  SinoInstance inst(std::move(nets));
+  for (std::size_t i = 0; i < 6; ++i) nets[i] = SinoNet{0.3, 1.0};
+  OwnedInstance inst(nets);
   for (std::size_t i = 0; i < 6; ++i) inst.set_sensitive(i, (i + 1) % 6);
   const NetOrderResult r = solve_net_order(inst, keff);
   EXPECT_EQ(r.adjacent_sensitive_pairs, 0);
@@ -235,7 +234,7 @@ TEST(NetOrder, SparseSensitivityReachesZeroAdjacency) {
 
 TEST(NetOrder, ReportsAdjacencyCountConsistently) {
   const ktable::KeffModel keff;
-  const SinoInstance inst = random_instance(10, 0.6, 1.0, 8);
+  const OwnedInstance inst = random_instance(10, 0.6, 1.0, 8);
   const NetOrderResult r = solve_net_order(inst, keff);
   int manual = 0;
   for (std::size_t s = 1; s < r.slots.size(); ++s) {

@@ -165,24 +165,21 @@ TEST(StoreSerial, RegionSolveRoundTripIsBitIdentical) {
   EXPECT_EQ(loaded->phase1.get(), phase1.get());
   EXPECT_EQ(loaded->budget.get(), budget.get());
 
+  // The loaded solutions re-attach the routing's region set and carry
+  // the saved per-bound state.
+  EXPECT_EQ(loaded->solutions->set().get(), phase1->regions.get());
+  EXPECT_EQ(loaded->solutions->own(), art->solutions->own());
+  EXPECT_EQ(loaded->solutions->packed().kth, art->solutions->packed().kth);
+  EXPECT_EQ(loaded->solutions->packed().ki, art->solutions->packed().ki);
+  EXPECT_EQ(loaded->solutions->packed().slot_offset,
+            art->solutions->packed().slot_offset);
+  EXPECT_EQ(loaded->solutions->packed().slots,
+            art->solutions->packed().slots);
   ASSERT_EQ(loaded->solutions->size(), art->solutions->size());
   for (std::size_t si = 0; si < art->solutions->size(); ++si) {
-    const RegionSolution& x = (*art->solutions)[si];
-    const RegionSolution& y = (*loaded->solutions)[si];
-    ASSERT_EQ(x.net_index, y.net_index) << "sol " << si;
-    EXPECT_EQ(x.len_mm, y.len_mm);
-    EXPECT_EQ(x.path_len_mm, y.path_len_mm);
-    EXPECT_EQ(x.slots, y.slots);
-    EXPECT_EQ(x.ki, y.ki);
-    ASSERT_EQ(x.instance.net_count(), y.instance.net_count());
-    for (std::size_t i = 0; i < x.instance.net_count(); ++i) {
-      EXPECT_EQ(x.instance.net(i).net_id, y.instance.net(i).net_id);
-      EXPECT_EQ(x.instance.net(i).si, y.instance.net(i).si);
-      EXPECT_EQ(x.instance.net(i).kth, y.instance.net(i).kth);
-      for (std::size_t j = 0; j < x.instance.net_count(); ++j) {
-        EXPECT_EQ(x.instance.sensitive(i, j), y.instance.sensitive(i, j));
-      }
-    }
+    EXPECT_EQ(loaded->solutions->slots(si).size(),
+              art->solutions->slots(si).size())
+        << "sol " << si;
   }
   EXPECT_EQ(*art->net_lsk, *loaded->net_lsk);
   EXPECT_EQ(*art->net_noise, *loaded->net_noise);
@@ -222,13 +219,19 @@ TEST(StoreSerial, RefineRoundTripIsBitIdentical) {
   EXPECT_EQ(loaded->stats.pass2_rejected, art->stats.pass2_rejected);
   EXPECT_EQ(*loaded->net_lsk, *art->net_lsk);
   EXPECT_EQ(*loaded->net_noise, *art->net_noise);
+  EXPECT_EQ(loaded->solutions->base().get(), solve->solutions.get());
+  EXPECT_EQ(loaded->solutions->own(), art->solutions->own());
+  EXPECT_EQ(loaded->solutions->packed().kth, art->solutions->packed().kth);
+  EXPECT_EQ(loaded->solutions->packed().ki, art->solutions->packed().ki);
+  EXPECT_EQ(loaded->solutions->packed().slot_offset,
+            art->solutions->packed().slot_offset);
+  EXPECT_EQ(loaded->solutions->packed().slots,
+            art->solutions->packed().slots);
   ASSERT_EQ(loaded->solutions->size(), art->solutions->size());
   for (std::size_t si = 0; si < art->solutions->size(); ++si) {
-    const RegionSolution& x = (*art->solutions)[si];
-    const RegionSolution& y = (*loaded->solutions)[si];
-    ASSERT_EQ(x.net_index, y.net_index) << "sol " << si;
-    EXPECT_EQ(x.slots, y.slots);
-    EXPECT_EQ(x.ki, y.ki);
+    EXPECT_EQ(loaded->solutions->slots(si).size(),
+              art->solutions->slots(si).size())
+        << "sol " << si;
   }
   for (std::size_t r = 0; r < p.grid().region_count(); ++r) {
     for (const grid::Dir d : grid::kBothDirs) {
@@ -440,7 +443,7 @@ bool solved_under(const RegionSolveArtifact& solve,
                   const BudgetArtifact& budget) {
   for (const RegionSolution& sol : *solve.solutions) {
     for (std::size_t i = 0; i < sol.net_index.size(); ++i) {
-      if (sol.instance.net(i).kth != (*budget.kth)[sol.net_index[i]]) {
+      if (sol.instance.kth(i) != (*budget.kth)[sol.net_index[i]]) {
         return false;
       }
     }
@@ -755,6 +758,158 @@ TEST(ArtifactStore, V3RecordsAreVersionMismatchesThatRecomputeBitIdentically) {
     EXPECT_EQ(replay.counters().route_loaded, 1u);
     EXPECT_EQ(replay.counters().refine_loaded, 1u);
   }
+}
+
+/// The per-(region, dir) tail of a v6 solve or refine record: every
+/// instance owned a copy of its structure (members with S_i and Kth, the
+/// sensitivity upper triangle, lengths) beside its slots and Ki, and the
+/// congestion map was stored too.
+void write_v6_state(util::BinaryWriter& w, const RegionSolutions& sols,
+                    const std::vector<double>& lsk,
+                    const std::vector<double>& noise,
+                    const grid::CongestionMap& cmap) {
+  w.u64(sols.size());
+  for (const RegionSolution& sol : sols) {
+    const std::size_t n = sol.net_index.size();
+    w.u64(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      w.i32(static_cast<std::int32_t>(sol.net_index[i]));
+      w.f64(sol.instance.si(i));
+      w.f64(sol.instance.kth(i));
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) {
+        w.u8(sol.instance.sensitive(i, j) ? 1 : 0);
+      }
+    }
+    for (const std::uint32_t g : sol.net_index) w.u64(g);
+    w.f64_vec({sol.len_mm.begin(), sol.len_mm.end()});
+    w.f64_vec({sol.path_len_mm.begin(), sol.path_len_mm.end()});
+    w.u64(sol.slots.size());
+    for (const ktable::Slot s : sol.slots) w.i32(s);
+    w.f64_vec({sol.ki.begin(), sol.ki.end()});
+  }
+  w.f64_vec(lsk);
+  w.f64_vec(noise);
+  const std::size_t regions = cmap.grid().region_count();
+  w.u64(regions);
+  for (const grid::Dir d : grid::kBothDirs) {
+    for (std::size_t r = 0; r < regions; ++r) w.f64(cmap.segments(r, d));
+    for (std::size_t r = 0; r < regions; ++r) w.f64(cmap.shields(r, d));
+  }
+}
+
+std::vector<std::uint8_t> framed(store::ArtifactType type,
+                                 std::uint32_t version,
+                                 const std::vector<std::uint8_t>& payload) {
+  util::BinaryWriter w;
+  for (const char c : {'R', 'L', 'C', 'R', 'A', 'R', 'T', '\0'}) {
+    w.u8(static_cast<std::uint8_t>(c));
+  }
+  w.u32(version);
+  w.u32(static_cast<std::uint32_t>(type));
+  w.u64(payload.size());
+  for (const std::uint8_t b : payload) w.u8(b);
+  util::Fnv1a64 h;
+  for (const std::uint8_t b : payload) h.u8(b);
+  w.u64(h.value());
+  return w.take();
+}
+
+std::vector<std::uint8_t> v6_payload(const RegionSolveArtifact& art) {
+  util::BinaryWriter w;
+  w.u32(static_cast<std::uint32_t>(art.kind));
+  w.u8(art.annealed ? 1 : 0);
+  w.u64(art.violating);
+  w.f64(art.seconds);
+  write_v6_state(w, *art.solutions, *art.net_lsk, *art.net_noise,
+                 *art.congestion);
+  return w.take();
+}
+
+std::vector<std::uint8_t> v6_payload(const RefineArtifact& art) {
+  util::BinaryWriter w;
+  w.u64(art.violating);
+  w.u64(art.unfixable);
+  const RefineStats& s = art.stats;
+  for (const int v : {s.pass1_nets_fixed, s.pass1_resolves, s.pass1_gave_up,
+                      s.pass2_shields_removed, s.pass2_accepted,
+                      s.pass2_rejected}) {
+    w.i32(v);
+  }
+  w.f64(art.seconds);
+  write_v6_state(w, *art.solutions, *art.net_lsk, *art.net_noise,
+                 *art.congestion);
+  return w.take();
+}
+
+// v6 solve and refine records held a full copy of every instance's
+// structure. Stored under the keys a current session asks for, they are
+// version mismatches: the session recomputes both stages bit-identically
+// and republishes v7 records. The same payload framed as v7 does not parse
+// either, so an old record is never misread.
+TEST(ArtifactStore, V6SolveAndRefineRecordsAreRejectedAndRecomputed) {
+  const fs::path dir = store_dir("v6_records");
+  const Pipeline pipe(0.3, 100);
+  const RoutingProblem p = pipe.problem();
+  auto store = std::make_shared<store::ArtifactStore>(dir);
+  FlowResult cold;
+  {
+    FlowSession session(p, SessionOptions{.store = store});
+    cold = session.run(FlowKind::kGsino);
+  }
+  const std::vector<std::uint8_t> solve6 = v6_payload(*cold.phase2);
+  const std::vector<std::uint8_t> refine6 = v6_payload(*cold.phase3);
+  EXPECT_EQ(store::load_region_solve(
+                framed(store::ArtifactType::kRegionSolve, 7, solve6), p,
+                cold.phase1, cold.budget),
+            nullptr);
+  EXPECT_EQ(store::load_refine(framed(store::ArtifactType::kRefine, 7, refine6),
+                               p, cold.phase2),
+            nullptr);
+  // Overwrite the solve and refine records on disk in the v6 layout.
+  std::size_t rewritten = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    std::vector<std::uint8_t> bytes;
+    {
+      std::ifstream in(entry.path(), std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+    }
+    if (bytes.size() < 16 || std::memcmp(bytes.data(), "RLCRART", 8) != 0) {
+      continue;
+    }
+    util::BinaryReader tag(bytes.data() + 12, 4);
+    const auto type = static_cast<store::ArtifactType>(tag.u32());
+    if (type != store::ArtifactType::kRegionSolve &&
+        type != store::ArtifactType::kRefine) {
+      continue;
+    }
+    const std::vector<std::uint8_t> old = framed(
+        type, 6, type == store::ArtifactType::kRefine ? refine6 : solve6);
+    std::ofstream out(entry.path(), std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(old.data()),
+              static_cast<std::streamsize>(old.size()));
+    ++rewritten;
+  }
+  ASSERT_EQ(rewritten, 2u);
+
+  FlowSession session(p, SessionOptions{.store = store});
+  const store::StoreStats before = store->stats();
+  const FlowResult warm = session.run(FlowKind::kGsino);
+  EXPECT_EQ(store->stats().rejected - before.rejected, 2u);
+  EXPECT_EQ(session.counters().route_loaded, 1u);
+  EXPECT_EQ(session.counters().solve_loaded, 0u);
+  EXPECT_EQ(session.counters().solve_executed, 1u);
+  EXPECT_EQ(session.counters().refine_executed, 1u);
+  EXPECT_EQ(state_fingerprint(warm), state_fingerprint(cold));
+
+  // The recompute republished current records: a fresh session loads all.
+  FlowSession replay(p, SessionOptions{.store = store});
+  EXPECT_EQ(state_fingerprint(replay.run(FlowKind::kGsino)),
+            state_fingerprint(cold));
+  EXPECT_EQ(replay.counters().solve_loaded, 1u);
+  EXPECT_EQ(replay.counters().refine_loaded, 1u);
 }
 
 // ------------------------------------------------- bounded session caches

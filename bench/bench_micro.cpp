@@ -63,13 +63,21 @@ void BM_SteinerByDegree(benchmark::State& state) {
 }
 BENCHMARK(BM_SteinerByDegree)->Arg(4)->Arg(8)->Arg(12)->Arg(16);
 
+// Each SINO bench also reports `ki_sums`: the Ki sums the kernel ran per
+// iteration (SinoEvaluator::ki_sums), its noise-free work count.
 void BM_SinoGreedy(benchmark::State& state) {
   const auto inst =
       random_instance(static_cast<std::size_t>(state.range(0)), 0.4, 7);
   const ktable::KeffModel keff;
+  double ki_sums = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sino::solve_greedy(inst, keff));
+    // One evaluator per solve, as sino::solve_region builds it.
+    const sino::SinoEvaluator eval(inst, keff);
+    benchmark::DoNotOptimize(sino::solve_greedy(eval));
+    ki_sums += static_cast<double>(eval.ki_sums());
   }
+  state.counters["ki_sums"] =
+      benchmark::Counter(ki_sums, benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_SinoGreedy)->Arg(4)->Arg(8)->Arg(16)->Arg(24)->Arg(40);
 
@@ -81,17 +89,22 @@ void BM_SinoCompact(benchmark::State& state) {
   const ktable::KeffModel keff;
   const sino::SinoEvaluator eval(inst, keff);
   ktable::SlotVec padded;
-  for (ktable::Slot s : sino::solve_greedy(inst, keff)) {
+  for (ktable::Slot s : sino::solve_greedy(eval)) {
     padded.push_back(s);
     padded.push_back(ktable::kShieldSlot);
   }
+  const bool free = eval.violation_free(padded, 0);
+  const std::size_t ki_before = eval.ki_sums();
   int removed = 0;
   for (auto _ : state) {
     ktable::SlotVec slots = padded;
-    removed = sino::compact_shields(slots, eval);
+    removed = sino::compact_shields(slots, eval, free);
     benchmark::DoNotOptimize(slots);
   }
   state.counters["removed"] = removed;
+  state.counters["ki_sums"] = benchmark::Counter(
+      static_cast<double>(eval.ki_sums() - ki_before),
+      benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_SinoCompact)->Arg(16)->Arg(40);
 
@@ -100,9 +113,14 @@ void BM_SinoAnneal(benchmark::State& state) {
   const ktable::KeffModel keff;
   sino::AnnealOptions opt;
   opt.iterations = static_cast<int>(state.range(0));
+  double ki_sums = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sino::solve_anneal(inst, keff, opt));
+    const sino::SinoEvaluator eval(inst, keff);
+    benchmark::DoNotOptimize(sino::solve_anneal(eval, opt));
+    ki_sums += static_cast<double>(eval.ki_sums());
   }
+  state.counters["ki_sums"] =
+      benchmark::Counter(ki_sums, benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_SinoAnneal)->Arg(1000)->Arg(4000);
 

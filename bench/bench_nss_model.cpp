@@ -68,8 +68,10 @@ int main() {
     sino::AnnealOptions ao;
     ao.seed = rng();
     ao.iterations = 3000;
-    const auto best = sino::solve_anneal(inst, keff, ao);
-    const auto& sol = best.feasible ? best.slots : sino::solve_greedy(inst, keff);
+    const sino::SinoEvaluator eval(inst, keff);
+    const auto greedy = sino::solve_greedy(eval);
+    const auto best = sino::solve_anneal(eval, greedy, ao);
+    const auto& sol = best.feasible ? best.slots : greedy;
     const int truth = sino::SinoEvaluator::shield_count(sol);
     if (truth < 3) continue;
     const double est = model.estimate(inst);

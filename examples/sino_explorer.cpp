@@ -81,13 +81,13 @@ int main(int argc, char** argv) {
   report("net ordering only", ordered.slots, eval);
 
   // Greedy SINO: feasible, fast, slightly shield-happy.
-  const ktable::SlotVec greedy = solve_greedy(inst, keff);
+  const ktable::SlotVec greedy = solve_greedy(eval);
   report("greedy SINO", greedy, eval);
 
   // Simulated annealing: min-area SINO (the [4] objective).
   AnnealOptions opt;
   opt.iterations = 30000;
-  const AnnealResult annealed = solve_anneal(inst, keff, opt);
+  const AnnealResult annealed = solve_anneal(eval, opt);
   report("annealed SINO", annealed.slots, eval);
 
   std::printf(
@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < sweep.net_count(); ++i) {
       sweep.set_kth(i, kth * f);
     }
-    const ktable::SlotVec slots = solve_greedy(sweep, keff);
+    const ktable::SlotVec slots = solve_greedy(SinoEvaluator(sweep, keff));
     std::printf("  Kth %.2f: area %2d, shields %d\n", kth * f,
                 SinoEvaluator::area(slots), SinoEvaluator::shield_count(slots));
   }

@@ -41,6 +41,22 @@ KeffModel::KeffModel(const KeffParams& params, const circuit::Technology& tech)
     attenuation_[s] =
         std::pow(params_.shield_attenuation, static_cast<int>(s));
   }
+
+  // The SINO kernel's exactness arguments need coupling non-increasing in
+  // distance and in shield count as computed, rounding included, not only
+  // in exact arithmetic: the profile over [1, max_separation], and the
+  // attenuation table plus the first std::pow value past it.
+  for (std::size_t d = 1; d + 1 < profile_.size(); ++d) {
+    require(profile_[d + 1] <= profile_[d],
+            "profile must not increase with separation");
+  }
+  for (std::size_t s = 0; s + 1 < kAttenuationTable; ++s) {
+    require(attenuation_[s + 1] <= attenuation_[s],
+            "attenuation must not increase with shield count");
+  }
+  require(attenuation(static_cast<int>(kAttenuationTable)) <=
+              attenuation_.back(),
+          "attenuation must not increase with shield count");
 }
 
 double KeffModel::profile(int separation) const {

@@ -60,7 +60,10 @@ class KeffModel {
   /// decay_exponent and scale are >= 0. These ranges make coupling
   /// non-negative and non-increasing in both distance and shield count,
   /// which the SINO kernel relies on (src/core/README.md, "The SINO
-  /// kernel").
+  /// kernel"). The built tables are checked too, since rounding could
+  /// break that order: profile(d) must not increase over [1,
+  /// max_separation], nor attenuation(s) over the table and the first
+  /// std::pow value past it.
   ///
   /// `tech` is accepted for interface stability (the profile used to be
   /// derived from the extractor's bare-pair formula; it is now calibrated

@@ -17,16 +17,13 @@ void trim(SlotVec& slots) {
 
 }  // namespace
 
-AnnealResult solve_anneal(const SinoInstance& instance,
-                          const ktable::KeffModel& keff,
+AnnealResult solve_anneal(const SinoEvaluator& eval,
                           const AnnealOptions& options) {
-  return solve_anneal(instance, keff, solve_greedy(instance, keff), options);
+  return solve_anneal(eval, solve_greedy(eval), options);
 }
 
-AnnealResult solve_anneal(const SinoInstance& instance,
-                          const ktable::KeffModel& keff, SlotVec start,
+AnnealResult solve_anneal(const SinoEvaluator& eval, SlotVec start,
                           const AnnealOptions& options) {
-  const SinoEvaluator eval(instance, keff);
   util::Xoshiro256 rng(util::SplitMix64::mix2(options.seed, 0xA22EA1));
 
   SlotVec current = std::move(start);
@@ -39,8 +36,10 @@ AnnealResult solve_anneal(const SinoInstance& instance,
   best.slots = current;
   best.cost = current_cost;
   best.feasible = start_check.feasible();
+  // Whether best.slots is violation-free (compaction's precondition).
+  bool best_free = start_check.violation_free();
 
-  if (instance.net_count() == 0) return best;
+  if (eval.instance().net_count() == 0) return best;
 
   const double cool =
       std::pow(options.t_end / options.t_start,
@@ -101,12 +100,13 @@ AnnealResult solve_anneal(const SinoInstance& instance,
         best.slots = current;
         best.cost = current_cost;
         best.feasible = feasible;
+        best_free = trial_check.violation_free();
       }
     }
   }
 
   // Final polish: drop any shield the best solution does not need.
-  compact_shields(best.slots, eval);
+  compact_shields(best.slots, eval, best_free);
   const SinoCheck final_check = eval.check(best.slots);
   best.cost =
       SinoEvaluator::cost(final_check, best.slots, options.violation_penalty);

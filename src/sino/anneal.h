@@ -29,14 +29,12 @@ struct AnnealResult {
   int moves_accepted = 0;
 };
 
-/// Anneal from the greedy solution of `instance`.
-AnnealResult solve_anneal(const SinoInstance& instance,
-                          const ktable::KeffModel& keff,
+/// Anneal from the greedy solution of `eval.instance()`.
+AnnealResult solve_anneal(const SinoEvaluator& eval,
                           const AnnealOptions& options = {});
 
 /// Anneal from `start` (a greedy solution the caller already holds).
-AnnealResult solve_anneal(const SinoInstance& instance,
-                          const ktable::KeffModel& keff, SlotVec start,
+AnnealResult solve_anneal(const SinoEvaluator& eval, SlotVec start,
                           const AnnealOptions& options);
 
 }  // namespace rlcr::sino

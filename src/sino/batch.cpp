@@ -16,22 +16,25 @@ SinoBatchResult solve_region(const SinoBatchItem& item,
   const SinoInstance& inst = item.instance;
   const SinoEvaluator eval(inst, keff);
 
-  if (item.mode == SinoSolveMode::kNetOrder) {
-    out.slots = solve_net_order(inst, keff).slots;
-  } else {
-    out.slots = solve_greedy(inst, keff);
-    if (item.mode == SinoSolveMode::kGreedyAnneal &&
-        !eval.check(out.slots).feasible()) {
-      AnnealOptions ao;
-      ao.seed = item.anneal_seed;
-      ao.iterations = item.anneal_iterations;
-      AnnealResult best = solve_anneal(inst, keff, out.slots, ao);
-      out.annealed = true;
-      if (best.feasible) out.slots = std::move(best.slots);
+  // One evaluator and one Ki pass: feasibility comes from the Ki the
+  // result carries anyway. Only an annealed replacement needs its own.
+  out.slots = item.mode == SinoSolveMode::kNetOrder
+                  ? solve_net_order(inst, keff).slots
+                  : solve_greedy(eval);
+  out.ki = eval.all_ki(out.slots);
+  out.feasible = eval.feasible(out.slots, out.ki);
+  if (item.mode == SinoSolveMode::kGreedyAnneal && !out.feasible) {
+    AnnealOptions ao;
+    ao.seed = item.anneal_seed;
+    ao.iterations = item.anneal_iterations;
+    AnnealResult best = solve_anneal(eval, out.slots, ao);
+    out.annealed = true;
+    if (best.feasible) {
+      out.slots = std::move(best.slots);
+      out.ki = eval.all_ki(out.slots);
+      out.feasible = true;
     }
   }
-  out.ki = eval.all_ki(out.slots);
-  out.feasible = eval.check(out.slots).feasible();
   return out;
 }
 

@@ -29,6 +29,7 @@ double SinoEvaluator::ki(const SlotVec& slots, std::size_t slot_index,
   const auto victim_net = slots[slot_index];
   if (victim_net < 0) return 0.0;
   const auto v = static_cast<std::size_t>(victim_net);
+  ++ki_sums_;
   return keff_->total_coupling(
       slots, slot_index,
       [&](ktable::Slot other) {
@@ -88,6 +89,26 @@ SinoCheck SinoEvaluator::check(const SlotVec& slots) const {
   return result;
 }
 
+bool SinoEvaluator::feasible(const SlotVec& slots,
+                             std::span<const double> ki) const {
+  std::vector<char> seen(instance_.net_count(), 0);
+  std::size_t placed = 0;
+  std::size_t prev = slots.size();
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    const ktable::Slot v = slots[s];
+    if (v == kEmptySlot) continue;
+    if (prev < slots.size() && conflict(slots[prev], v)) return false;
+    prev = s;
+    if (v < 0) continue;
+    const auto net = static_cast<std::size_t>(v);
+    if (net >= seen.size() || seen[net]) return false;
+    seen[net] = 1;
+    ++placed;
+    if (ki[net] > instance_.kth(net)) return false;
+  }
+  return placed == seen.size();
+}
+
 bool SinoEvaluator::violation_free(const SlotVec& slots,
                                    std::size_t focus) const {
   const std::size_t n = slots.size();
@@ -120,6 +141,70 @@ bool SinoEvaluator::violation_free(const SlotVec& slots,
   for (std::size_t s = 0; s < n; ++s) {
     if (slots[s] < 0 || (focus_net && s == r)) continue;
     if (over_bound(slots, s)) return false;
+  }
+  return true;
+}
+
+bool SinoEvaluator::attacked_from(const SlotVec& slots, std::size_t net,
+                                  std::size_t lo, std::size_t hi) const {
+  for (std::size_t s = lo; s < hi; ++s) {
+    if (slots[s] >= 0 &&
+        instance_.sensitive(net, static_cast<std::size_t>(slots[s]))) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool SinoEvaluator::violation_free_after(const SlotVec& slots,
+                                         SinoEdit edit) const {
+  const std::size_t n = slots.size();
+  const std::size_t at = std::min(edit.at, n);
+  // The occupied slots either side of the edit: `l` is one past the last
+  // occupied slot left of `at`, `r` the first occupied slot right of it
+  // (right of the inserted net itself, for an insertion).
+  std::size_t l = at;
+  while (l > 0 && slots[l - 1] == kEmptySlot) --l;
+  std::size_t r = edit.kind == SinoEdit::Kind::kNetInserted ? at + 1 : at;
+  while (r < n && slots[r] == kEmptySlot) ++r;
+
+  if (edit.kind == SinoEdit::Kind::kNetInserted) {
+    // The net's two new adjacencies, its Ki, then the Ki of every net it
+    // attacks (sensitivity is symmetric: those are the nets sensitive to
+    // it).
+    const ktable::Slot x = slots[at];
+    if (l > 0 && conflict(slots[l - 1], x)) return false;
+    if (r < n && conflict(x, slots[r])) return false;
+    if (over_bound(slots, at)) return false;
+    const auto xi = static_cast<std::size_t>(x);
+    for (std::size_t s = 0; s < n; ++s) {
+      if (s == at || slots[s] < 0) continue;
+      if (instance_.sensitive(static_cast<std::size_t>(slots[s]), xi) &&
+          over_bound(slots, s)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  // Shield removed: the one adjacency across the gap, then every net with
+  // a sensitive aggressor on the other side of it, the gap's two
+  // neighbours first (their couplings across it grew the most).
+  if (l > 0 && r < n && conflict(slots[l - 1], slots[r])) return false;
+  const auto rises = [&](std::size_t s) {
+    const auto net = static_cast<std::size_t>(slots[s]);
+    if (never_over_[net]) return false;
+    const bool across = s < at ? attacked_from(slots, net, at, n)
+                               : attacked_from(slots, net, 0, at);
+    return across && over_bound(slots, s);
+  };
+  const std::size_t left = l > 0 && slots[l - 1] >= 0 ? l - 1 : n;
+  const std::size_t right = r < n && slots[r] >= 0 ? r : n;
+  if (left < n && rises(left)) return false;
+  if (right < n && rises(right)) return false;
+  for (std::size_t s = 0; s < n; ++s) {
+    if (slots[s] < 0 || s == left || s == right) continue;
+    if (rises(s)) return false;
   }
   return true;
 }

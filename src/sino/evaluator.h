@@ -4,6 +4,19 @@
 // are indices into the instance's net list. The evaluator answers the two
 // constraint questions of [4] — capacitive freeness and inductive bounds —
 // plus the area and violation measures the solvers optimize.
+//
+// Two ways to ask "is this stack violation-free?":
+//   - violation_free(slots, focus) answers from scratch: every adjacency
+//     and every net's Ki. It is for stacks in an unknown state and is the
+//     tests' reference.
+//   - violation_free_after(slots, edit) answers for a stack that was
+//     violation-free before one edit (a net inserted, or a shield
+//     removed). It tests only what the edit can break. The greedy and
+//     compaction reach feasibility through it alone while their stack is
+//     known to be violation-free.
+// One evaluator serves one region solve (sino::solve_region builds it and
+// hands it to the greedy and the annealer), so its constructor's O(n^2)
+// pass and its ki_sums() count are per solve.
 #pragma once
 
 #include <limits>
@@ -26,8 +39,26 @@ struct SinoCheck {
   int inductive_violations = 0;   ///< nets with Ki > Kth
   bool placed_all = false;        ///< every net appears exactly once
 
-  bool feasible() const {
-    return placed_all && capacitive_violations == 0 && inductive_violations == 0;
+  bool violation_free() const {
+    return capacitive_violations == 0 && inductive_violations == 0;
+  }
+  bool feasible() const { return placed_all && violation_free(); }
+};
+
+/// One edit to a stack, as SinoEvaluator::violation_free_after takes it.
+struct SinoEdit {
+  enum class Kind { kNetInserted, kShieldRemoved };
+  Kind kind = Kind::kNetInserted;
+  /// kNetInserted: the slot that now holds the inserted net.
+  /// kShieldRemoved: the slot the removed shield left behind (the first
+  /// slot right of it, or slots.size() when it was the last slot).
+  std::size_t at = 0;
+
+  static SinoEdit net_inserted(std::size_t pos) {
+    return {Kind::kNetInserted, pos};
+  }
+  static SinoEdit shield_removed(std::size_t gap) {
+    return {Kind::kShieldRemoved, gap};
   }
 };
 
@@ -54,6 +85,11 @@ class SinoEvaluator {
   /// Full violation summary; O(slots^2).
   SinoCheck check(const SlotVec& slots) const;
 
+  /// check(slots).feasible(), given `ki` = all_ki(slots): every net placed
+  /// once, no capacitive violation and every Ki within its Kth. Runs no
+  /// Ki sum.
+  bool feasible(const SlotVec& slots, std::span<const double> ki) const;
+
   /// True when `slots` has no capacitive and no inductive violation; stacks
   /// that do not place every net pass too (the greedy builds partial ones).
   /// `slots` must hold each net at most once, as every solver's stacks do.
@@ -64,6 +100,24 @@ class SinoEvaluator {
   /// tested first so a bad edit fails fast. The answer does not depend on
   /// `focus`.
   bool violation_free(const SlotVec& slots, std::size_t focus) const;
+
+  /// violation_free(slots, edit.at) for a stack `slots` that was
+  /// violation-free before `edit` (and holds each net at most once). Tests
+  /// only what the edit can break (src/core/README.md, "The SINO kernel"):
+  ///   - a net x inserted: its two adjacencies, its Ki, and the Ki of each
+  ///     net sensitive to x. Every other net keeps its aggressors in the
+  ///     same order at the same or a larger distance, so its Ki cannot
+  ///     rise. Shields inserted anywhere after x cannot raise a Ki or add
+  ///     an adjacency either, so the answer stays exact for them;
+  ///   - a shield removed: the one adjacency across the gap, and the Ki of
+  ///     each net with a sensitive aggressor on the other side of the gap.
+  ///     No other pair's distance or shield count changes.
+  bool violation_free_after(const SlotVec& slots, SinoEdit edit) const;
+
+  /// Ki sums this evaluator has run (ki(), directly or through all_ki,
+  /// check and the feasibility checks); the kernel's deterministic work
+  /// count. A plain member: an evaluator serves one solve on one thread.
+  std::size_t ki_sums() const { return ki_sums_; }
 
   /// Occupied tracks (nets + shields); the SINO area objective.
   static int area(std::span<const ktable::Slot> slots);
@@ -89,12 +143,16 @@ class SinoEvaluator {
     const double bound = instance_.kth(net);
     return ki(slots, s, bound) > bound;
   }
+  /// Does a slot in [lo, hi) hold a net sensitive to `net`?
+  bool attacked_from(const SlotVec& slots, std::size_t net, std::size_t lo,
+                     std::size_t hi) const;
 
   SinoInstance instance_;
   const ktable::KeffModel* keff_;
   /// Per net: no stack holding each net at most once can push its Ki past
   /// its Kth, so its Ki need not be computed to rule out a violation.
   std::vector<char> never_over_;
+  mutable std::size_t ki_sums_ = 0;
 };
 
 }  // namespace rlcr::sino

@@ -61,9 +61,10 @@ NssFitReport fit_nss(const ktable::KeffModel& keff, const NssFitOptions& options
     AnnealOptions ao;
     ao.seed = rng();
     ao.iterations = options.anneal_iterations;
-    const AnnealResult best = solve_anneal(inst, keff, ao);
-    const SlotVec& sol =
-        best.feasible ? best.slots : solve_greedy(inst, keff);
+    const SinoEvaluator eval(inst, keff);
+    const SlotVec greedy = solve_greedy(eval);
+    const AnnealResult best = solve_anneal(eval, greedy, ao);
+    const SlotVec& sol = best.feasible ? best.slots : greedy;
     const int nss = SinoEvaluator::shield_count(sol);
 
     const double sum_si = inst.sum_si();

@@ -76,7 +76,7 @@ void put_field(BinaryWriter& w, std::size_t v) { w.u64(v); }
 void put_field(BinaryWriter& w, std::int32_t v) { w.i32(v); }
 
 void get_field(BinaryReader& r, double& v) { v = r.f64(); }
-void get_field(BinaryReader& r, bool& v) { v = r.u8() != 0; }
+void get_field(BinaryReader& r, bool& v) { v = r.flag(); }
 void get_field(BinaryReader& r, std::size_t& v) {
   v = static_cast<std::size_t>(r.u64());
 }
@@ -383,7 +383,11 @@ std::shared_ptr<const gsino::BudgetArtifact> load_budget(
   BinaryReader r(payload, size);
 
   auto art = std::make_shared<gsino::BudgetArtifact>();
-  art->rule = static_cast<gsino::BudgetRule>(r.u32());
+  const std::uint32_t rule = r.u32();
+  if (rule > static_cast<std::uint32_t>(gsino::BudgetRule::kManhattanMargin)) {
+    return nullptr;
+  }
+  art->rule = static_cast<gsino::BudgetRule>(rule);
   art->bound_v = r.f64();
   art->margin = r.f64();
   auto kth = std::make_shared<std::vector<double>>();

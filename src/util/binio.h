@@ -70,6 +70,13 @@ class BinaryReader {
   }
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   double f64() { return std::bit_cast<double>(u64()); }
+  /// A bool stored as one byte: 0 or 1; any other value sets the fail
+  /// flag, so no two encodings load as the same value.
+  bool flag() {
+    const std::uint8_t v = u8();
+    if (v > 1) ok_ = false;
+    return v == 1;
+  }
 
   /// Size prefix for a sequence of elements at least `elem_bytes` wide;
   /// fails fast when the prefix alone exceeds the remaining bytes (a

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 #include <utility>
 
 #include "core/problem.h"
@@ -342,7 +343,7 @@ void expect_kernel_matches(const SinoInstance& inst,
   }
   SlotVec got = slots;
   SlotVec want_compact = slots;
-  EXPECT_EQ(compact_shields(got, eval), ref_compact(want_compact, ref));
+  EXPECT_EQ(compact_shields(got, eval, free), ref_compact(want_compact, ref));
   EXPECT_EQ(got, want_compact);
 }
 
@@ -409,7 +410,8 @@ TEST(SinoKernelDifferential, GreedyAndAnnealMatchReference) {
                                       << params.max_separation);
       const OwnedInstance inst = random_instance(n, rng);
       const RefEvaluator ref{inst, keff};
-      const SlotVec greedy = solve_greedy(inst, keff);
+      const SinoEvaluator eval(inst, keff);
+      const SlotVec greedy = solve_greedy(eval);
       ASSERT_EQ(greedy, ref_greedy(inst, ref));
       if (n > 14) continue;  // the reference annealer is O(n^3) per move
       AnnealOptions opt;
@@ -417,8 +419,7 @@ TEST(SinoKernelDifferential, GreedyAndAnnealMatchReference) {
       opt.iterations = 400;
       const AnnealResult want = ref_anneal(inst, ref, opt);
       for (const AnnealResult& got :
-           {solve_anneal(inst, keff, opt),
-            solve_anneal(inst, keff, greedy, opt)}) {
+           {solve_anneal(eval, opt), solve_anneal(eval, greedy, opt)}) {
         EXPECT_EQ(got.slots, want.slots);
         EXPECT_EQ(bits(got.cost), bits(want.cost));
         EXPECT_EQ(got.feasible, want.feasible);
@@ -445,10 +446,10 @@ TEST(SinoKernelDifferential, EveryIbm01RegionMatchesReference) {
     if (sol.empty()) continue;
     ++regions;
     const RefEvaluator ref{sol.instance, keff};
-    const SlotVec greedy = solve_greedy(sol.instance, keff);
+    const SinoEvaluator eval(sol.instance, keff);
+    const SlotVec greedy = solve_greedy(eval);
     ASSERT_EQ(greedy, ref_greedy(sol.instance, ref));
     ASSERT_EQ(greedy, state.slots[si]);
-    const SinoEvaluator eval(sol.instance, keff);
     ASSERT_EQ(bits(eval.all_ki(greedy)), bits(ref.all_ki(greedy)));
     ASSERT_EQ(bits(std::vector<double>(sol.ki.begin(), sol.ki.end())),
               bits(ref.all_ki(greedy)));
@@ -502,6 +503,167 @@ TEST(SinoKernelProperty, RemovingAShieldNeverLowersKiNorBreaksAdjacency) {
         ASSERT_TRUE(std::includes(adj_after.begin(), adj_after.end(),
                                   adj_before.begin(), adj_before.end()))
             << "shield " << s;
+      }
+    }
+  }
+}
+
+/// A random violation-free stack over a random subset of `inst`'s nets
+/// (each with probability 0.7), with empty slots and spare shields: every
+/// net goes in at a random position, behind a shield now and then, and is
+/// taken out again when the stack stops being violation-free.
+SlotVec random_free_stack(const SinoInstance& inst, const SinoEvaluator& eval,
+                          util::Xoshiro256& rng) {
+  SlotVec slots(static_cast<std::size_t>(rng.below(4)), kEmptySlot);
+  std::vector<ktable::Slot> nets;
+  for (std::size_t i = 0; i < inst.net_count(); ++i) {
+    if (rng.bernoulli(0.7)) nets.push_back(static_cast<ktable::Slot>(i));
+  }
+  rng.shuffle(nets);
+  for (ktable::Slot net : nets) {
+    for (int attempt = 0; attempt < 4; ++attempt) {
+      SlotVec trial = slots;
+      const auto pos = static_cast<std::size_t>(rng.below(trial.size() + 1));
+      trial.insert(trial.begin() + static_cast<std::ptrdiff_t>(pos), net);
+      for (int k = 0; k < 2; ++k) {
+        if (!rng.bernoulli(0.4)) continue;
+        const auto at = static_cast<std::size_t>(rng.below(trial.size() + 1));
+        trial.insert(trial.begin() + static_cast<std::ptrdiff_t>(at),
+                     rng.bernoulli(0.8) ? kShieldSlot : kEmptySlot);
+      }
+      if (eval.violation_free(trial, 0)) {
+        slots = std::move(trial);
+        break;
+      }
+    }
+  }
+  return slots;
+}
+
+TEST(SinoKernelDifferential, EditChecksMatchTheFullCheckOnViolationFreeStacks) {
+  // For every single-net insertion and every single-shield removal on
+  // random violation-free stacks, the edit check must give the full
+  // check's answer. The full check is pinned to the brute-force
+  // reference by the tests above. param_sets()[1] has max_separation 6,
+  // which the wider stacks exceed.
+  util::Xoshiro256 rng(27182818);
+  std::size_t passed = 0, failed = 0;
+  for (const ktable::KeffParams& params : param_sets()) {
+    const ktable::KeffModel keff(params);
+    for (std::size_t n = 1; n <= 40; ++n) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " maxsep="
+                                      << params.max_separation);
+      const OwnedInstance inst = random_instance(n, rng);
+      const SinoEvaluator eval(inst, keff);
+      const SlotVec slots = random_free_stack(inst, eval, rng);
+      const RefEvaluator ref{inst, keff};
+      ASSERT_TRUE(ref.check(slots).violation_free());
+      std::vector<char> stacked(n, 0);
+      for (ktable::Slot v : slots) {
+        if (v >= 0) stacked[static_cast<std::size_t>(v)] = 1;
+      }
+      const auto expect_same = [&](const SlotVec& edited, SinoEdit edit) {
+        const bool want = eval.violation_free(edited, edit.at);
+        ASSERT_EQ(eval.violation_free_after(edited, edit), want)
+            << (edit.kind == SinoEdit::Kind::kNetInserted ? "insert at "
+                                                          : "remove at ")
+            << edit.at;
+        ++(want ? passed : failed);
+      };
+      for (std::size_t net = 0; net < n; ++net) {
+        if (stacked[net]) continue;
+        for (std::size_t pos = 0; pos <= slots.size(); ++pos) {
+          SlotVec edited = slots;
+          edited.insert(edited.begin() + static_cast<std::ptrdiff_t>(pos),
+                        static_cast<ktable::Slot>(net));
+          expect_same(edited, SinoEdit::net_inserted(pos));
+          // The greedy's fallback: shields inserted after the net keep the
+          // same check exact.
+          const auto at = static_cast<std::size_t>(rng.below(edited.size() + 1));
+          edited.insert(edited.begin() + static_cast<std::ptrdiff_t>(at),
+                        kShieldSlot);
+          expect_same(edited, SinoEdit::net_inserted(at <= pos ? pos + 1 : pos));
+        }
+      }
+      for (std::size_t gap = 0; gap < slots.size(); ++gap) {
+        if (slots[gap] != kShieldSlot) continue;
+        SlotVec edited = slots;
+        edited.erase(edited.begin() + static_cast<std::ptrdiff_t>(gap));
+        expect_same(edited, SinoEdit::shield_removed(gap));
+      }
+      // Compaction told the stack is violation-free matches the reference.
+      SlotVec got = slots;
+      SlotVec want = slots;
+      EXPECT_EQ(compact_shields(got, eval, true), ref_compact(want, ref));
+      EXPECT_EQ(got, want);
+    }
+  }
+  // Both answers occur, so neither half of the check is idle.
+  EXPECT_GT(passed, 1000u);
+  EXPECT_GT(failed, 1000u);
+}
+
+TEST(SinoKernelWork, InsertionSumsOnlyTheNetAndTheNetsItAttacks) {
+  // Ten stacked nets, a shield between each two, each sensitive to its
+  // stack neighbours; the new net x is sensitive to exactly k of them.
+  // Every Kth is below profile(1), so no net is exempt from its Ki sum:
+  // the full check sums every net, the insertion check only x and its k
+  // victims.
+  constexpr std::size_t kStacked = 10, k = 3;
+  OwnedInstance inst(std::vector<SinoNet>(kStacked + 1, SinoNet{0.5, 0.9}));
+  const std::size_t x = kStacked;
+  for (std::size_t i = 0; i + 1 < kStacked; ++i) inst.set_sensitive(i, i + 1);
+  for (std::size_t i = 0; i < k; ++i) inst.set_sensitive(x, 2 * i);
+  const ktable::KeffModel keff;
+  ASSERT_LT(0.9, keff.profile(1));
+  SlotVec slots;
+  for (std::size_t i = 0; i < kStacked; ++i) {
+    if (i > 0) slots.push_back(kShieldSlot);
+    slots.push_back(static_cast<ktable::Slot>(i));
+  }
+  const SinoEvaluator eval(inst, keff);
+  ASSERT_TRUE(eval.violation_free(slots, 0));
+  slots.push_back(kShieldSlot);
+  slots.push_back(static_cast<ktable::Slot>(x));
+  const std::size_t pos = slots.size() - 1;
+
+  const std::size_t before = eval.ki_sums();
+  EXPECT_TRUE(eval.violation_free_after(slots, SinoEdit::net_inserted(pos)));
+  EXPECT_LE(eval.ki_sums() - before, k + 1);
+
+  const std::size_t full_before = eval.ki_sums();
+  EXPECT_TRUE(eval.violation_free(slots, pos));
+  EXPECT_EQ(eval.ki_sums() - full_before, kStacked + 1);
+}
+
+TEST(SinoKernelProperty, CouplingTablesNeverIncreaseAtExtremeParameters) {
+  // The insertion and removal arguments need profile(d) non-increasing
+  // over [1, max_separation] and attenuation(s) non-increasing over the
+  // table and past it, as computed. KeffModel checks both when built;
+  // this sweeps the edges of the accepted ranges.
+  const double extremes[] = {0.0, 1e-300, 1.0 - std::ldexp(1.0, -52), 1.0};
+  for (double decay : extremes) {
+    for (double att : extremes) {
+      for (int maxsep : {1, 6, 128}) {
+        ktable::KeffParams params;
+        params.decay_exponent = decay;
+        params.shield_attenuation = att;
+        params.max_separation = maxsep;
+        SCOPED_TRACE(testing::Message() << "decay=" << decay << " att=" << att
+                                        << " maxsep=" << maxsep);
+        if (att == 0.0) {
+          EXPECT_THROW(ktable::KeffModel{params}, std::invalid_argument);
+          continue;
+        }
+        const ktable::KeffModel keff(params);
+        for (int d = 1; d <= maxsep + 1; ++d) {
+          ASSERT_LE(keff.profile(d + 1), keff.profile(d)) << "d=" << d;
+        }
+        for (int sh = 0; sh <= 70; ++sh) {
+          ASSERT_LE(keff.attenuation(sh + 1), keff.attenuation(sh))
+              << "shields=" << sh;
+        }
+        ASSERT_LE(keff.attenuation(0), 1.0);
       }
     }
   }

@@ -117,8 +117,8 @@ TEST_P(GreedyFeasibility, SolutionsAreFeasibleAcrossSizesAndRates) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const OwnedInstance inst =
         random_instance(static_cast<std::size_t>(n), rate, 1.5, seed);
-    const SlotVec slots = solve_greedy(inst, keff);
     const SinoEvaluator eval(inst, keff);
+    const SlotVec slots = solve_greedy(eval);
     const SinoCheck c = eval.check(slots);
     EXPECT_TRUE(c.placed_all) << "n=" << n << " rate=" << rate << " seed=" << seed;
     EXPECT_EQ(c.capacitive_violations, 0);
@@ -134,14 +134,14 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Greedy, EmptyInstance) {
   const ktable::KeffModel keff;
   const OwnedInstance inst;
-  EXPECT_TRUE(solve_greedy(inst, keff).empty());
+  EXPECT_TRUE(solve_greedy(SinoEvaluator(inst, keff)).empty());
 }
 
 TEST(Greedy, NoSensitivityNeedsNoShields) {
   const ktable::KeffModel keff;
   OwnedInstance inst({SinoNet{0.0, 5.0}, SinoNet{0.0, 5.0},
                      SinoNet{0.0, 5.0}});
-  const SlotVec slots = solve_greedy(inst, keff);
+  const SlotVec slots = solve_greedy(SinoEvaluator(inst, keff));
   EXPECT_EQ(SinoEvaluator::shield_count(slots), 0);
   EXPECT_EQ(SinoEvaluator::area(slots), 3);
 }
@@ -149,12 +149,14 @@ TEST(Greedy, NoSensitivityNeedsNoShields) {
 TEST(Greedy, CompactShieldsPreservesFeasibility) {
   const ktable::KeffModel keff;
   const OwnedInstance inst = random_instance(10, 0.5, 1.2, 77);
-  SlotVec slots = solve_greedy(inst, keff);
+  const SinoEvaluator eval(inst, keff);
+  SlotVec slots = solve_greedy(eval);
   // Pad with redundant shields, then compact.
   slots.push_back(kShieldSlot);
   slots.insert(slots.begin(), kShieldSlot);
-  const SinoEvaluator eval(inst, keff);
-  const int removed = compact_shields(slots, eval);
+  // Extra shields keep a violation-free stack violation-free.
+  ASSERT_TRUE(eval.violation_free(slots, 0));
+  const int removed = compact_shields(slots, eval, true);
   EXPECT_GE(removed, 2);
   const SinoCheck c = eval.check(slots);
   EXPECT_TRUE(c.feasible());
@@ -165,7 +167,7 @@ TEST(Greedy, TightBoundsForceShields) {
   // Fully sensitive pair with tiny Kth: at least one shield is required.
   OwnedInstance inst({SinoNet{1.0, 0.3}, SinoNet{1.0, 0.3}});
   inst.set_sensitive(0, 1);
-  const SlotVec slots = solve_greedy(inst, keff);
+  const SlotVec slots = solve_greedy(SinoEvaluator(inst, keff));
   EXPECT_GE(SinoEvaluator::shield_count(slots), 1);
   EXPECT_TRUE(SinoEvaluator(inst, keff).check(slots).feasible());
 }
@@ -176,11 +178,11 @@ TEST(Anneal, NeverWorseThanGreedy) {
   const ktable::KeffModel keff;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const OwnedInstance inst = random_instance(10, 0.5, 1.0, seed * 13);
-    const SlotVec greedy = solve_greedy(inst, keff);
+    const SlotVec greedy = solve_greedy(SinoEvaluator(inst, keff));
     AnnealOptions opt;
     opt.seed = seed;
     opt.iterations = 4000;
-    const AnnealResult best = solve_anneal(inst, keff, opt);
+    const AnnealResult best = solve_anneal(SinoEvaluator(inst, keff), opt);
     EXPECT_TRUE(best.feasible);
     EXPECT_LE(SinoEvaluator::area(best.slots), SinoEvaluator::area(greedy));
     EXPECT_TRUE(SinoEvaluator(inst, keff).check(best.slots).feasible());
@@ -190,7 +192,7 @@ TEST(Anneal, NeverWorseThanGreedy) {
 TEST(Anneal, EmptyInstanceIsHandled) {
   const ktable::KeffModel keff;
   const OwnedInstance inst;
-  const AnnealResult r = solve_anneal(inst, keff);
+  const AnnealResult r = solve_anneal(SinoEvaluator(inst, keff));
   EXPECT_TRUE(r.slots.empty());
 }
 
@@ -200,8 +202,8 @@ TEST(Anneal, DeterministicInSeed) {
   AnnealOptions opt;
   opt.seed = 9;
   opt.iterations = 2000;
-  const AnnealResult a = solve_anneal(inst, keff, opt);
-  const AnnealResult b = solve_anneal(inst, keff, opt);
+  const AnnealResult a = solve_anneal(SinoEvaluator(inst, keff), opt);
+  const AnnealResult b = solve_anneal(SinoEvaluator(inst, keff), opt);
   EXPECT_EQ(a.slots, b.slots);
 }
 

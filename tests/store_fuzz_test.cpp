@@ -1,4 +1,5 @@
-// Mutation fuzzing of the region-solve and refine store records. Every
+// Mutation fuzzing of the routing, budget, region-solve and refine store
+// records. Every
 // mutant of a valid record (bit flips, truncations, inflated length
 // fields, splices of two records), with its frame checksum left stale or
 // recomputed so the payload parser sees it, must either be rejected
@@ -59,6 +60,7 @@ struct Fixture {
   RoutingProblem problem;
   FlowSession session;
   std::shared_ptr<const RoutingArtifact> phase1;
+  std::shared_ptr<const BudgetArtifact> budget, other_budget;
   std::shared_ptr<const RegionSolveArtifact> solve, other_solve;
   std::shared_ptr<const RefineArtifact> refine, other_refine;
 
@@ -66,10 +68,11 @@ struct Fixture {
       : problem(make_problem(design, spec, fixture_params())),
         session(problem) {
     phase1 = session.route(FlowKind::kGsino);
-    const auto b15 = session.budget(FlowKind::kGsino, phase1, 0.15, 1.0);
-    const auto b11 = session.budget(FlowKind::kGsino, phase1, 0.11, 1.0);
-    solve = session.solve_regions(FlowKind::kGsino, phase1, b15, false);
-    other_solve = session.solve_regions(FlowKind::kGsino, phase1, b11, false);
+    budget = session.budget(FlowKind::kGsino, phase1, 0.15, 1.0);
+    other_budget = session.budget(FlowKind::kGsino, phase1, 0.11, 1.0);
+    solve = session.solve_regions(FlowKind::kGsino, phase1, budget, false);
+    other_solve =
+        session.solve_regions(FlowKind::kGsino, phase1, other_budget, false);
     refine = session.refine(solve);
     other_refine = session.refine(other_solve);
   }
@@ -104,12 +107,80 @@ void fuzz_record(const std::vector<std::uint8_t>& a,
   EXPECT_GT(loaded, 0);
 }
 
+TEST(StoreFuzz, RoutingRecordMutantsRejectOrRoundTrip) {
+  const Fixture& fx = fixture();
+  const std::vector<std::uint8_t> a = store::save(*fx.phase1);
+  // A second routing of the same problem under another profile.
+  router::IdRouterOptions options = fx.problem.params().router;
+  options.weights.alpha *= 2.0;
+  const std::vector<std::uint8_t> b =
+      store::save(*compute_route(fx.problem, options));
+  ASSERT_NE(store::load_routing(a, fx.problem), nullptr);
+  fuzz_record(a, b, 2024, 1500, [&](const std::vector<std::uint8_t>& m) {
+    return store::load_routing(m, fx.problem);
+  });
+}
+
+TEST(StoreFuzz, BudgetRecordMutantsRejectOrRoundTrip) {
+  const Fixture& fx = fixture();
+  const std::vector<std::uint8_t> a = store::save(*fx.budget);
+  const std::vector<std::uint8_t> b = store::save(*fx.other_budget);
+  ASSERT_NE(store::load_budget(a, fx.problem, fx.phase1), nullptr);
+  fuzz_record(a, b, 2025, 1500, [&](const std::vector<std::uint8_t>& m) {
+    return store::load_budget(m, fx.problem, fx.phase1);
+  });
+}
+
+// The budget rule is a u32 on disk: a record re-framed with a fresh
+// checksum and a rule outside the enum is rejected, not loaded as a
+// budget no rule describes.
+TEST(StoreFuzz, BudgetRuleOutsideTheEnumIsRejected) {
+  const Fixture& fx = fixture();
+  const std::vector<std::uint8_t> good = store::save(*fx.budget);
+  const auto with_rule = [&](std::uint32_t rule) {
+    std::vector<std::uint8_t> bytes = good;
+    for (int i = 0; i < 4; ++i) {
+      bytes[kHeader + i] = static_cast<std::uint8_t>(rule >> (8 * i));
+    }
+    reframe(bytes);
+    return store::load_budget(bytes, fx.problem, fx.phase1);
+  };
+  const auto same = with_rule(static_cast<std::uint32_t>(fx.budget->rule));
+  ASSERT_NE(same, nullptr);
+  EXPECT_EQ(store::save(*same), good);
+  EXPECT_NE(with_rule(static_cast<std::uint32_t>(BudgetRule::kManhattan)),
+            nullptr);
+  EXPECT_NE(with_rule(static_cast<std::uint32_t>(BudgetRule::kRoutedLength)),
+            nullptr);
+  EXPECT_EQ(with_rule(3), nullptr);
+  EXPECT_EQ(with_rule(7), nullptr);
+  EXPECT_EQ(with_rule(~std::uint32_t{0}), nullptr);
+}
+
+// Likewise a routing profile's bool field is one byte, 0 or 1: any other
+// value is rejected, not loaded as `true` and saved back as 1.
+TEST(StoreFuzz, RoutingProfileFlagOutsideZeroOrOneIsRejected) {
+  const Fixture& fx = fixture();
+  const std::vector<std::uint8_t> good = store::save(*fx.phase1);
+  // The profile leads the payload: alpha, beta, gamma, reserve_shields.
+  const std::size_t at = kHeader + 3 * 8;
+  ASSERT_EQ(good[at], fx.phase1->options.reserve_shields ? 1 : 0);
+  const auto with_flag = [&](std::uint8_t v) {
+    std::vector<std::uint8_t> bytes = good;
+    bytes[at] = v;
+    reframe(bytes);
+    return store::load_routing(bytes, fx.problem);
+  };
+  EXPECT_NE(with_flag(good[at]), nullptr);
+  EXPECT_EQ(with_flag(2), nullptr);
+  EXPECT_EQ(with_flag(0xFF), nullptr);
+}
+
 TEST(StoreFuzz, SolveRecordMutantsRejectOrRoundTrip) {
   const Fixture& fx = fixture();
   const std::vector<std::uint8_t> a = store::save(*fx.solve);
   const std::vector<std::uint8_t> b = store::save(*fx.other_solve);
-  ASSERT_NE(store::load_region_solve(a, fx.problem, fx.phase1,
-                                     fx.solve->budget),
+  ASSERT_NE(store::load_region_solve(a, fx.problem, fx.phase1, fx.budget),
             nullptr);
   fuzz_record(a, b, 2026, 1500, [&](const std::vector<std::uint8_t>& m) {
     return store::load_region_solve(m, fx.problem, fx.phase1,

@@ -12,6 +12,7 @@
 #include "core/experiment.h"
 #include "core/session.h"
 #include "router/maze.h"
+#include "router/occupancy.h"
 #include "util/stopwatch.h"
 #include "util/table_printer.h"
 

@@ -15,14 +15,6 @@ namespace rlcr::gsino {
 
 namespace {
 
-/// Instance-net position of a global net inside a region solution, or -1.
-std::ptrdiff_t find_member(const RegionSolution& sol, std::size_t net) {
-  for (std::size_t i = 0; i < sol.net_index.size(); ++i) {
-    if (sol.net_index[i] == net) return static_cast<std::ptrdiff_t>(i);
-  }
-  return -1;
-}
-
 /// Snapshot of one region's state, for accept/reject reverts.
 struct RegionBackup {
   std::size_t sol_index = 0;
@@ -112,20 +104,16 @@ FixOutcome attempt_fix(FlowState& fs, std::size_t worst,
   FixOutcome out;
   for (int inner = 0; inner < params.lr_max_inner_pass1; ++inner) {
     // Least congested (region, dir) the net crosses where it still has
-    // coupling worth removing.
-    const auto& refs = fs.occupancy().net_refs(worst);
+    // coupling worth removing, in the region set's membership order (ties
+    // go to the first).
     double best_density = std::numeric_limits<double>::infinity();
     std::size_t best_sol = 0;
     std::size_t best_member = 0;
     double best_len = 0.0;
     bool have = false;
-    for (const router::NetRegionRef& ref : refs) {
-      const std::size_t si = sol_index_of(ref.region, ref.dir);
+    for (const RegionSet::Membership& m : fs.regions->memberships(worst)) {
+      const std::size_t si = m.si, cmi = m.member;
       const RegionSolution cand = fs.solution(si);
-      if (cand.empty()) continue;
-      const std::ptrdiff_t m = find_member(cand, worst);
-      if (m < 0) continue;
-      const auto cmi = static_cast<std::size_t>(m);
       // Skip regions off the net's critical path, with negligible
       // contribution, or whose bound has bottomed out.
       const double contribution = cand.path_len_mm[cmi] * cand.ki[cmi];

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <stdexcept>
+#include <utility>
 
 namespace rlcr::gsino {
 
@@ -15,12 +16,20 @@ std::size_t heap_bytes(const std::vector<T>& v) {
 
 }  // namespace
 
-RegionSet::RegionSet(const std::vector<std::uint32_t>& member_counts)
-    : offset_(member_counts.size() + 1, 0),
-      sens_offset_(member_counts.size() + 1, 0) {
-  for (std::size_t si = 0; si < member_counts.size(); ++si) {
-    const std::uint64_t n = member_counts[si];
-    offset_[si + 1] = offset_[si] + member_counts[si];
+RegionSet::RegionSet(std::size_t instances,
+                     std::vector<std::uint32_t> net_offset,
+                     const std::vector<std::uint32_t>& net_instances)
+    : offset_(instances + 1, 0),
+      sens_offset_(instances + 1, 0),
+      net_offset_(std::move(net_offset)) {
+  // A running count per instance ranks its nets in index order.
+  membership_.reserve(net_instances.size());
+  for (const std::uint32_t si : net_instances) {
+    membership_.push_back({si, offset_[si + 1]++});
+  }
+  for (std::size_t si = 0; si < instances; ++si) {
+    const std::uint64_t n = offset_[si + 1];
+    offset_[si + 1] += offset_[si];
     sens_offset_[si + 1] = sens_offset_[si] + n * n;
   }
   const std::size_t members = offset_.back();
@@ -70,7 +79,8 @@ void RegionSet::copy_slice(std::size_t si, const RegionSet& from) {
 std::size_t RegionSet::owned_bytes() const {
   return heap_bytes(offset_) + heap_bytes(sens_offset_) + heap_bytes(net_) +
          heap_bytes(si_) + heap_bytes(len_mm_) + heap_bytes(path_len_mm_) +
-         heap_bytes(sensitive_);
+         heap_bytes(sensitive_) + heap_bytes(net_offset_) +
+         heap_bytes(membership_);
 }
 
 namespace {
@@ -91,6 +101,12 @@ bool same_bits(std::span<const double> a, std::span<const double> b) {
 }
 
 }  // namespace
+
+bool RegionSet::same_slice(std::size_t si, const RegionSet& other) const {
+  return std::ranges::equal(net_index(si), other.net_index(si)) &&
+         same_bits(len_mm(si), other.len_mm(si)) &&
+         same_bits(path_len_mm(si), other.path_len_mm(si));
+}
 
 RegionSolutions::RegionSolutions(std::shared_ptr<const RegionSet> set,
                                  Packed state)

@@ -44,7 +44,8 @@ struct RegionSolution {
 
 /// The routing-only structure of every (region, dir) instance of one
 /// routing: members in segment order, their S_i, wire and critical-path
-/// lengths, and a dense n x n sensitivity matrix per instance.
+/// lengths, a dense n x n sensitivity matrix per instance, and the
+/// instances each net belongs to.
 class RegionSet {
  public:
   /// Writable arrays of one instance, filled once while the set is built.
@@ -54,9 +55,18 @@ class RegionSet {
     std::span<std::uint8_t> sensitive;  ///< n x n, row-major
   };
 
-  /// An unfilled set shaped by each instance's member count, in
-  /// solution-index order.
-  explicit RegionSet(const std::vector<std::uint32_t>& member_counts);
+  /// One net's place in one instance: net_index(si)[member] is the net.
+  struct Membership {
+    std::uint32_t si = 0;
+    std::uint32_t member = 0;
+  };
+
+  /// An unfilled set of `instances` instances: `net_offset` (nets + 1
+  /// entries) splits `net_instances` into each net's solution indices, in
+  /// memberships() order. A member position is the net's rank in the
+  /// instance, so each slice must list its members by ascending net.
+  RegionSet(std::size_t instances, std::vector<std::uint32_t> net_offset,
+            const std::vector<std::uint32_t>& net_instances);
 
   std::size_t size() const { return offset_.size() - 1; }
   std::size_t member_count() const { return net_.size(); }
@@ -68,8 +78,16 @@ class RegionSet {
   std::span<const std::uint32_t> net_index(std::size_t si) const {
     return {net_.data() + begin(si), count(si)};
   }
+  std::span<const double> len_mm(std::size_t si) const {
+    return {len_mm_.data() + begin(si), count(si)};
+  }
   std::span<const double> path_len_mm(std::size_t si) const {
     return {path_len_mm_.data() + begin(si), count(si)};
+  }
+  /// The instances `net` belongs to, with its position in each.
+  std::span<const Membership> memberships(std::size_t net) const {
+    return {membership_.data() + net_offset_[net],
+            net_offset_[net + 1] - net_offset_[net]};
   }
   /// The instance view of `si` under `kth` (count(si) values).
   sino::SinoInstance instance(std::size_t si, const double* kth) const {
@@ -82,10 +100,15 @@ class RegionSet {
                           std::span<const ktable::Slot> slots) const;
 
   Slice slice(std::size_t si);
+  /// True when instance `si` has bitwise the same members, wire and
+  /// critical-path lengths here and in `other`. S_i and the sensitivities
+  /// follow from the members under a slot-preserving delta
+  /// (scenario/delta.h), so then the whole instance is equal.
+  bool same_slice(std::size_t si, const RegionSet& other) const;
   /// Copy instance `si` of `from`, which must have the same member count.
   void copy_slice(std::size_t si, const RegionSet& from);
 
-  /// Heap bytes of the arrays.
+  /// Heap bytes of the arrays, the membership index included.
   std::size_t owned_bytes() const;
 
  private:
@@ -94,6 +117,8 @@ class RegionSet {
   std::vector<std::uint32_t> net_;
   std::vector<double> si_, len_mm_, path_len_mm_;
   std::vector<std::uint8_t> sensitive_;
+  std::vector<std::uint32_t> net_offset_;  ///< nets + 1 membership offsets
+  std::vector<Membership> membership_;
 };
 
 /// The per-bound state of one solve or refine over a shared RegionSet:

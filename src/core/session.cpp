@@ -1,7 +1,6 @@
 #include "core/session.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "core/paths.h"
@@ -40,11 +39,38 @@ BudgetRule budget_rule(FlowKind kind) {
   return BudgetRule::kManhattan;
 }
 
+namespace {
+
+/// Length (um) of a critical path inside (region, dir), or 0 when the
+/// region only hosts a branch; critical_path() sorts the refs by (region,
+/// dir).
+double path_length_um(const CriticalPath& path, std::size_t region,
+                      grid::Dir dir) {
+  const auto it = std::lower_bound(
+      path.refs.begin(), path.refs.end(), std::pair{region, dir},
+      [](const router::NetRegionRef& ref,
+         const std::pair<std::size_t, grid::Dir>& key) {
+        return ref.region != key.first ? ref.region < key.first
+                                       : ref.dir < key.second;
+      });
+  return it != path.refs.end() && it->region == region && it->dir == dir
+             ? it->length_um
+             : 0.0;
+}
+
+/// Fill the region-set slice of solution index `si` from the occupancy's
+/// segment list: member nets in segment order with their S_i, wire and
+/// critical-path lengths, and the pairwise sensitivity matrix. A non-null
+/// `carry` whose slice holds bitwise these members and lengths
+/// (RegionSet::same_slice) lends its sensitivities instead; comparing the
+/// stored mm values is exactly the condition for a bit-identical slice.
+/// The one construction path of every RegionSet instance.
 void build_region_solution(const RoutingProblem& problem,
-                           const router::Occupancy& occ, std::size_t region,
-                           grid::Dir dir, const PathIndex& paths,
-                           RegionSet::Slice out) {
-  const auto& segs = occ.segments(region, dir);
+                           const std::vector<router::Segment>& segs,
+                           const std::vector<CriticalPath>& paths,
+                           const RegionSet* carry, std::size_t si,
+                           RegionSet& set) {
+  const RegionSet::Slice out = set.slice(si);
   const std::size_t n = segs.size();
   for (std::size_t i = 0; i < n; ++i) {
     const router::Segment& s = segs[i];
@@ -52,7 +78,12 @@ void build_region_solution(const RoutingProblem& problem,
     out.net_index[i] = static_cast<std::uint32_t>(net);
     out.si[i] = problem.router_nets()[net].si;
     out.len_mm[i] = s.length_um / 1000.0;
-    out.path_len_mm[i] = paths.length_um(net, region, dir) / 1000.0;
+    out.path_len_mm[i] =
+        path_length_um(paths[net], sol_region(si), sol_dir(si)) / 1000.0;
+  }
+  if (carry && set.same_slice(si, *carry)) {
+    set.copy_slice(si, *carry);
+    return;
   }
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
@@ -66,64 +97,39 @@ void build_region_solution(const RoutingProblem& problem,
   }
 }
 
-namespace {
-
-bool same_bits(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-/// The region set of a routing: shaped by the occupancy's segment counts,
-/// then every instance filled through build_region_solution, or copied
-/// from `carry_from` when its inputs are unchanged. Instances fill
+/// The region set of a routing: each net's memberships in
+/// Occupancy::net_refs order (which refine pass 1 walks), then every
+/// instance filled through build_region_solution. The occupancy fills
+/// each segment list in net order, the set's member order. Instances fill
 /// disjoint slices, so the parallel fill is deterministic.
 std::shared_ptr<const RegionSet> build_region_set(
     const RoutingProblem& p, const router::Occupancy& occ,
-    const PathIndex& paths, const RoutingArtifact* carry_from, int threads) {
+    const std::vector<CriticalPath>& paths, const RoutingArtifact* carry_from,
+    int threads) {
   const std::size_t sol_count = p.grid().region_count() * 2;
-  std::vector<std::uint32_t> counts(sol_count);
-  for (std::size_t si = 0; si < sol_count; ++si) {
-    counts[si] = static_cast<std::uint32_t>(
-        occ.segments(sol_region(si), sol_dir(si)).size());
+  std::vector<std::uint32_t> net_offset(occ.net_count() + 1, 0);
+  std::vector<std::uint32_t> net_instances;
+  for (std::size_t n = 0; n < occ.net_count(); ++n) {
+    for (const router::NetRegionRef& ref : occ.net_refs(n)) {
+      net_instances.push_back(
+          static_cast<std::uint32_t>(sol_index_of(ref.region, ref.dir)));
+    }
+    net_offset[n + 1] = static_cast<std::uint32_t>(net_instances.size());
   }
-  auto set = std::make_shared<RegionSet>(counts);
+  auto set = std::make_shared<RegionSet>(sol_count, std::move(net_offset),
+                                         net_instances);
+  const RegionSet* carry = carry_from ? carry_from->regions.get() : nullptr;
   constexpr std::size_t kRegionGrain = 32;  // instances per chunk (fixed)
   parallel::parallel_for(
       sol_count, kRegionGrain, threads,
       [&](std::size_t b, std::size_t e, int) {
         for (std::size_t si = b; si < e; ++si) {
-          if (carry_from && same_region_inputs(*carry_from, occ, paths, si)) {
-            set->copy_slice(si, *carry_from->regions);
-          } else {
-            build_region_solution(p, occ, sol_region(si), sol_dir(si), paths,
-                                  set->slice(si));
-          }
+          build_region_solution(p, occ.segments(sol_region(si), sol_dir(si)),
+                                paths, carry, si, *set);
         }
       });
   return set;
 }
-
-}  // namespace
-
-bool same_region_inputs(const RoutingArtifact& old,
-                        const router::Occupancy& occ, const PathIndex& paths,
-                        std::size_t si) {
-  const std::size_t r = sol_region(si);
-  const grid::Dir d = sol_dir(si);
-  const auto& olds = old.occupancy->segments(r, d);
-  const auto& news = occ.segments(r, d);
-  if (olds.size() != news.size()) return false;
-  for (std::size_t i = 0; i < news.size(); ++i) {
-    const auto n = static_cast<std::size_t>(news[i].net_index);
-    if (olds[i].net_index != news[i].net_index ||
-        !same_bits(olds[i].length_um, news[i].length_um) ||
-        !same_bits(old.paths->length_um(n, r, d), paths.length_um(n, r, d))) {
-      return false;
-    }
-  }
-  return true;
-}
-
-namespace {
 
 /// The stage counters and trace span of one cached stage.
 struct StageTally {
@@ -303,7 +309,6 @@ std::shared_ptr<const RegionSolveArtifact> solve_region_set(
   std::vector<ktable::SlotVec> slots(sol_count);
   auto net_lsk = std::make_shared<std::vector<double>>(p.net_count(), 0.0);
   auto net_noise = std::make_shared<std::vector<double>>(p.net_count(), 0.0);
-  auto congestion = std::make_shared<grid::CongestionMap>(*phase1->segments);
   for (std::size_t r = 0; r < regions; ++r) {
     for (grid::Dir d : grid::kBothDirs) {
       const std::size_t si = sol_index_of(r, d);
@@ -321,9 +326,6 @@ std::shared_ptr<const RegionSolveArtifact> solve_region_set(
       for (std::size_t i = 0; i < members.size(); ++i) {
         (*net_lsk)[members[i]] += path_len[i] * ki[b + i];
       }
-      congestion->set_shields(
-          r, d,
-          static_cast<double>(sino::SinoEvaluator::shield_count(slots[si])));
     }
   }
 
@@ -334,13 +336,29 @@ std::shared_ptr<const RegionSolveArtifact> solve_region_set(
       noise_pass(p.lsk_table(), budget->bound_v, *net_lsk, *net_noise);
   art->solutions =
       RegionSolutions::pack(phase1->regions, nullptr, kth, ki, slots);
+  art->congestion = std::make_shared<const grid::CongestionMap>(
+      solution_congestion(p.grid(), *art->solutions));
   art->phase1 = std::move(phase1);
   art->budget = std::move(budget);
   art->net_lsk = std::move(net_lsk);
   art->net_noise = std::move(net_noise);
-  art->congestion = std::move(congestion);
   art->seconds = watch.seconds();
   return art;
+}
+
+grid::CongestionMap solution_congestion(const grid::RegionGrid& grid,
+                                        const RegionSolutions& solutions) {
+  grid::CongestionMap cmap(grid);
+  const RegionSet& set = *solutions.set();
+  for (std::size_t si = 0; si < set.size(); ++si) {
+    if (set.count(si) == 0) continue;
+    cmap.set_segments(sol_region(si), sol_dir(si),
+                      static_cast<double>(set.count(si)));
+    cmap.set_shields(sol_region(si), sol_dir(si),
+                     static_cast<double>(sino::SinoEvaluator::shield_count(
+                         solutions.slots(si))));
+  }
+  return cmap;
 }
 
 namespace {
@@ -435,28 +453,20 @@ std::shared_ptr<RoutingArtifact> derive_routing_artifact(
   art->options = options;
   art->seed = seed;
 
-  auto occupancy =
-      std::make_shared<router::Occupancy>(p.grid(), routing->routes);
-  auto segments = std::make_shared<grid::CongestionMap>(p.grid());
-  occupancy->fill_segments(*segments);
-
+  const router::Occupancy occupancy(p.grid(), routing->routes);
   // Critical source->sink paths (the per-sink scope of Eq. 1), at the
   // router profile's thread count.
-  std::vector<CriticalPath> paths = critical_paths(
+  const std::vector<CriticalPath> paths = critical_paths(
       p.grid(), p.router_nets(), routing->routes, options.threads);
   auto lengths = std::make_shared<std::vector<double>>(p.net_count(), 0.0);
   for (std::size_t n = 0; n < paths.size(); ++n) {
     (*lengths)[n] = paths[n].length_um;
   }
-  auto index = std::make_shared<PathIndex>(std::move(paths));
 
   art->regions =
-      build_region_set(p, *occupancy, *index, carry_from, options.threads);
+      build_region_set(p, occupancy, paths, carry_from, options.threads);
   art->routing = std::move(routing);
-  art->occupancy = std::move(occupancy);
-  art->segments = std::move(segments);
   art->critical_path_um = std::move(lengths);
-  art->paths = std::move(index);
   return art;
 }
 
@@ -660,7 +670,6 @@ FlowResult FlowSession::assemble(
   fr.budget = solve->budget;
   fr.phase2 = solve;
   fr.phase3 = refined;
-  fr.occupancy = solve->phase1->occupancy;
   if (refined) {
     fr.solutions_ptr = refined->solutions;
     fr.net_lsk_ptr = refined->net_lsk;

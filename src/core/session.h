@@ -47,12 +47,10 @@
 #include <vector>
 
 #include "core/budget.h"
-#include "core/paths.h"
 #include "core/problem.h"
 #include "core/regions.h"
 #include "grid/congestion.h"
 #include "router/id_router.h"
-#include "router/occupancy.h"
 #include "sino/evaluator.h"
 
 namespace rlcr::store {
@@ -94,39 +92,8 @@ struct FlowTiming {
 
 // --------------------------------------------------------------- artifacts
 
-/// Index of per-(net, region, dir) critical-path lengths (um). Immutable
-/// part of the routing artifact: Eq. (1) sums path_len * Ki over the
-/// regions of a source->sink path only, so every downstream stage needs
-/// this lookup. A view over each net's critical-path refs, which
-/// critical_path() returns sorted by (region, dir): a lookup is a binary
-/// search inside one net's path.
-class PathIndex {
- public:
-  explicit PathIndex(std::vector<CriticalPath> paths)
-      : paths_(std::move(paths)) {}
-
-  /// Length in um, or 0 when the region only hosts a branch.
-  double length_um(std::size_t net, std::size_t region, grid::Dir dir) const {
-    if (net >= paths_.size()) return 0.0;
-    const std::vector<router::NetRegionRef>& refs = paths_[net].refs;
-    const auto it = std::lower_bound(
-        refs.begin(), refs.end(), std::pair{region, dir},
-        [](const router::NetRegionRef& ref,
-           const std::pair<std::size_t, grid::Dir>& key) {
-          return ref.region != key.first ? ref.region < key.first
-                                         : ref.dir < key.second;
-        });
-    return it != refs.end() && it->region == region && it->dir == dir
-               ? it->length_um
-               : 0.0;
-  }
-
- private:
-  std::vector<CriticalPath> paths_;
-};
-
-/// Phase I output: the routed tree of every net plus the derived,
-/// flow-independent views (occupancy, segment congestion, critical paths).
+/// Phase I output: the routed tree of every net plus its derived,
+/// flow-independent state (critical-path lengths and the region set).
 /// Shared by every flow whose router profile matches — ID+NO and iSINO
 /// always share one (the paper's fairness rule gives GSINO its own
 /// shield-reserving profile).
@@ -138,27 +105,24 @@ struct RoutingArtifact {
   /// consumers comparing artifacts across sessions tell them apart.
   std::uint64_t seed = 1;
   std::shared_ptr<const router::RoutingResult> routing;
-  std::shared_ptr<const router::Occupancy> occupancy;
-  /// Segment counts only (shield counts all zero) — the base every
-  /// region-solve congestion map is copied from.
-  std::shared_ptr<const grid::CongestionMap> segments;
   std::shared_ptr<const std::vector<double>> critical_path_um;  ///< per net
-  std::shared_ptr<const PathIndex> paths;
   /// Every (region, dir) SINO instance's routing-only structure, shared by
-  /// every solve and refine of this routing.
+  /// every solve and refine of this routing: the one per-region view of
+  /// the routing (its member counts are the segment congestion).
   std::shared_ptr<const RegionSet> regions;
   double seconds = 0.0;  ///< compute time when this artifact was built
 };
 
-/// Derive the flow-independent views of a routed result — occupancy,
-/// segment congestion, critical paths/path index, region set — and
-/// assemble the full artifact (seconds left at 0 for the caller to stamp).
-/// This is the one derivation path shared by FlowSession::route(), the
-/// delta engine and the persistent store's loader (store/serial.cpp), so an
-/// artifact deserialized from disk is bit-identical to a freshly computed
-/// one: the derivations are deterministic functions of (problem, routes).
-/// A non-null `carry_from` (the routing a delta replaces) lends every
-/// region-set instance whose inputs are unchanged (same_region_inputs);
+/// Derive the flow-independent state of a routed result — critical-path
+/// lengths and the region set — and assemble the full artifact (seconds
+/// left at 0 for the caller to stamp). This is the one derivation path
+/// shared by
+/// FlowSession::route(), the delta engine and the persistent store's
+/// loader (store/serial.cpp), so an artifact deserialized from disk is
+/// bit-identical to a freshly computed one: the derivations are
+/// deterministic functions of (problem, routes). A non-null `carry_from`
+/// (the routing a delta replaces) lends every region-set instance whose
+/// members and lengths come out bitwise the same (RegionSet::same_slice);
 /// the copy is bit-identical to a rebuild.
 std::shared_ptr<RoutingArtifact> derive_routing_artifact(
     const RoutingProblem& problem, const router::IdRouterOptions& options,
@@ -222,26 +186,6 @@ std::shared_ptr<const RoutingArtifact> compute_route(
     const RoutingProblem& problem, const router::IdRouterOptions& options,
     const RoutingArtifact* carry_from = nullptr);
 
-/// Fill the region-set slice of one (region, dir) from an occupancy's
-/// segment list: member nets in segment order with their S_i, wire and
-/// critical-path lengths, and the pairwise sensitivity matrix. The one
-/// construction path of every RegionSet instance; `out` is sized to the
-/// segment count.
-void build_region_solution(const RoutingProblem& problem,
-                           const router::Occupancy& occ, std::size_t region,
-                           grid::Dir dir, const PathIndex& paths,
-                           RegionSet::Slice out);
-
-/// True when everything build_region_solution reads for solution index
-/// `si` is bitwise the same under `old` and the (occupancy, paths) of a
-/// new routing: the segment list (members and lengths) and each member's
-/// critical-path length. Member S_i and the pairwise sensitivity draws are
-/// index-stable under a slot-preserving delta (scenario/delta.h), so equal
-/// members imply equal values for both.
-bool same_region_inputs(const RoutingArtifact& old,
-                        const router::Occupancy& occ, const PathIndex& paths,
-                        std::size_t si);
-
 /// Per-net Kth bounds (Section 3.1) under `rule`. `phase1` supplies (and
 /// is kept as) the routed lengths of kRoutedLength; other rules ignore it.
 /// `margin` applies under kManhattanMargin only. Stamps `seconds`.
@@ -263,6 +207,12 @@ std::shared_ptr<const RegionSolveArtifact> solve_region_set(
     std::shared_ptr<const RoutingArtifact> phase1,
     std::shared_ptr<const BudgetArtifact> budget,
     const std::vector<RegionSolution>& carried = {});
+
+/// The congestion map of one per-bound state: segment counts are the
+/// region set's member counts, shields come from each instance's slots.
+/// Builds every solve's map and every store-loaded state's.
+grid::CongestionMap solution_congestion(const grid::RegionGrid& grid,
+                                        const RegionSolutions& solutions);
 
 struct RefineStats {
   int pass1_nets_fixed = 0;
@@ -321,7 +271,6 @@ struct FlowResult {
   std::shared_ptr<const std::vector<double>> net_lsk_ptr;
   std::shared_ptr<const std::vector<double>> net_noise_ptr;
   std::shared_ptr<const grid::CongestionMap> congestion;
-  std::shared_ptr<const router::Occupancy> occupancy;
 
   const router::RoutingResult& routing() const { return *phase1->routing; }
   const RegionSolutions& solutions() const { return *solutions_ptr; }
@@ -377,8 +326,6 @@ struct FlowState {
   /// Optional per-region hook: resolve_region calls it with the solution
   /// index it just re-solved (the pick order Phase III tests compare).
   std::function<void(std::size_t)> on_resolve;
-
-  const router::Occupancy& occupancy() const { return *phase1->occupancy; }
 
   std::size_t solution_count() const { return slots.size(); }
   /// View of one (region, dir) under the current state.

@@ -1,6 +1,8 @@
 #include "netlist/ispd98.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -138,12 +140,19 @@ std::size_t Ispd98Parser::parse_areas(std::istream& in, Netlist& inout) const {
   std::size_t matched = 0;
   while (next_line(in, line)) {
     std::istringstream iss(line);
-    std::string module;
-    double area = 0.0;
-    iss >> module >> area;
+    std::string module, token;
+    iss >> module >> token;
     if (module.empty()) continue;
     const auto it = by_name.find(module);
     if (it == by_name.end()) continue;  // space/filler modules are expected
+    // The whole token must be a finite, non-negative number.
+    double area = 0.0;
+    const char* const end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, area);
+    if (ec != std::errc() || ptr != end || !std::isfinite(area) ||
+        std::signbit(area)) {
+      throw std::runtime_error("ISPD98 parser: bad area: '" + line + "'");
+    }
     inout.cell(it->second).area_um2 = area;
     ++matched;
   }

@@ -52,6 +52,8 @@ class Ispd98Parser {
 
   /// Parse an .are stream, attaching areas to already-parsed cells.
   /// Unknown module names are ignored (the suite contains space modules).
+  /// Throws std::runtime_error when a line naming a parsed cell has a
+  /// missing, unparsable, non-finite or negative area.
   std::size_t parse_areas(std::istream& in, Netlist& inout) const;
 
   /// Convenience: load netD (+ optional .are) from files. When `stats` is

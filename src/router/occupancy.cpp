@@ -5,8 +5,7 @@
 namespace rlcr::router {
 
 Occupancy::Occupancy(const grid::RegionGrid& grid,
-                     const std::vector<NetRoute>& routes)
-    : grid_(grid) {
+                     const std::vector<NetRoute>& routes) {
   for (auto& v : by_region_) v.resize(grid.region_count());
   by_net_.resize(routes.size());
 
@@ -40,7 +39,7 @@ double Occupancy::net_length_um(std::size_t net_index) const {
 void Occupancy::fill_segments(grid::CongestionMap& cmap) const {
   // Unoccupied regions keep the map's value-initialized 0.0.
   for (int d = 0; d < 2; ++d) {
-    for (std::size_t r = 0; r < grid_.region_count(); ++r) {
+    for (std::size_t r = 0; r < by_region_[0].size(); ++r) {
       const auto& segs = by_region_[static_cast<std::size_t>(d)][r];
       if (segs.empty()) continue;
       cmap.set_segments(r, static_cast<grid::Dir>(d),

@@ -16,9 +16,9 @@
 //   region set — an instance's structure is a pure function of the
 //   region's segment list, its members' critical-path lengths / S_i, and
 //   the pairwise sensitivity draws, all of which slot preservation keeps
-//   index-stable. The patched routing copies every instance whose inputs
-//   are bitwise unchanged from the old routing's set and builds the rest
-//   through the one build_region_solution path.
+//   index-stable. The patched routing copies every instance whose members
+//   and lengths are bitwise unchanged (RegionSet::same_slice) from the old
+//   routing's set and builds the rest (derive_routing_artifact).
 //
 //   solve — a (region, dir) SINO solution is a pure function of its
 //   instance and its members' Kth. Regions whose instance and Kth are
@@ -191,15 +191,14 @@ SolvePatch patch_solve(
   const std::vector<double>& old_kth = *oldart.budget->kth;
   const std::vector<double>& new_kth = *budget->kth;
 
-  // A (region, dir) is clean iff its region-set inputs are unchanged
-  // (gsino::same_region_inputs, the test the routing's set used to carry
-  // its slice over) and every member's Kth is bitwise unchanged. Clean
-  // regions carry their solved slots and Ki over (the solvers are pure per
-  // instance, with per-region seeds keyed on the member list).
+  // A (region, dir) is clean iff its region-set slice is bitwise
+  // unchanged (RegionSet::same_slice: members, wire and path lengths) and
+  // every member's Kth is bitwise unchanged. Clean regions carry their
+  // solved slots and Ki over (the solvers are pure per instance, with
+  // per-region seeds keyed on the member list).
   std::vector<gsino::RegionSolution> carried(set.size());
   for (std::size_t si = 0; si < set.size(); ++si) {
-    bool clean = gsino::same_region_inputs(*oldart.phase1, *phase1->occupancy,
-                                           *phase1->paths, si);
+    bool clean = set.same_slice(si, *oldart.phase1->regions);
     for (const std::uint32_t n : set.net_index(si)) {
       if (!clean) break;
       clean = n < old_kth.size() && same_bits(old_kth[n], new_kth[n]);

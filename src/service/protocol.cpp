@@ -59,12 +59,12 @@ bool WhatIfQuery::decode(util::BinaryReader& r) {
   seed = r.u64();
   flow = r.u8();
   if (flow > 2) return false;
-  has_bound = r.u8() != 0;
+  has_bound = r.flag();
   scenario_bound_v = r.f64();
-  has_margin = r.u8() != 0;
+  has_margin = r.flag();
   scenario_margin = r.f64();
-  has_anneal = r.u8() != 0;
-  scenario_anneal = r.u8() != 0;
+  has_anneal = r.flag();
+  scenario_anneal = r.flag();
   return r.ok();
 }
 

@@ -238,14 +238,8 @@ bool read_region_state(
                                                             std::move(st))
            : std::make_shared<const gsino::RegionSolutions>(phase1.regions,
                                                             std::move(st));
-  out.congestion = std::make_shared<grid::CongestionMap>(*phase1.segments);
-  for (std::size_t si = 0; si < set.size(); ++si) {
-    if (set.count(si) == 0) continue;
-    out.congestion->set_shields(
-        gsino::sol_region(si), gsino::sol_dir(si),
-        static_cast<double>(
-            sino::SinoEvaluator::shield_count(out.solutions->slots(si))));
-  }
+  out.congestion = std::make_shared<grid::CongestionMap>(
+      gsino::solution_congestion(problem.grid(), *out.solutions));
   return true;
 }
 

@@ -21,16 +21,16 @@
 // that was saved. For RoutingArtifact this is enforced, not assumed — the
 // payload embeds the golden route hash (router/route_types.h, the same
 // function the golden-seed regression tests pin) and load_routing()
-// recomputes and compares it, then rebuilds every derived view (occupancy,
-// segment congestion, critical paths) through the session's own
+// recomputes and compares it, then rebuilds the derived state
+// (critical-path lengths and the region set) through the session's own
 // derive_routing_artifact(), the exact code path a fresh compute takes.
 // Budget payloads carry their full numeric state verbatim (bit patterns),
 // so equality is structural. Region-solve and refine payloads carry only
 // their per-bound state (Kth, Ki, slots, LSK, noise) verbatim; the loader
 // re-attaches the routing's region set, rejects a record that does not
 // fit its shape or whose slots are not a valid arrangement of each
-// instance, and re-derives the congestion map from the routing's segment
-// counts and the slots' shields.
+// instance, and re-derives the congestion map from the region set's
+// member counts and the slots' shields (gsino::solution_congestion).
 #pragma once
 
 #include <cstdint>

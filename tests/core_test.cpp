@@ -245,8 +245,8 @@ TEST(CriticalPathDifferential, FlatMatchesHashMapReferenceOnIbm01Gsino) {
     }
   }
 
-  // The artifact's PathIndex against the historical per-(net, region, dir)
-  // map, probed at every region a net occupies and every path region.
+  // The region set's critical-path lengths against the historical
+  // per-(net, region, dir) map, probed at every member of every instance.
   std::unordered_map<std::uint64_t, double> map;
   auto key = [](std::size_t n, std::size_t region, grid::Dir d) {
     return (static_cast<std::uint64_t>(n) << 33) | (region << 1) |
@@ -257,24 +257,36 @@ TEST(CriticalPathDifferential, FlatMatchesHashMapReferenceOnIbm01Gsino) {
       map[key(n, ref.region, ref.dir)] = ref.length_um;
     }
   }
-  const PathIndex& index = *phase1->paths;
+  const RegionSet& set = *phase1->regions;
   std::size_t probes = 0;
-  for (std::size_t n = 0; n < nets.size(); ++n) {
-    auto probe = [&](std::size_t region, grid::Dir d) {
-      const auto it = map.find(key(n, region, d));
+  for (std::size_t si = 0; si < set.size(); ++si) {
+    const std::span<const std::uint32_t> members = set.net_index(si);
+    const std::span<const double> path_len = set.path_len_mm(si);
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      const auto it = map.find(key(members[i], sol_region(si), sol_dir(si)));
       const double want = it == map.end() ? 0.0 : it->second;
-      EXPECT_EQ(bits(index.length_um(n, region, d)), bits(want))
-          << "net " << n << " region " << region;
+      EXPECT_EQ(bits(path_len[i]), bits(want / 1000.0))
+          << "net " << members[i] << " instance " << si;
       ++probes;
-    };
-    for (const router::NetRegionRef& ref : phase1->occupancy->net_refs(n)) {
-      probe(ref.region, ref.dir);
-    }
-    for (const router::NetRegionRef& ref : reference[n].refs) {
-      probe(ref.region, ref.dir);
     }
   }
   EXPECT_GT(probes, map.size());
+
+  // Every critical-path region holds its net, found through the net's
+  // memberships.
+  for (std::size_t n = 0; n < nets.size(); ++n) {
+    for (const router::NetRegionRef& ref : reference[n].refs) {
+      const std::size_t si = sol_index_of(ref.region, ref.dir);
+      const auto ms = set.memberships(n);
+      const auto m = std::find_if(
+          ms.begin(), ms.end(),
+          [si](const RegionSet::Membership& x) { return x.si == si; });
+      ASSERT_NE(m, ms.end()) << "net " << n << " instance " << si;
+      EXPECT_EQ(bits(set.path_len_mm(si)[m->member]),
+                bits(ref.length_um / 1000.0))
+          << "net " << n << " instance " << si;
+    }
+  }
 }
 
 TEST(CriticalPathDifferential, FlatMatchesHashMapReferenceOnRandomEdgeSets) {
@@ -379,13 +391,86 @@ TEST(Flow, LskAccountingIsConsistent) {
 TEST(Flow, CongestionSegmentsMatchOccupancy) {
   const RoutingProblem p = tiny_problem();
   const FlowResult fr = FlowSession(p).run(FlowKind::kIdNo);
+  const router::Occupancy occ(p.grid(), fr.routing().routes);
   for (std::size_t r = 0; r < p.grid().region_count(); ++r) {
     for (grid::Dir d : grid::kBothDirs) {
-      EXPECT_DOUBLE_EQ(
-          fr.congestion->segments(r, d),
-          static_cast<double>(fr.occupancy->segments(r, d).size()));
+      EXPECT_DOUBLE_EQ(fr.congestion->segments(r, d),
+                       static_cast<double>(occ.segments(r, d).size()));
     }
   }
+}
+
+/// The region set's membership index against the occupancy it was built
+/// from: each net's memberships follow Occupancy::net_refs in order, each
+/// points at the net, and each instance lists its segment list's nets.
+void expect_memberships_follow_occupancy(const RoutingProblem& p,
+                                         const RoutingArtifact& art) {
+  const router::Occupancy occ(p.grid(), art.routing->routes);
+  const RegionSet& set = *art.regions;
+  std::size_t total = 0;
+  for (std::size_t n = 0; n < occ.net_count(); ++n) {
+    const auto& refs = occ.net_refs(n);
+    const auto ms = set.memberships(n);
+    ASSERT_EQ(ms.size(), refs.size()) << "net " << n;
+    for (std::size_t k = 0; k < ms.size(); ++k) {
+      EXPECT_EQ(ms[k].si, sol_index_of(refs[k].region, refs[k].dir))
+          << "net " << n << " ref " << k;
+      ASSERT_LT(ms[k].member, set.count(ms[k].si)) << "net " << n;
+      EXPECT_EQ(set.net_index(ms[k].si)[ms[k].member], n) << "net " << n;
+    }
+    total += ms.size();
+  }
+  EXPECT_EQ(total, set.member_count());
+  for (std::size_t si = 0; si < set.size(); ++si) {
+    const auto& segs = occ.segments(sol_region(si), sol_dir(si));
+    ASSERT_EQ(segs.size(), set.count(si)) << "instance " << si;
+    for (std::size_t i = 0; i < segs.size(); ++i) {
+      EXPECT_EQ(static_cast<std::uint32_t>(segs[i].net_index),
+                set.net_index(si)[i])
+          << "instance " << si;
+    }
+  }
+}
+
+TEST(RegionSet, MembershipsRankEachInstancesNetsInIndexOrder) {
+  // Nets 0..2 over 4 instances: net 0 in {1, 3}, net 1 in {1}, net 2 in
+  // {0, 1}.
+  const RegionSet set(4, {0, 2, 3, 5}, {1, 3, 1, 0, 1});
+  EXPECT_EQ(set.size(), 4u);
+  EXPECT_EQ(set.member_count(), 5u);
+  EXPECT_EQ(set.count(0), 1u);
+  EXPECT_EQ(set.count(1), 3u);
+  EXPECT_EQ(set.count(2), 0u);
+  const auto ms = set.memberships(2);
+  ASSERT_EQ(ms.size(), 2u);
+  EXPECT_EQ(ms[0].si, 0u);
+  EXPECT_EQ(ms[0].member, 0u);
+  EXPECT_EQ(ms[1].si, 1u);
+  EXPECT_EQ(ms[1].member, 2u);
+  // The index is counted: at least its entries and one offset per net.
+  EXPECT_GE(set.owned_bytes(),
+            5 * (sizeof(RegionSet::Membership) + sizeof(std::uint32_t)) +
+                4 * sizeof(std::uint32_t));
+}
+
+TEST(RegionSet, MembershipsFollowOccupancyOnTinyProblem) {
+  const RoutingProblem p = tiny_problem();
+  FlowSession session(p);
+  for (const FlowKind kind : {FlowKind::kIdNo, FlowKind::kGsino}) {
+    SCOPED_TRACE(flow_name(kind));
+    expect_memberships_follow_occupancy(p, *session.route(kind));
+  }
+}
+
+TEST(RegionSet, MembershipsFollowOccupancyOnIbm01) {
+  const auto classes = netlist::ispd98_classes(0.05);
+  const netlist::Ispd98ClassSpec* cls =
+      netlist::find_ispd98_class(classes, "ibm01");
+  ASSERT_NE(cls, nullptr);
+  const netlist::Ispd98Instance inst = netlist::make_ispd98_instance(*cls);
+  const RoutingProblem p(inst.design, inst.gspec, GsinoParams{});
+  FlowSession session(p);
+  expect_memberships_follow_occupancy(p, *session.route(FlowKind::kGsino));
 }
 
 TEST(Flow, WirelengthAggregatesAreCoherent) {

@@ -7,6 +7,8 @@
 // store; the headline chain test covers thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
@@ -379,8 +381,8 @@ TEST(DeltaDifferential, ResultsOutliveTheProblemsDeltasReplace) {
   }
   EXPECT_EQ(grid::compute_routing_area(*fr.congestion).area_um2(), area);
   EXPECT_EQ(fr.congestion->max_density(), density);
-  EXPECT_EQ(fr.occupancy->grid().region_count(),
-            fr.congestion->grid().region_count());
+  EXPECT_EQ(fr.phase1->regions->size(),
+            2 * fr.congestion->grid().region_count());
   fs.resolve_region(busiest, true);
   EXPECT_EQ(fs.solution_density(busiest), ref.solution_density(busiest));
   EXPECT_EQ(fs.net_lsk, ref.net_lsk);
@@ -408,6 +410,64 @@ TEST(DeltaDifferential, ResultsOutliveTheProblemsDeltasReplace) {
 // the other eight clusters' Phase II regions carry over, and the patched
 // routing artifact is a full route of the mutated problem, down to the
 // router's own work counters (which feed the post-delta router.* metrics).
+/// Bitwise equality of instance `si` of two region sets: members, S_i,
+/// wire and critical-path lengths, and the sensitivity matrix.
+void expect_same_instance(const gsino::RegionSet& a, const gsino::RegionSet& b,
+                          std::size_t si) {
+  ASSERT_TRUE(std::ranges::equal(a.net_index(si), b.net_index(si)))
+      << "instance " << si;
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const sino::SinoInstance ia = a.instance(si, nullptr);
+  const sino::SinoInstance ib = b.instance(si, nullptr);
+  const std::size_t n = a.count(si);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(bits(ia.si(i)), bits(ib.si(i))) << "instance " << si;
+    EXPECT_EQ(bits(a.len_mm(si)[i]), bits(b.len_mm(si)[i]))
+        << "instance " << si;
+    EXPECT_EQ(bits(a.path_len_mm(si)[i]), bits(b.path_len_mm(si)[i]))
+        << "instance " << si;
+    for (std::size_t j = 0; j < n; ++j) {
+      EXPECT_EQ(ia.sensitive(i, j), ib.sensitive(i, j)) << "instance " << si;
+    }
+  }
+}
+
+TEST(DeltaDifferential, CleanSlicesMatchAFromScratchRouting) {
+  // Over a seeded delta chain, every instance RegionSet::same_slice calls
+  // clean between the routing a delta replaces and the patched one is
+  // bitwise the instance a from-scratch routing of the mutated problem
+  // builds, S_i and sensitivities included (same_slice reads neither:
+  // slot preservation keeps them). The patched set matches the
+  // from-scratch one everywhere.
+  const Pipeline pipe;
+  const gsino::RoutingProblem p0 = pipe.problem();
+  gsino::FlowSession session(p0);
+  auto old = session.route(gsino::FlowKind::kGsino);
+  std::size_t clean = 0, dirty = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    session.apply_delta(random_delta(session.problem(), kChainSeed + i, 8));
+    const auto now = session.route(gsino::FlowKind::kGsino);
+    const auto scratch = gsino::compute_route(session.problem(), now->options);
+    const gsino::RegionSet& was = *old->regions;
+    const gsino::RegionSet& set = *now->regions;
+    const gsino::RegionSet& fresh = *scratch->regions;
+    ASSERT_EQ(set.size(), fresh.size());
+    for (std::size_t si = 0; si < set.size(); ++si) {
+      expect_same_instance(set, fresh, si);
+      if (set.count(si) == 0) continue;
+      if (set.same_slice(si, was)) {
+        ++clean;
+        expect_same_instance(was, fresh, si);
+      } else {
+        ++dirty;
+      }
+    }
+    old = now;
+  }
+  EXPECT_GT(clean, 0u);
+  EXPECT_GT(dirty, 0u);
+}
+
 TEST(DeltaDifferential, ClusteredDesignReusesRegions) {
   netlist::SyntheticSpec spec = netlist::tiny_spec(0, 5);
   spec.grid_cols = 12;

@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "mutate.h"
 #include "netlist/ispd98.h"
 
 namespace rlcr::netlist {
@@ -109,6 +116,109 @@ TEST(Ispd98, AreasAttachToKnownModules) {
     if (c.name == "a0") EXPECT_DOUBLE_EQ(c.area_um2, 12.5);
     if (c.name == "a1") EXPECT_DOUBLE_EQ(c.area_um2, 3.0);
   }
+}
+
+TEST(Ispd98, BadAreaOfAKnownModuleThrows) {
+  // Missing, unparsable, trailing junk, non-finite, out of range and
+  // negative areas of a parsed cell are all malformed entries.
+  for (const char* line :
+       {"a0\n", "a0 junk\n", "a1 -5\n", "a0 5junk\n", "a0 nan\n",
+        "a0 inf\n", "a0 1e999\n", "a1 -0\n"}) {
+    SCOPED_TRACE(line);
+    std::istringstream in(kSampleNet);
+    Netlist nl;
+    Ispd98Parser().parse_net(in, nl);
+    std::istringstream areas(std::string("a2 1\n") + line);
+    EXPECT_THROW(Ispd98Parser().parse_areas(areas, nl), std::runtime_error);
+  }
+}
+
+TEST(Ispd98, UnknownModuleLinesAreSkippedWhateverTheirArea) {
+  std::istringstream in(kSampleNet);
+  Netlist nl;
+  Ispd98Parser().parse_net(in, nl);
+  std::istringstream areas("space0 junk\nspace1\na0 0\na1 2.5e1\n");
+  EXPECT_EQ(Ispd98Parser().parse_areas(areas, nl), 2u);
+  for (const Cell& c : nl.cells()) {
+    if (c.name == "a1") EXPECT_DOUBLE_EQ(c.area_um2, 25.0);
+  }
+}
+
+std::vector<std::uint8_t> bytes_of(const std::string& text) {
+  return {text.begin(), text.end()};
+}
+
+std::string text_of(const std::vector<std::uint8_t>& bytes) {
+  return {bytes.begin(), bytes.end()};
+}
+
+TEST(Ispd98Fuzz, NetMutantsThrowOrParseToTheirOwnCounts) {
+  // Seeded byte mutants of two small netD texts: each either throws
+  // std::runtime_error or parses to a netlist holding exactly the counts
+  // the parser reports.
+  const std::vector<std::uint8_t> a = bytes_of(kSampleNet);
+  const std::vector<std::uint8_t> b = bytes_of(
+      "0\n6\n2\n4\n1\na0 s\na1 l\np0 l\na2 s\na0 l\na1 l\n");
+  fuzz::Mutator mutator(98);
+  int parsed = 0, rejected = 0;
+  for (int it = 0; it < 3000; ++it) {
+    const std::vector<std::uint8_t> mutant =
+        mutator.coin() ? mutator.mutate(a, b) : mutator.mutate(b, a);
+    std::istringstream in(text_of(mutant));
+    Netlist nl;
+    Ispd98Stats stats;
+    try {
+      stats = Ispd98Parser().parse_net(in, nl);
+    } catch (const std::runtime_error&) {
+      ++rejected;
+      continue;
+    }
+    ++parsed;
+    std::size_t pins = 0;
+    for (const Net& net : nl.nets()) pins += net.pins.size();
+    ASSERT_EQ(stats.parsed_nets, nl.net_count()) << "iteration " << it;
+    ASSERT_EQ(stats.parsed_pins, pins) << "iteration " << it;
+    ASSERT_EQ(stats.parsed_modules, nl.cell_count()) << "iteration " << it;
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+TEST(Ispd98Fuzz, AreaMutantsThrowOrAttachValidAreas) {
+  // Seeded byte mutants of two small .are texts over a parsed netlist:
+  // each either throws std::runtime_error or leaves every cell with a
+  // finite, non-negative area and reports at most one match per line.
+  const std::vector<std::uint8_t> a = bytes_of("a0 12.5\na1 3\nspace 9\n");
+  const std::vector<std::uint8_t> b =
+      bytes_of("p0 0\na2 7.25\na3 1e2\np1 4\n");
+  fuzz::Mutator mutator(1998);
+  int parsed = 0, rejected = 0;
+  for (int it = 0; it < 3000; ++it) {
+    const std::vector<std::uint8_t> mutant =
+        mutator.coin() ? mutator.mutate(a, b) : mutator.mutate(b, a);
+    std::istringstream net_in(kSampleNet);
+    Netlist nl;
+    Ispd98Parser().parse_net(net_in, nl);
+    const std::string text = text_of(mutant);
+    std::istringstream in(text);
+    std::size_t matched = 0;
+    try {
+      matched = Ispd98Parser().parse_areas(in, nl);
+    } catch (const std::runtime_error&) {
+      ++rejected;
+      continue;
+    }
+    ++parsed;
+    const auto lines =
+        static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
+    ASSERT_LE(matched, lines + 1) << "iteration " << it;
+    for (const Cell& c : nl.cells()) {
+      ASSERT_TRUE(std::isfinite(c.area_um2) && c.area_um2 >= 0.0)
+          << "iteration " << it << " cell " << c.name;
+    }
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(Ispd98, LoadMissingFileThrows) {

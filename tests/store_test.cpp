@@ -73,13 +73,20 @@ void expect_routing_equal(const RoutingArtifact& a, const RoutingArtifact& b,
   for (std::size_t n = 0; n < a.critical_path_um->size(); ++n) {
     EXPECT_EQ((*a.critical_path_um)[n], (*b.critical_path_um)[n]);
   }
-  const std::size_t regions = p.grid().region_count();
-  for (std::size_t r = 0; r < regions; ++r) {
-    for (const grid::Dir d : grid::kBothDirs) {
-      EXPECT_EQ(a.segments->segments(r, d), b.segments->segments(r, d));
-      for (std::size_t n = 0; n < p.net_count(); ++n) {
-        EXPECT_EQ(a.paths->length_um(n, r, d), b.paths->length_um(n, r, d));
-      }
+  const RegionSet& sa = *a.regions;
+  const RegionSet& sb = *b.regions;
+  ASSERT_EQ(sa.size(), sb.size());
+  ASSERT_EQ(sa.member_count(), sb.member_count());
+  for (std::size_t si = 0; si < sa.size(); ++si) {
+    EXPECT_TRUE(sa.same_slice(si, sb)) << "instance " << si;
+  }
+  for (std::size_t n = 0; n < p.net_count(); ++n) {
+    const auto ma = sa.memberships(n);
+    const auto mb = sb.memberships(n);
+    ASSERT_EQ(ma.size(), mb.size()) << "net " << n;
+    for (std::size_t k = 0; k < ma.size(); ++k) {
+      EXPECT_EQ(ma[k].si, mb[k].si) << "net " << n;
+      EXPECT_EQ(ma[k].member, mb[k].member) << "net " << n;
     }
   }
 }

@@ -145,12 +145,15 @@ std::size_t Ispd98Parser::parse_areas(std::istream& in, Netlist& inout) const {
     if (module.empty()) continue;
     const auto it = by_name.find(module);
     if (it == by_name.end()) continue;  // space/filler modules are expected
-    // The whole token must be a finite, non-negative number.
+    // The whole token, after an optional leading '+', must be a finite,
+    // non-negative number.
     double area = 0.0;
-    const char* const end = token.data() + token.size();
-    const auto [ptr, ec] = std::from_chars(token.data(), end, area);
+    const char* begin = token.data();
+    const char* const end = begin + token.size();
+    if (begin != end && *begin == '+') ++begin;
+    const auto [ptr, ec] = std::from_chars(begin, end, area);
     if (ec != std::errc() || ptr != end || !std::isfinite(area) ||
-        std::signbit(area)) {
+        area < 0.0) {
       throw std::runtime_error("ISPD98 parser: bad area: '" + line + "'");
     }
     inout.cell(it->second).area_um2 = area;

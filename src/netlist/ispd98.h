@@ -52,8 +52,11 @@ class Ispd98Parser {
 
   /// Parse an .are stream, attaching areas to already-parsed cells.
   /// Unknown module names are ignored (the suite contains space modules).
-  /// Throws std::runtime_error when a line naming a parsed cell has a
-  /// missing, unparsable, non-finite or negative area.
+  /// The area is the line's second token, read whole: an optional leading
+  /// '+' and a decimal or scientific number (-0 reads as zero). Throws
+  /// std::runtime_error when a line naming a parsed cell has a missing
+  /// area, trailing characters after the number, or an unparsable,
+  /// out-of-range, non-finite or negative area.
   std::size_t parse_areas(std::istream& in, Netlist& inout) const;
 
   /// Convenience: load netD (+ optional .are) from files. When `stats` is

@@ -123,13 +123,27 @@ TEST(Ispd98, BadAreaOfAKnownModuleThrows) {
   // negative areas of a parsed cell are all malformed entries.
   for (const char* line :
        {"a0\n", "a0 junk\n", "a1 -5\n", "a0 5junk\n", "a0 nan\n",
-        "a0 inf\n", "a0 1e999\n", "a1 -0\n"}) {
+        "a0 inf\n", "a0 1e999\n", "a1 +\n", "a1 +-5\n", "a1 ++5\n"}) {
     SCOPED_TRACE(line);
     std::istringstream in(kSampleNet);
     Netlist nl;
     Ispd98Parser().parse_net(in, nl);
     std::istringstream areas(std::string("a2 1\n") + line);
     EXPECT_THROW(Ispd98Parser().parse_areas(areas, nl), std::runtime_error);
+  }
+}
+
+TEST(Ispd98, SignedAreasThatAreNotNegativeParse) {
+  // A leading '+' and a negative zero are not negative areas.
+  std::istringstream in(kSampleNet);
+  Netlist nl;
+  Ispd98Parser().parse_net(in, nl);
+  std::istringstream areas("a0 +5\na1 -0\na2 +2.5e1\n");
+  EXPECT_EQ(Ispd98Parser().parse_areas(areas, nl), 3u);
+  for (const Cell& c : nl.cells()) {
+    if (c.name == "a0") EXPECT_DOUBLE_EQ(c.area_um2, 5.0);
+    if (c.name == "a1") EXPECT_EQ(c.area_um2, 0.0);
+    if (c.name == "a2") EXPECT_DOUBLE_EQ(c.area_um2, 25.0);
   }
 }
 
